@@ -42,7 +42,6 @@ from .federation import (
 from .local_training import (
     LocalConfig,
     LocalTrace,
-    ModelPool,
     affinity_loss,
     diversity_loss,
     fedprox_local_train,
@@ -50,7 +49,6 @@ from .local_training import (
     lss_local_train,
     lss_regularized_grad,
     sample_interp_coeffs,
-    sgd_local_train,
 )
 from .model import Batch, MlpSpec, accuracy, init_params, loss_and_grad
 from .params import (

@@ -7,8 +7,6 @@ Verbs:
   bound  print the convergence-theory quantities for given constants
 
 ``section.key=value`` overrides take precedence over config-file keys.
-The environment variable LSS_THREADS caps how many clients train
-concurrently (default 1); results are identical for any value.
 """
 
 from __future__ import annotations
@@ -39,8 +37,14 @@ from .config import (
     parse_config_data,
     serialize_config,
 )
-from .data import split_dataset, write_partition_plan
-from .experiment import ExperimentResult, build_dataset, build_model_spec, run_experiment
+from .data import write_partition_plan
+from .experiment import (
+    ExperimentResult,
+    build_dataset,
+    build_model_spec,
+    run_experiment,
+    split_experiment_data,
+)
 from .federation import derive_seed, write_rounds_csv
 from .model import accuracy, loss_and_grad
 from .params import l2_distance, load_checkpoint, save_checkpoint
@@ -201,17 +205,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint has {params.dim} parameters, config model needs "
             f"{spec.param_count()}"
         )
-    fractions = (
-        1.0 - cfg.data.val_fraction - cfg.data.test_fraction,
-        cfg.data.val_fraction,
-        cfg.data.test_fraction,
-    )
-    splits = dict(
-        zip(
-            ("train", "val", "test"),
-            split_dataset(base, fractions, derive_seed(cfg.master_seed, "split")),
-        )
-    )
+    splits = dict(zip(("train", "val", "test"), split_experiment_data(cfg, base)))
     data = splits[args.split]
     batch = data.as_batch()
     acc = accuracy(params, spec, batch)

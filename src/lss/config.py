@@ -10,12 +10,12 @@ directories store for reproducibility.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import yaml
 
-from .data import FEATURE_SHIFT_MARKER
 from .federation import STRATEGIES
 from .local_training import COEFF_MODES, LocalConfig
 from .model import ACTIVATIONS
@@ -95,6 +95,10 @@ def _as_int(value: Any, path: str) -> int:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    # NaN fails the comparison; so do infinities and integers too large
+    # to convert to a float.
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -330,7 +334,3 @@ def apply_overrides(raw: dict | None, overrides: list[str]) -> dict:
             raise ConfigError(key, "override key must be a dotted section.key path")
         out.setdefault(section, {})[name] = _parse_override_value(value)
     return out
-
-
-def partition_label(cfg: ExperimentConfig) -> float | str:
-    return FEATURE_SHIFT_MARKER if cfg.partition.mode == "feature_shift" else cfg.partition.alpha

@@ -88,9 +88,6 @@ class PartitionPlan:
     def num_clients(self) -> int:
         return len(self.client_indices)
 
-    def client_sizes(self) -> list[int]:
-        return [len(ids) for ids in self.client_indices]
-
     def covered_indices(self) -> set[int]:
         return {i for ids in self.client_indices for i in ids}
 

@@ -68,6 +68,18 @@ def build_model_spec(cfg: ExperimentConfig, data: Dataset) -> MlpSpec:
     )
 
 
+def split_experiment_data(
+    cfg: ExperimentConfig, base: Dataset
+) -> tuple[Dataset, Dataset, Dataset]:
+    """The run's (train, val, test) split of ``base``."""
+    fractions = (
+        1.0 - cfg.data.val_fraction - cfg.data.test_fraction,
+        cfg.data.val_fraction,
+        cfg.data.test_fraction,
+    )
+    return split_dataset(base, fractions, derive_seed(cfg.master_seed, "split"))
+
+
 def _warmup_proxy(cfg: ExperimentConfig, val: Dataset) -> Dataset:
     if cfg.data.source == "blobs":
         # Same generator family, disjoint seed: shared geometry, fresh noise.
@@ -83,12 +95,7 @@ def _warmup_proxy(cfg: ExperimentConfig, val: Dataset) -> Dataset:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     base = build_dataset(cfg)
-    fractions = (
-        1.0 - cfg.data.val_fraction - cfg.data.test_fraction,
-        cfg.data.val_fraction,
-        cfg.data.test_fraction,
-    )
-    train, val, test = split_dataset(base, fractions, derive_seed(cfg.master_seed, "split"))
+    train, val, test = split_experiment_data(cfg, base)
     spec = build_model_spec(cfg, base)
 
     anchor = warmup_pretrain(
@@ -132,12 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         eval_data = Dataset(feats, labels, test.num_classes)
 
     fed_cfg = FederationConfig(
-        num_clients=cfg.num_clients,
-        rounds=cfg.rounds,
-        strategy=cfg.strategy,
-        client_weights=data_proportional_weights(clients),
-        master_seed=cfg.master_seed,
-        warmup_steps=cfg.warmup_steps,
+        strategy=cfg.strategy, client_weights=data_proportional_weights(clients)
     )
 
     model = anchor

@@ -2,31 +2,23 @@
 
 Each round every client trains from a copy of the current global model
 using the configured strategy, and the server forms the new global model
-as the client-weighted average of the uploads.  Per-client seeds are a
-stable hash of (round seed, client id), so results are independent of
-execution order; ``LSS_THREADS`` only controls how many clients train
-concurrently.
+as the client-weighted average of the uploads.  Clients train one after
+another in client-id order; per-client seeds are a stable hash of
+(round seed, client id), so results do not depend on the order the
+clients are given in.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .local_training import (
-    LocalConfig,
-    LocalTrace,
-    fedprox_local_train,
-    lss_local_train,
-    sgd_local_train,
-)
+from .local_training import LocalConfig, LocalTrace, fedprox_local_train, lss_local_train
 from .model import MlpSpec, accuracy, init_params, loss_and_grad
 from .params import ParamVector, l2_distance, weighted_average
 
@@ -58,27 +50,15 @@ def derive_seed(*parts: int | str) -> int:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """Server-side hyperparameters and the client weighting."""
+    """The local-training strategy and the server's client weighting."""
 
-    num_clients: int
-    rounds: int
     strategy: str
     client_weights: tuple[float, ...]
-    master_seed: int
-    warmup_steps: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_clients < 1:
-            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if len(self.client_weights) != self.num_clients:
-            raise ValueError(
-                f"{len(self.client_weights)} weights for {self.num_clients} clients"
             )
         if any(w < 0 for w in self.client_weights):
             raise ValueError("client weights must be non-negative")
@@ -86,8 +66,6 @@ class FederationConfig:
             raise ValueError(
                 f"client weights sum to {sum(self.client_weights)}, expected 1"
             )
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +118,8 @@ def warmup_pretrain(
     start = init_params(spec, seed)
     if steps == 0:
         return start
-    cfg = LocalConfig(eta=eta, tau=steps, batch_size=batch_size)
-    return sgd_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
+    cfg = LocalConfig(eta=eta, tau=steps, batch_size=batch_size, mu_prox=0.0)
+    return fedprox_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
 
 
 def train_client(
@@ -153,20 +131,15 @@ def train_client(
     seed: int,
 ) -> tuple[ParamVector, LocalTrace | None]:
     if strategy == "fedavg":
-        return sgd_local_train(anchor, spec, data, local_cfg, seed), None
+        # FedAvg is plain SGD: proximal SGD with the pull switched off,
+        # whatever ``mu_prox`` the config carries.
+        plain = replace(local_cfg, mu_prox=0.0)
+        return fedprox_local_train(anchor, spec, data, plain, seed), None
     if strategy == "fedprox":
         return fedprox_local_train(anchor, spec, data, local_cfg, seed), None
     if strategy == "lss":
         return lss_local_train(anchor, spec, data, local_cfg, seed)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LSS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def run_round(
@@ -181,10 +154,13 @@ def run_round(
 ) -> tuple[ParamVector, RoundRecord, list[ParamVector]]:
     """One communication round; returns the new global model, its metrics,
     and the per-client uploads (in client-id order)."""
+    if len(fed_cfg.client_weights) != len(clients):
+        raise ValueError(
+            f"{len(fed_cfg.client_weights)} client weights for {len(clients)} clients"
+        )
     t0 = time.perf_counter()
-    ordered = sorted(clients, key=lambda c: c.client_id)
-
-    def _train(client: ClientState) -> ParamVector:
+    finals = []
+    for client in sorted(clients, key=lambda c: c.client_id):
         seed = derive_seed(round_seed, client.client_id)
         try:
             final, _ = train_client(
@@ -194,14 +170,7 @@ def run_round(
             raise RuntimeError(
                 f"client {client.client_id} failed during round {round_index}"
             ) from exc
-        return final
-
-    workers = _worker_count()
-    if workers == 1 or len(ordered) == 1:
-        finals = [_train(c) for c in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finals = list(pool.map(_train, ordered))
+        finals.append(final)
 
     new_global = weighted_average(finals, fed_cfg.client_weights)
     eval_batch = eval_data.as_batch()

@@ -1,7 +1,8 @@
-"""Client-side update strategies: plain SGD, proximal SGD, and soup training.
+"""Client-side update strategies: proximal SGD and soup training.
 
-The soup strategy (``lss_local_train``) grows a pool of models seeded with
-the round's incoming anchor.  Each new member starts from the pool average
+Plain SGD is proximal SGD with ``mu_prox`` 0.  The soup strategy
+(``lss_local_train``) grows a pool of models seeded with the round's
+incoming anchor.  Each new member starts from the pool average
 and is trained for ``tau`` steps: the forward/backward pass runs through a
 random convex combination of the pool, only the newest member receives
 gradient, and two distance regularizers shape the pool geometry - an
@@ -12,6 +13,7 @@ pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -39,15 +41,17 @@ class LocalConfig:
     dist_epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        # Comparisons are written so that NaN fails them; ``< math.inf``
+        # rejects infinity.
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         # tau == 0 is allowed as the degenerate no-op used by tests/smoke runs
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lambda_a < 0 or self.lambda_d < 0 or self.mu_prox < 0:
-            raise ValueError("lambda_a, lambda_d, mu_prox must be non-negative")
+        if not all(0 <= v < math.inf for v in (self.lambda_a, self.lambda_d, self.mu_prox)):
+            raise ValueError("lambda_a, lambda_d, mu_prox must be finite and non-negative")
         if self.num_pool_models < 1:
             raise ValueError(
                 f"num_pool_models must be >= 1, got {self.num_pool_models}"
@@ -56,42 +60,10 @@ class LocalConfig:
             raise ValueError(
                 f"coeff_mode must be one of {COEFF_MODES}, got {self.coeff_mode!r}"
             )
-        if self.dist_epsilon <= 0:
-            raise ValueError(f"dist_epsilon must be > 0, got {self.dist_epsilon}")
-
-
-class ModelPool:
-    """Ordered pool of models under interpolation; only the last one mutates."""
-
-    def __init__(self, anchor: ParamVector):
-        self.anchor = anchor
-        self.members: list[ParamVector] = [anchor]
-
-    def append(self, member: ParamVector) -> None:
-        if member.dim != self.anchor.dim:
+        if not 0 < self.dist_epsilon < math.inf:
             raise ValueError(
-                f"pool member dim {member.dim} != anchor dim {self.anchor.dim}"
+                f"dist_epsilon must be finite and > 0, got {self.dist_epsilon}"
             )
-        self.members.append(member)
-
-    def replace_active(self, member: ParamVector) -> None:
-        if member.dim != self.anchor.dim:
-            raise ValueError(
-                f"pool member dim {member.dim} != anchor dim {self.anchor.dim}"
-            )
-        self.members[-1] = member
-
-    @property
-    def active(self) -> ParamVector:
-        return self.members[-1]
-
-    @property
-    def frozen(self) -> list[ParamVector]:
-        """All members except the one currently being trained."""
-        return self.members[:-1]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def sample_interp_coeffs(
@@ -118,24 +90,21 @@ def sample_interp_coeffs(
     return u / total
 
 
-def interpolate(pool: ModelPool, coeffs: Sequence[float]) -> ParamVector:
+def interpolate(pool: Sequence[ParamVector], coeffs: Sequence[float]) -> ParamVector:
     """Convex combination of the pool members."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (len(pool.members),):
-        raise ValueError(
-            f"got {coeffs.size} coefficients for a pool of {len(pool.members)}"
-        )
+    if coeffs.shape != (len(pool),):
+        raise ValueError(f"got {coeffs.size} coefficients for a pool of {len(pool)}")
     if np.any(coeffs < -1e-12) or abs(coeffs.sum() - 1.0) > 1e-9:
         raise ValueError(f"coefficients outside the simplex: {coeffs}")
-    return weighted_average(pool.members, np.clip(coeffs, 0.0, None))
+    return weighted_average(pool, np.clip(coeffs, 0.0, None))
 
 
-def diversity_loss(f: ParamVector, models: Sequence[ParamVector] | ModelPool) -> float:
+def diversity_loss(f: ParamVector, models: Sequence[ParamVector]) -> float:
     """Mean distance from ``f`` to each given model."""
-    members = models.members if isinstance(models, ModelPool) else list(models)
-    if not members:
+    if not models:
         raise ValueError("diversity_loss: empty pool")
-    return sum(l2_distance(f, m) for m in members) / len(members)
+    return sum(l2_distance(f, m) for m in models) / len(models)
 
 
 def affinity_loss(f: ParamVector, anchor: ParamVector) -> float:
@@ -156,8 +125,7 @@ def _unit_toward(f: ParamVector, other: ParamVector, eps: float) -> np.ndarray:
 
 
 def lss_regularized_grad(
-    active: ParamVector,
-    pool: ModelPool,
+    pool: Sequence[ParamVector],
     coeffs: Sequence[float],
     spec: MlpSpec,
     batch: Batch,
@@ -165,6 +133,9 @@ def lss_regularized_grad(
 ) -> tuple[float, ParamVector]:
     """Regularized loss at the interpolated model and its gradient w.r.t.
     the active member.
+
+    ``pool[0]`` is the anchor and ``pool[-1]`` the active member; the
+    members before it are frozen.
 
     Loss = task_loss(interpolate(pool, coeffs))
            + lambda_a * dist(active, anchor)
@@ -175,21 +146,19 @@ def lss_regularized_grad(
     vectors with an ``eps`` floor on the denominator so the gradient stays
     defined when models coincide.
     """
-    if not np.array_equal(active.values, pool.members[-1].values):
-        raise ValueError("active model is not the last pool member")
+    anchor, active, frozen = pool[0], pool[-1], pool[:-1]
     coeffs = np.asarray(coeffs, dtype=np.float64)
     interp = interpolate(pool, coeffs)
     task_loss, task_grad = loss_and_grad(interp, spec, batch)
 
-    frozen = pool.frozen
-    aff = affinity_loss(active, pool.anchor)
+    aff = affinity_loss(active, anchor)
     div = diversity_loss(active, frozen) if frozen else 0.0
     loss = task_loss + config.lambda_a * aff - config.lambda_d * div
 
     grad = coeffs[-1] * task_grad.values
     eps = config.dist_epsilon
     if config.lambda_a != 0.0:
-        grad = grad + config.lambda_a * _unit_toward(active, pool.anchor, eps)
+        grad = grad + config.lambda_a * _unit_toward(active, anchor, eps)
     if config.lambda_d != 0.0 and frozen:
         push = np.zeros(active.dim)
         for m in frozen:
@@ -258,21 +227,19 @@ def lss_local_train(
     sampler = MinibatchSampler(
         client_data.features, client_data.labels, config.batch_size, rng_batch
     )
-    pool = ModelPool(anchor)
+    pool = [anchor]
     for _ in range(config.num_pool_models):
-        pool.append(uniform_average(pool.members))
+        pool.append(uniform_average(pool))
         for _ in range(config.tau):
             coeffs = sample_interp_coeffs(len(pool), config.coeff_mode, rng_coeff)
             batch = sampler.next_batch()
-            _, grad = lss_regularized_grad(
-                pool.active, pool, coeffs, spec, batch, config
-            )
-            pool.replace_active(axpy(pool.active, -config.eta, grad))
-    final = uniform_average(pool.members)
+            _, grad = lss_regularized_grad(pool, coeffs, spec, batch, config)
+            pool[-1] = axpy(pool[-1], -config.eta, grad)
+    final = uniform_average(pool)
     trace = LocalTrace(
-        pool_members=tuple(pool.members),
+        pool_members=tuple(pool),
         anchor_distance=l2_distance(final, anchor),
-        pool_mean_pairwise_distance=mean_pairwise_distance(pool.members),
+        pool_mean_pairwise_distance=mean_pairwise_distance(pool),
     )
     return final, trace
 
@@ -293,25 +260,6 @@ def fedprox_loss_and_grad(
     return loss, ParamVector._wrap(grad.values + mu * diff)
 
 
-def sgd_local_train(
-    anchor: ParamVector,
-    spec: MlpSpec,
-    client_data,
-    config: LocalConfig,
-    seed: int,
-) -> ParamVector:
-    """Plain minibatch SGD for ``tau`` steps from ``anchor``."""
-    rng_batch, _ = _spawn_rngs(seed)
-    sampler = MinibatchSampler(
-        client_data.features, client_data.labels, config.batch_size, rng_batch
-    )
-    f = anchor
-    for _ in range(config.tau):
-        _, grad = loss_and_grad(f, spec, sampler.next_batch())
-        f = axpy(f, -config.eta, grad)
-    return f
-
-
 def fedprox_local_train(
     anchor: ParamVector,
     spec: MlpSpec,
@@ -319,7 +267,7 @@ def fedprox_local_train(
     config: LocalConfig,
     seed: int,
 ) -> ParamVector:
-    """SGD on the proximal objective; identical to plain SGD when mu is 0."""
+    """SGD on the proximal objective; plain minibatch SGD when ``mu_prox`` is 0."""
     rng_batch, _ = _spawn_rngs(seed)
     sampler = MinibatchSampler(
         client_data.features, client_data.labels, config.batch_size, rng_batch

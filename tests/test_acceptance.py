@@ -33,7 +33,6 @@ from lss.data import Dataset, gen_blobs
 from lss.experiment import run_experiment
 from lss.local_training import (
     LocalConfig,
-    ModelPool,
     affinity_loss,
     diversity_loss,
     fedprox_local_train,
@@ -42,7 +41,6 @@ from lss.local_training import (
     lss_local_train,
     lss_regularized_grad,
     sample_interp_coeffs,
-    sgd_local_train,
 )
 from lss.model import MlpSpec, init_params, loss_and_grad
 from lss.params import ParamVector, l2_distance, uniform_average, weighted_average
@@ -113,30 +111,26 @@ class TestCriterion1GradientOracles:
         for trial in range(15):
             spec = MlpSpec(input_dim=int(rng.integers(2, 4)), hidden_dims=(), num_classes=3)
             anchor = perturbed(init_params(spec, trial), rng, 0.5)
-            pool = ModelPool(anchor)
-            for _ in range(int(rng.integers(1, 4))):
-                pool.append(perturbed(anchor, rng, 0.5))
+            pool = [anchor] + [
+                perturbed(anchor, rng, 0.5) for _ in range(int(rng.integers(1, 4)))
+            ]
             batch = random_batch(rng, spec, 5)
             cfg = LocalConfig(
                 lambda_a=float(rng.uniform(0, 4)), lambda_d=float(rng.uniform(0, 4))
             )
             coeffs = sample_interp_coeffs(len(pool), "uniform_random", rng)
-            _, grad = lss_regularized_grad(pool.active, pool, coeffs, spec, batch, cfg)
-            frozen = pool.frozen
+            _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
+            frozen = pool[:-1]
 
             def scalar(x):
-                trial_pool = ModelPool(pool.anchor)
-                for m in frozen[1:]:
-                    trial_pool.append(m)
-                trial_pool.append(ParamVector(x))
-                task = loss_and_grad(interpolate(trial_pool, coeffs), spec, batch)[0]
+                task = loss_and_grad(interpolate([*frozen, ParamVector(x)], coeffs), spec, batch)[0]
                 return (
                     task
-                    + cfg.lambda_a * affinity_loss(ParamVector(x), pool.anchor)
+                    + cfg.lambda_a * affinity_loss(ParamVector(x), pool[0])
                     - cfg.lambda_d * diversity_loss(ParamVector(x), frozen)
                 )
 
-            fd = finite_diff_grad(scalar, pool.active.values)
+            fd = finite_diff_grad(scalar, pool[-1].values)
             worst = max(worst, max_rel_err(grad.values, fd))
             instances += 1
 
@@ -149,11 +143,31 @@ class TestCriterion1GradientOracles:
 
 class TestCriterion2Reductions:
     def test_fedprox_mu_zero_equals_fedavg(self, small_blobs, softmax_spec, softmax_anchor):
-        cfg = LocalConfig(eta=0.05, tau=8, batch_size=32, mu_prox=0.0)
-        prox = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
-        sgd = sgd_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
-        assert np.array_equal(prox.values, sgd.values)
-        report(2, "FedProx(mu=0) trajectory bit-identical to FedAvg")
+        from lss.federation import (
+            ClientState,
+            FederationConfig,
+            data_proportional_weights,
+            run_round,
+        )
+
+        chunks = np.array_split(np.arange(small_blobs.n), 3)
+        clients = [ClientState(i, small_blobs.subset(c)) for i, c in enumerate(chunks)]
+        weights = data_proportional_weights(clients)
+
+        def one_round(strategy, mu):
+            local = LocalConfig(eta=0.05, tau=8, batch_size=32, mu_prox=mu)
+            fed = FederationConfig(strategy=strategy, client_weights=weights)
+            return run_round(
+                softmax_anchor, clients, softmax_spec, local, fed, 1, 5, small_blobs
+            )
+
+        avg_model, avg_record, avg_finals = one_round("fedavg", 0.5)
+        prox_model, prox_record, prox_finals = one_round("fedprox", 0.0)
+        assert np.array_equal(avg_model.values, prox_model.values)
+        for a, b in zip(avg_finals, prox_finals, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert avg_record.per_client_update_norm == prox_record.per_client_update_norm
+        report(2, "FedAvg (mu_prox=0.5 ignored) round bit-identical to FedProx(mu=0)")
 
     def test_lss_reduction_tracks_plain_sgd(self, small_blobs, softmax_spec, softmax_anchor):
         for tau in (1, 4, 8):
@@ -162,7 +176,7 @@ class TestCriterion2Reductions:
                 num_pool_models=1, coeff_mode="active_only",
             )
             _, trace = lss_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=42)
-            sgd = sgd_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=42)
+            sgd = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=42)
             assert np.array_equal(trace.pool_members[-1].values, sgd.values)
         report(2, "LSS(N=1, lambdas=0, active_only) active member bit-identical to SGD")
 
@@ -174,11 +188,8 @@ class TestCriterion2Reductions:
         _, _, test = split_dataset(data, (0.8, 0.1, 0.1), seed=1)
         spec = MlpSpec(input_dim=8, hidden_dims=(), num_classes=6)
         anchor = init_params(spec, 2)
-        local = LocalConfig(eta=0.05, tau=5, batch_size=32)
-        fed = FederationConfig(
-            num_clients=1, rounds=3, strategy="fedavg",
-            client_weights=(1.0,), master_seed=8,
-        )
+        local = LocalConfig(eta=0.05, tau=5, batch_size=32, mu_prox=0.0)
+        fed = FederationConfig(strategy="fedavg", client_weights=(1.0,))
         model = anchor
         reference = anchor
         for r in (1, 2, 3):
@@ -186,7 +197,9 @@ class TestCriterion2Reductions:
             model, _, _ = run_round(
                 model, [ClientState(0, data)], spec, local, fed, r, round_seed, test
             )
-            reference = sgd_local_train(reference, spec, data, local, derive_seed(round_seed, 0))
+            reference = fedprox_local_train(
+                reference, spec, data, local, derive_seed(round_seed, 0)
+            )
         assert np.array_equal(model.values, reference.values)
         report(2, "single-client FedAvg for 3 rounds bit-identical to centralized SGD")
 
@@ -380,13 +393,13 @@ output:
   dir: OUTDIR
 """
 
-    def test_rerun_and_thread_count_invariance(self, tmp_path, monkeypatch):
+    def test_rerun_and_thread_count_invariance(self, tmp_path):
+        # Rounds train clients one after another; reruns must match bit for bit.
         cfg_path = tmp_path / "cfg.yaml"
         outputs = []
-        for i, threads in enumerate(("1", "1", "4")):
+        for i in range(3):
             out = tmp_path / f"run{i}"
             cfg_path.write_text(self.SMOKE.replace("OUTDIR", str(out)))
-            monkeypatch.setenv("LSS_THREADS", threads)
             assert main(["run", str(cfg_path)]) == 0
             outputs.append(
                 (
@@ -395,4 +408,4 @@ output:
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
-        report(9, "rounds.csv and final.lssw bit-identical across reruns and LSS_THREADS 1 vs 4")
+        report(9, "rounds.csv and final.lssw bit-identical across three reruns")

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import lss.cli as cli
 from lss.analysis import TheoryParams, convergence_bound, lr_choice, max_local_steps
 from lss.cli import main
 from lss.params import load_checkpoint
@@ -76,6 +77,20 @@ class TestRun:
         cfg.write_text(SMOKE.replace("OUTDIR", str(tmp_path / "o")) + "partition:\n  alpha: -2\n")
         assert main(["run", str(cfg)]) == 1
         assert "partition.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        ["local.eta=nan", "partition.alpha=nan", "data.spread=.nan", "local.lambda_a=.inf"],
+    )
+    def test_non_finite_override_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, override
+    ):
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", started.append)
+        cfg = write_smoke(tmp_path)
+        assert main(["run", str(cfg), "--set", override]) == 1
+        assert override.partition("=")[0] in capsys.readouterr().err
+        assert started == []
 
     def test_resolved_snapshot_reproduces_the_run(self, tmp_path):
         cfg = write_smoke(tmp_path)

@@ -16,7 +16,7 @@ from lss.data import (
     split_dataset,
     write_partition_plan,
 )
-from lss.local_training import LocalConfig, sgd_local_train
+from lss.local_training import LocalConfig, fedprox_local_train
 from lss.model import MlpSpec, accuracy, init_params
 
 
@@ -51,7 +51,7 @@ class TestGenBlobs:
         train, _, test = split_dataset(data, (0.8, 0.1, 0.1), seed=3)
         spec = MlpSpec(input_dim=8, hidden_dims=(), num_classes=10)
         cfg = LocalConfig(eta=0.1, tau=500, batch_size=64)
-        trained = sgd_local_train(init_params(spec, 0), spec, train, cfg, seed=11)
+        trained = fedprox_local_train(init_params(spec, 0), spec, train, cfg, seed=11)
         assert accuracy(trained, spec, test.as_batch()) > 0.95
 
     def test_validation(self):

@@ -24,17 +24,14 @@ from lss.federation import (
     warmup_pretrain,
     write_rounds_csv,
 )
-from lss.local_training import LocalConfig, sgd_local_train
+from lss.local_training import LocalConfig, fedprox_local_train
 from lss.model import MlpSpec, accuracy, init_params
 from lss.params import ParamVector
 
 
-def fed_cfg(n, strategy="fedavg", rounds=1, weights=None, seed=0):
+def fed_cfg(n, strategy="fedavg", weights=None):
     weights = weights if weights is not None else tuple([1.0 / n] * n)
-    return FederationConfig(
-        num_clients=n, rounds=rounds, strategy=strategy,
-        client_weights=tuple(weights), master_seed=seed,
-    )
+    return FederationConfig(strategy=strategy, client_weights=tuple(weights))
 
 
 @pytest.fixture(scope="module")
@@ -147,16 +144,18 @@ class TestRunRound:
         out, _, _ = run_round(anchor, shuffled, spec, local, cfg, 1, seed, test)
         assert np.array_equal(out.values, ref.values)
 
-    def test_schedule_invariance_across_thread_counts(self, fed_setup, monkeypatch):
+    def test_weight_count_must_match_clients_before_training(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
-        cfg = fed_cfg(3, strategy="lss")
-        local = LocalConfig(eta=0.05, tau=3, batch_size=32, num_pool_models=2)
-        seed = derive_seed(6, "round", 1)
-        monkeypatch.setenv("LSS_THREADS", "1")
-        serial, _, _ = run_round(anchor, clients, spec, local, cfg, 1, seed, test)
-        monkeypatch.setenv("LSS_THREADS", "4")
-        threaded, _, _ = run_round(anchor, clients, spec, local, cfg, 1, seed, test)
-        assert np.array_equal(serial.values, threaded.values)
+        calls = []
+
+        def counting(strategy, a, s, data, local, seed):
+            calls.append(seed)
+            return a, None
+
+        monkeypatch.setattr(federation, "train_client", counting)
+        with pytest.raises(ValueError, match="2 client weights for 3 clients"):
+            run_round(anchor, clients, spec, LocalConfig(), fed_cfg(2), 1, 0, test)
+        assert calls == []
 
     def test_client_failure_is_attributed(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
@@ -172,8 +171,8 @@ class TestRunRound:
         spec, anchor, clients, test = fed_setup
         all_data = gen_blobs(6, 120, 8, 1.0, seed=31)
         client = [ClientState(0, all_data)]
-        cfg = fed_cfg(1, weights=(1.0,), seed=8)
-        local = LocalConfig(eta=0.05, tau=5, batch_size=32)
+        cfg = fed_cfg(1, weights=(1.0,))
+        local = LocalConfig(eta=0.05, tau=5, batch_size=32, mu_prox=0.0)
         model = anchor
         for r in (1, 2, 3):
             round_seed = derive_seed(8, "round", r)
@@ -181,7 +180,7 @@ class TestRunRound:
         reference = anchor
         for r in (1, 2, 3):
             seed = derive_seed(derive_seed(8, "round", r), 0)
-            reference = sgd_local_train(reference, spec, all_data, local, seed)
+            reference = fedprox_local_train(reference, spec, all_data, local, seed)
         assert np.array_equal(model.values, reference.values)
 
 

@@ -6,7 +6,7 @@ from lss.data import Dataset
 from lss.local_training import (
     LocalConfig,
     MinibatchSampler,
-    ModelPool,
+    _spawn_rngs,
     affinity_loss,
     diversity_loss,
     fedprox_local_train,
@@ -16,7 +16,6 @@ from lss.local_training import (
     lss_regularized_grad,
     mean_pairwise_distance,
     sample_interp_coeffs,
-    sgd_local_train,
 )
 from lss.model import Batch, MlpSpec, init_params, loss_and_grad
 from lss.params import ParamVector, axpy, l2_distance, uniform_average
@@ -24,13 +23,6 @@ from lss.params import ParamVector, axpy, l2_distance, uniform_average
 
 def pv(*values):
     return ParamVector(np.array(values, dtype=np.float64))
-
-
-def make_pool(anchor, *members):
-    pool = ModelPool(anchor)
-    for m in members:
-        pool.append(m)
-    return pool
 
 
 class TestLocalConfig:
@@ -54,6 +46,10 @@ class TestLocalConfig:
             LocalConfig(num_pool_models=0)
         with pytest.raises(ValueError):
             LocalConfig(coeff_mode="nope")
+        for name in ("eta", "lambda_a", "lambda_d", "mu_prox", "dist_epsilon"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    LocalConfig(**{name: bad})
 
 
 class TestSampleInterpCoeffs:
@@ -90,26 +86,25 @@ class TestInterpolate:
     def test_one_hot_is_bit_exact(self):
         rng = np.random.default_rng(3)
         members = [ParamVector(rng.standard_normal(17)) for _ in range(3)]
-        pool = make_pool(members[0], *members[1:])
         for k in range(3):
             coeffs = np.zeros(3)
             coeffs[k] = 1.0
-            out = interpolate(pool, coeffs)
+            out = interpolate(members, coeffs)
             assert np.array_equal(out.values, members[k].values)
 
     def test_two_equal_members_idempotent(self):
         v = pv(1.0, -2.0, 3.0)
-        pool = make_pool(v, v)
+        pool = [v, v]
         out = interpolate(pool, [0.3, 0.7])
         np.testing.assert_allclose(out.values, v.values, rtol=5e-16, atol=0)
 
     def test_hand_arithmetic(self):
-        pool = make_pool(pv(0.0, 0.0), pv(4.0, 8.0))
+        pool = [pv(0.0, 0.0), pv(4.0, 8.0)]
         out = interpolate(pool, [0.25, 0.75])
         assert np.array_equal(out.values, [3.0, 6.0])
 
     def test_length_mismatch_and_simplex_violations(self):
-        pool = make_pool(pv(0.0), pv(1.0))
+        pool = [pv(0.0), pv(1.0)]
         with pytest.raises(ValueError, match="coefficients"):
             interpolate(pool, [1.0])
         with pytest.raises(ValueError, match="simplex"):
@@ -128,10 +123,6 @@ class TestDistanceLosses:
 
     def test_mean_of_two_distances(self):
         assert diversity_loss(pv(3.0, 4.0), [pv(0.0, 0.0), pv(6.0, 8.0)]) == 5.0
-
-    def test_accepts_model_pool(self):
-        pool = make_pool(pv(0.0, 0.0), pv(6.0, 8.0))
-        assert diversity_loss(pv(3.0, 4.0), pool) == 5.0
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -154,9 +145,7 @@ class TestRegularizedGrad:
         rng = np.random.default_rng(seed)
         spec = MlpSpec(input_dim=dim_spec[0], hidden_dims=dim_spec[1], num_classes=dim_spec[2])
         anchor = perturbed(init_params(spec, seed), rng, 0.5)
-        pool = ModelPool(anchor)
-        for _ in range(pool_size - 1):
-            pool.append(perturbed(anchor, rng, 0.5))
+        pool = [anchor] + [perturbed(anchor, rng, 0.5) for _ in range(pool_size - 1)]
         batch = random_batch(rng, spec, 5)
         return rng, spec, pool, batch
 
@@ -165,8 +154,8 @@ class TestRegularizedGrad:
         cfg = LocalConfig(lambda_a=0.0, lambda_d=0.0, coeff_mode="active_only")
         coeffs = np.zeros(len(pool))
         coeffs[-1] = 1.0
-        loss, grad = lss_regularized_grad(pool.active, pool, coeffs, spec, batch, cfg)
-        ref_loss, ref_grad = loss_and_grad(pool.active, spec, batch)
+        loss, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
+        ref_loss, ref_grad = loss_and_grad(pool[-1], spec, batch)
         assert loss == ref_loss
         assert np.array_equal(grad.values, ref_grad.values)
 
@@ -175,8 +164,8 @@ class TestRegularizedGrad:
         cfg = LocalConfig(lambda_a=1.0, lambda_d=0.0)
         coeffs = np.zeros(len(pool))
         coeffs[0] = 1.0  # task gradient flows to a frozen member only
-        _, grad = lss_regularized_grad(pool.active, pool, coeffs, spec, batch, cfg)
-        diff = pool.active.values - pool.anchor.values
+        _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
+        diff = pool[-1].values - pool[0].values
         expected = diff / np.linalg.norm(diff)
         np.testing.assert_allclose(grad.values, expected, rtol=0, atol=1e-12)
 
@@ -185,22 +174,18 @@ class TestRegularizedGrad:
         rng, spec, pool, batch = self.make_instance(seed=2, dim_spec=(2, (), 3))
         cfg = LocalConfig(lambda_a=1.3, lambda_d=0.7)
         coeffs = sample_interp_coeffs(len(pool), "uniform_random", rng)
-        _, grad = lss_regularized_grad(pool.active, pool, coeffs, spec, batch, cfg)
+        _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
 
-        frozen = pool.frozen
+        frozen = pool[:-1]
 
         def scalar(x):
-            trial = ModelPool(pool.anchor)
-            for m in frozen[1:]:
-                trial.append(m)
-            trial.append(ParamVector(x))
-            interp = interpolate(trial, coeffs)
+            interp = interpolate([*frozen, ParamVector(x)], coeffs)
             task = loss_and_grad(interp, spec, batch)[0]
-            aff = affinity_loss(ParamVector(x), pool.anchor)
+            aff = affinity_loss(ParamVector(x), pool[0])
             div = diversity_loss(ParamVector(x), frozen)
             return task + cfg.lambda_a * aff - cfg.lambda_d * div
 
-        fd = finite_diff_grad(scalar, pool.active.values)
+        fd = finite_diff_grad(scalar, pool[-1].values)
         assert max_rel_err(grad.values, fd) < 1e-4
 
     def test_fifty_random_configurations_match_fd(self):
@@ -213,29 +198,25 @@ class TestRegularizedGrad:
                 num_classes=int(rng.integers(2, 4)),
             )
             anchor = perturbed(init_params(spec, trial), rng, 0.6)
-            pool = ModelPool(anchor)
-            for _ in range(int(rng.integers(1, 4))):
-                pool.append(perturbed(anchor, rng, 0.6))
+            pool = [anchor] + [
+                perturbed(anchor, rng, 0.6) for _ in range(int(rng.integers(1, 4)))
+            ]
             batch = random_batch(rng, spec, int(rng.integers(2, 7)))
             cfg = LocalConfig(
                 lambda_a=float(rng.uniform(0, 4)), lambda_d=float(rng.uniform(0, 4))
             )
             coeffs = sample_interp_coeffs(len(pool), "uniform_random", rng)
-            _, grad = lss_regularized_grad(pool.active, pool, coeffs, spec, batch, cfg)
+            _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
 
-            frozen = pool.frozen
+            frozen = pool[:-1]
 
             def scalar(x):
-                trial_pool = ModelPool(pool.anchor)
-                for m in frozen[1:]:
-                    trial_pool.append(m)
-                trial_pool.append(ParamVector(x))
-                task = loss_and_grad(interpolate(trial_pool, coeffs), spec, batch)[0]
-                aff = affinity_loss(ParamVector(x), pool.anchor)
+                task = loss_and_grad(interpolate([*frozen, ParamVector(x)], coeffs), spec, batch)[0]
+                aff = affinity_loss(ParamVector(x), pool[0])
                 div = diversity_loss(ParamVector(x), frozen)
                 return task + cfg.lambda_a * aff - cfg.lambda_d * div
 
-            fd = finite_diff_grad(scalar, pool.active.values)
+            fd = finite_diff_grad(scalar, pool[-1].values)
             worst = max(worst, max_rel_err(grad.values, fd))
         assert worst < 1e-4
 
@@ -244,16 +225,9 @@ class TestRegularizedGrad:
         rng, spec, pool, batch = self.make_instance(seed=4)
         cfg = LocalConfig(lambda_a=0.0, lambda_d=0.0)
         coeffs = np.array([0.2, 0.5, 0.3])
-        _, grad = lss_regularized_grad(pool.active, pool, coeffs, spec, batch, cfg)
+        _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
         _, task_grad = loss_and_grad(interpolate(pool, coeffs), spec, batch)
         np.testing.assert_allclose(grad.values, 0.3 * task_grad.values, rtol=1e-15)
-
-    def test_active_must_be_last_member(self):
-        _, spec, pool, batch = self.make_instance(seed=5)
-        cfg = LocalConfig()
-        coeffs = np.full(len(pool), 1.0 / len(pool))
-        with pytest.raises(ValueError, match="last pool member"):
-            lss_regularized_grad(pool.members[0], pool, coeffs, spec, batch, cfg)
 
 
 class TestMinibatchSampler:
@@ -302,7 +276,7 @@ class TestLssLocalTrain:
             num_pool_models=1, coeff_mode="active_only",
         )
         final, trace = lss_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=42)
-        sgd = sgd_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=42)
+        sgd = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=42)
         assert np.array_equal(trace.pool_members[-1].values, sgd.values)
         midpoint = uniform_average([softmax_anchor, sgd])
         assert np.array_equal(final.values, midpoint.values)
@@ -347,8 +321,8 @@ class TestLssLocalTrain:
 
 class TestSgdLocalTrain:
     def test_zero_steps_is_identity(self, small_blobs, softmax_spec, softmax_anchor):
-        cfg = LocalConfig(eta=0.1, tau=0)
-        out = sgd_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=0)
+        cfg = LocalConfig(eta=0.1, tau=0, mu_prox=0.0)
+        out = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=0)
         assert np.array_equal(out.values, softmax_anchor.values)
 
     def test_single_step_single_sample_batch(self, softmax_spec, softmax_anchor):
@@ -356,8 +330,8 @@ class TestSgdLocalTrain:
         tiny = Dataset(
             np.vstack([rng.standard_normal(8)] * 6), np.arange(6) % 6, 6
         )
-        cfg = LocalConfig(eta=0.2, tau=1, batch_size=64)  # whole dataset per batch
-        out = sgd_local_train(softmax_anchor, softmax_spec, tiny, cfg, seed=0)
+        cfg = LocalConfig(eta=0.2, tau=1, batch_size=64, mu_prox=0.0)  # whole dataset per batch
+        out = fedprox_local_train(softmax_anchor, softmax_spec, tiny, cfg, seed=0)
         _, grad = loss_and_grad(softmax_anchor, softmax_spec, tiny.as_batch())
         expected = axpy(softmax_anchor, -0.2, grad)
         assert np.array_equal(out.values, expected.values)
@@ -367,7 +341,13 @@ class TestFedproxLocalTrain:
     def test_mu_zero_is_bit_identical_to_sgd(self, small_blobs, softmax_spec, softmax_anchor):
         cfg = LocalConfig(eta=0.05, tau=8, batch_size=32, mu_prox=0.0)
         prox = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
-        sgd = sgd_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
+        # reference: minibatch SGD written out step by step
+        rng_batch, _ = _spawn_rngs(5)
+        sampler = MinibatchSampler(small_blobs.features, small_blobs.labels, 32, rng_batch)
+        sgd = softmax_anchor
+        for _ in range(8):
+            _, grad = loss_and_grad(sgd, softmax_spec, sampler.next_batch())
+            sgd = axpy(sgd, -0.05, grad)
         assert np.array_equal(prox.values, sgd.values)
 
     def test_strong_prox_pins_to_anchor(self, small_blobs, softmax_spec, softmax_anchor):
