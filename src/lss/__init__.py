@@ -32,7 +32,6 @@ from .data import (
 from .experiment import ExperimentResult, run_experiment
 from .federation import (
     ClientState,
-    FederationConfig,
     RoundRecord,
     derive_seed,
     run_round,

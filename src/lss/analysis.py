@@ -126,18 +126,16 @@ def estimate_zeta(
     params: ParamVector,
     spec: MlpSpec,
     client_datasets: Sequence[Dataset],
-    weights: Sequence[float] | None = None,
 ) -> float:
     """Max over clients of the local/global full-batch gradient gap at ``params``.
 
-    The supremum over weight space is sampled only at the given point, so
-    this is a lower bound on the true constant.
+    The global gradient weights clients by sample count, as the server does.
+    Sampled only at ``params``, this is a lower bound on the true constant.
     """
     if len(client_datasets) == 0:
         raise ValueError("estimate_zeta: no client datasets")
-    if weights is None:
-        sizes = np.array([d.n for d in client_datasets], dtype=np.float64)
-        weights = sizes / sizes.sum()
+    sizes = np.array([d.n for d in client_datasets], dtype=np.float64)
+    weights = sizes / sizes.sum()
     grads = [
         loss_and_grad(params, spec, d.as_batch())[1].values for d in client_datasets
     ]

@@ -123,16 +123,22 @@ def gen_blobs(
     return Dataset(feats, labels, num_classes)
 
 
+def split_sizes(n: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
+    """Sample counts of the (train, val, test) split of ``n`` samples."""
+    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
+        raise ValueError(f"fractions must be non-negative and sum to 1: {fractions}")
+    n_train = int(round(fractions[0] * n))
+    n_val = int(round(fractions[1] * n))
+    return n_train, n_val, n - n_train - n_val
+
+
 def split_dataset(
     data: Dataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Shuffled train/val/test split by the given fractions (must sum to 1)."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ValueError(f"fractions must be non-negative and sum to 1: {fractions}")
+    n_train, n_val, _ = split_sizes(data.n, fractions)
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n)
-    n_train = int(round(fractions[0] * data.n))
-    n_val = int(round(fractions[1] * data.n))
     train = data.subset(order[:n_train])
     val = data.subset(order[n_train : n_train + n_val])
     test = data.subset(order[n_train + n_val :])

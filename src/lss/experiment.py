@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import (
     Dataset,
     FeatureTransform,
@@ -20,12 +20,11 @@ from .data import (
     gen_blobs,
     load_idx,
     split_dataset,
+    split_sizes,
 )
 from .federation import (
     ClientState,
-    FederationConfig,
     RoundRecord,
-    data_proportional_weights,
     derive_seed,
     run_round,
     warmup_pretrain,
@@ -71,12 +70,21 @@ def build_model_spec(cfg: ExperimentConfig, data: Dataset) -> MlpSpec:
 def split_experiment_data(
     cfg: ExperimentConfig, base: Dataset
 ) -> tuple[Dataset, Dataset, Dataset]:
-    """The run's (train, val, test) split of ``base``."""
+    """The run's (train, val, test) split of ``base``; none may be empty."""
     fractions = (
         1.0 - cfg.data.val_fraction - cfg.data.test_fraction,
         cfg.data.val_fraction,
         cfg.data.test_fraction,
     )
+    n_train, n_val, n_test = split_sizes(base.n, fractions)
+    counts = f"{n_train} train, {n_val} val, {n_test} test of {base.n} samples"
+    for key, name, n in (
+        ("data.val_fraction", "train", n_train),
+        ("data.val_fraction", "val", n_val),
+        ("data.test_fraction", "test", n_test),
+    ):
+        if n == 0:
+            raise ConfigError(key, f"leaves the {name} split empty ({counts})")
     return split_dataset(base, fractions, derive_seed(cfg.master_seed, "split"))
 
 
@@ -96,6 +104,8 @@ def _warmup_proxy(cfg: ExperimentConfig, val: Dataset) -> Dataset:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     base = build_dataset(cfg)
     train, val, test = split_experiment_data(cfg, base)
+    if cfg.num_clients > train.n:
+        raise ConfigError("experiment.num_clients", f"exceeds the {train.n} training samples")
     spec = build_model_spec(cfg, base)
 
     anchor = warmup_pretrain(
@@ -138,17 +148,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         labels = np.concatenate([test.labels[chunk] for chunk in chunks])
         eval_data = Dataset(feats, labels, test.num_classes)
 
-    fed_cfg = FederationConfig(
-        strategy=cfg.strategy, client_weights=data_proportional_weights(clients)
-    )
-
     model = anchor
     records: list[RoundRecord] = []
     finals: list[ParamVector] = []
     for r in range(1, cfg.rounds + 1):
         round_seed = derive_seed(cfg.master_seed, "round", r)
         model, record, finals = run_round(
-            model, clients, spec, cfg.local, fed_cfg, r, round_seed, eval_data
+            model, clients, spec, cfg.local, cfg.strategy, r, round_seed, eval_data
         )
         records.append(record)
 

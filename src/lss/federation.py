@@ -1,11 +1,11 @@
 """Broadcast / local-train / aggregate loop with deterministic seeding.
 
 Each round every client trains from a copy of the current global model
-using the configured strategy, and the server forms the new global model
-as the client-weighted average of the uploads.  Clients train one after
-another in client-id order; per-client seeds are a stable hash of
-(round seed, client id), so results do not depend on the order the
-clients are given in.
+using the chosen strategy, and the server forms the new global model as
+the average of the uploads weighted by each client's sample count, as in
+FedAvg.  Clients train and are aggregated in client-id order, and
+per-client seeds are a stable hash of (round seed, client id), so results
+do not depend on the order the clients are given in.
 """
 
 from __future__ import annotations
@@ -46,26 +46,6 @@ def derive_seed(*parts: int | str) -> int:
             h.update(len(raw).to_bytes(4, "little"))
             h.update(raw)
     return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """The local-training strategy and the server's client weighting."""
-
-    strategy: str
-    client_weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if any(w < 0 for w in self.client_weights):
-            raise ValueError("client weights must be non-negative")
-        if abs(sum(self.client_weights) - 1.0) > 1e-9:
-            raise ValueError(
-                f"client weights sum to {sum(self.client_weights)}, expected 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -130,16 +110,14 @@ def train_client(
     local_cfg: LocalConfig,
     seed: int,
 ) -> tuple[ParamVector, LocalTrace | None]:
+    """One client's local training; ``run_round`` has checked ``strategy``."""
+    if strategy == "lss":
+        return lss_local_train(anchor, spec, data, local_cfg, seed)
     if strategy == "fedavg":
         # FedAvg is plain SGD: proximal SGD with the pull switched off,
         # whatever ``mu_prox`` the config carries.
-        plain = replace(local_cfg, mu_prox=0.0)
-        return fedprox_local_train(anchor, spec, data, plain, seed), None
-    if strategy == "fedprox":
-        return fedprox_local_train(anchor, spec, data, local_cfg, seed), None
-    if strategy == "lss":
-        return lss_local_train(anchor, spec, data, local_cfg, seed)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        local_cfg = replace(local_cfg, mu_prox=0.0)
+    return fedprox_local_train(anchor, spec, data, local_cfg, seed), None
 
 
 def run_round(
@@ -147,24 +125,25 @@ def run_round(
     clients: Sequence[ClientState],
     spec: MlpSpec,
     local_cfg: LocalConfig,
-    fed_cfg: FederationConfig,
+    strategy: str,
     round_index: int,
     round_seed: int,
     eval_data: Dataset,
 ) -> tuple[ParamVector, RoundRecord, list[ParamVector]]:
     """One communication round; returns the new global model, its metrics,
-    and the per-client uploads (in client-id order)."""
-    if len(fed_cfg.client_weights) != len(clients):
-        raise ValueError(
-            f"{len(fed_cfg.client_weights)} client weights for {len(clients)} clients"
-        )
+    and the per-client uploads (in client-id order).  Clients are sorted by id
+    and each upload is weighted by its sample count, so the order of
+    ``clients`` does not matter."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    clients = sorted(clients, key=lambda c: c.client_id)
     t0 = time.perf_counter()
     finals = []
-    for client in sorted(clients, key=lambda c: c.client_id):
+    for client in clients:
         seed = derive_seed(round_seed, client.client_id)
         try:
             final, _ = train_client(
-                fed_cfg.strategy, global_model, spec, client.data, local_cfg, seed
+                strategy, global_model, spec, client.data, local_cfg, seed
             )
         except Exception as exc:
             raise RuntimeError(
@@ -172,7 +151,7 @@ def run_round(
             ) from exc
         finals.append(final)
 
-    new_global = weighted_average(finals, fed_cfg.client_weights)
+    new_global = weighted_average(finals, data_proportional_weights(clients))
     eval_batch = eval_data.as_batch()
     global_acc = accuracy(new_global, spec, eval_batch)
     global_loss, _ = loss_and_grad(new_global, spec, eval_batch)
@@ -193,17 +172,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_rounds_csv(records: Sequence[RoundRecord], path, deterministic_timing: bool = True) -> None:
+def write_rounds_csv(records: Sequence[RoundRecord], path) -> None:
     """Write the per-round metrics CSV.
 
-    The wall_time_s column is written as 0 by default so the file is a
-    bit-reproducible artifact of the run; measured timings are reported in
-    the diagnostics output instead.
+    The wall_time_s column is always 0 so the file is a bit-reproducible
+    artifact of the run; measured timings are reported in the diagnostics
+    output instead.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            wall = 0.0 if deterministic_timing else r.wall_time_seconds
             fh.write(
                 ",".join(
                     [
@@ -212,7 +190,7 @@ def write_rounds_csv(records: Sequence[RoundRecord], path, deterministic_timing:
                         _fmt(r.global_test_loss),
                         ";".join(_fmt(a) for a in r.per_client_pre_agg_accuracy),
                         ";".join(_fmt(u) for u in r.per_client_update_norm),
-                        _fmt(wall),
+                        "0",
                     ]
                 )
                 + "\n"

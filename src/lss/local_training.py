@@ -119,11 +119,6 @@ def mean_pairwise_distance(models: Sequence[ParamVector]) -> float:
     return sum(l2_distance(models[i], models[j]) for i, j in pairs) / len(pairs)
 
 
-def _unit_toward(f: ParamVector, other: ParamVector, eps: float) -> np.ndarray:
-    diff = f.values - other.values
-    return diff / max(float(np.sqrt(np.dot(diff, diff))), eps)
-
-
 def lss_regularized_grad(
     pool: Sequence[ParamVector],
     coeffs: Sequence[float],
@@ -146,25 +141,27 @@ def lss_regularized_grad(
     vectors with an ``eps`` floor on the denominator so the gradient stays
     defined when models coincide.
     """
-    anchor, active, frozen = pool[0], pool[-1], pool[:-1]
+    if len(pool) < 2:
+        raise ValueError("the pool needs the anchor and an active member")
+    active, frozen = pool[-1], pool[:-1]
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    interp = interpolate(pool, coeffs)
-    task_loss, task_grad = loss_and_grad(interp, spec, batch)
+    task_loss, task_grad = loss_and_grad(interpolate(pool, coeffs), spec, batch)
 
-    aff = affinity_loss(active, anchor)
-    div = diversity_loss(active, frozen) if frozen else 0.0
+    # frozen[0] is the anchor, so its distance is the affinity term; the
+    # mean distance to the frozen members is the diversity term.
+    diffs = [active.values - m.values for m in frozen]
+    dists = [float(np.sqrt(np.dot(d, d))) for d in diffs]
+    units = [d / max(dist, config.dist_epsilon) for d, dist in zip(diffs, dists)]
+    aff, div = dists[0], sum(dists) / len(frozen)
     loss = task_loss + config.lambda_a * aff - config.lambda_d * div
 
     grad = coeffs[-1] * task_grad.values
-    eps = config.dist_epsilon
     if config.lambda_a != 0.0:
-        grad = grad + config.lambda_a * _unit_toward(active, anchor, eps)
-    if config.lambda_d != 0.0 and frozen:
-        push = np.zeros(active.dim)
-        for m in frozen:
-            push += _unit_toward(active, m, eps)
+        grad = grad + config.lambda_a * units[0]
+    if config.lambda_d != 0.0:
+        push = sum(units, np.zeros(active.dim))
         grad = grad - (config.lambda_d / len(frozen)) * push
-    return loss, ParamVector._wrap(np.asarray(grad, dtype=np.float64))
+    return loss, ParamVector._wrap(grad)
 
 
 class MinibatchSampler:

@@ -77,10 +77,9 @@ class Batch:
         return int(self.features.shape[0])
 
 
-def _unpack(params: ParamVector, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into (W, b) views, W laid out (fan_in, fan_out)."""
+def _unpack(flat: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat vector into (W, b) views, W laid out (fan_in, fan_out)."""
     layers = []
-    flat = params.values
     off = 0
     for fi, fo in spec.layer_shapes():
         w = flat[off : off + fi * fo].reshape(fi, fo)
@@ -89,17 +88,6 @@ def _unpack(params: ParamVector, spec: MlpSpec) -> list[tuple[np.ndarray, np.nda
         off += fo
         layers.append((w, b))
     return layers
-
-
-def _pack(grads: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
-    flat = np.empty(dim, dtype=np.float64)
-    off = 0
-    for gw, gb in grads:
-        flat[off : off + gw.size] = gw.reshape(-1)
-        off += gw.size
-        flat[off : off + gb.size] = gb
-        off += gb.size
-    return flat
 
 
 def _check_params(params: ParamVector, spec: MlpSpec) -> None:
@@ -139,7 +127,7 @@ def _forward(
     params: ParamVector, spec: MlpSpec, features: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Returns (logits, activations per layer input, pre-activations)."""
-    layers = _unpack(params, spec)
+    layers = _unpack(params.values, spec)
     a = features
     acts = [a]  # inputs to each layer
     pre = []
@@ -187,20 +175,23 @@ def loss_and_grad(
     dlogits[np.arange(n), batch.labels] -= 1.0
     dlogits /= n
 
-    layers = _unpack(params, spec)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
+    # Each layer's gradient is written into its views of one flat buffer.
+    flat_grad = np.empty(params.dim, dtype=np.float64)
+    layers = _unpack(params.values, spec)
+    grads = _unpack(flat_grad, spec)
     delta = dlogits
     for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        grads[idx] = (acts[idx].T @ delta, delta.sum(axis=0))
+        gw, gb = grads[idx]
+        np.matmul(acts[idx].T, delta, out=gw)
+        np.sum(delta, axis=0, out=gb)
         if idx > 0:
-            da = delta @ w.T
+            da = delta @ layers[idx][0].T
             z = pre[idx - 1]
             if spec.activation == "relu":
                 delta = da * (z > 0.0)
             else:
                 delta = da * (1.0 - np.tanh(z) ** 2)
-    return loss, ParamVector._wrap(_pack(grads, params.dim))
+    return loss, ParamVector._wrap(flat_grad)
 
 
 def accuracy(params: ParamVector, spec: MlpSpec, data: Batch) -> float:

@@ -143,22 +143,15 @@ class TestCriterion1GradientOracles:
 
 class TestCriterion2Reductions:
     def test_fedprox_mu_zero_equals_fedavg(self, small_blobs, softmax_spec, softmax_anchor):
-        from lss.federation import (
-            ClientState,
-            FederationConfig,
-            data_proportional_weights,
-            run_round,
-        )
+        from lss.federation import ClientState, run_round
 
         chunks = np.array_split(np.arange(small_blobs.n), 3)
         clients = [ClientState(i, small_blobs.subset(c)) for i, c in enumerate(chunks)]
-        weights = data_proportional_weights(clients)
 
         def one_round(strategy, mu):
             local = LocalConfig(eta=0.05, tau=8, batch_size=32, mu_prox=mu)
-            fed = FederationConfig(strategy=strategy, client_weights=weights)
             return run_round(
-                softmax_anchor, clients, softmax_spec, local, fed, 1, 5, small_blobs
+                softmax_anchor, clients, softmax_spec, local, strategy, 1, 5, small_blobs
             )
 
         avg_model, avg_record, avg_finals = one_round("fedavg", 0.5)
@@ -182,20 +175,19 @@ class TestCriterion2Reductions:
 
     def test_single_client_fedavg_is_centralized_sgd(self):
         from lss.data import split_dataset
-        from lss.federation import ClientState, FederationConfig, derive_seed, run_round
+        from lss.federation import ClientState, derive_seed, run_round
 
         data = gen_blobs(6, 120, 8, 1.0, seed=31)
         _, _, test = split_dataset(data, (0.8, 0.1, 0.1), seed=1)
         spec = MlpSpec(input_dim=8, hidden_dims=(), num_classes=6)
         anchor = init_params(spec, 2)
         local = LocalConfig(eta=0.05, tau=5, batch_size=32, mu_prox=0.0)
-        fed = FederationConfig(strategy="fedavg", client_weights=(1.0,))
         model = anchor
         reference = anchor
         for r in (1, 2, 3):
             round_seed = derive_seed(8, "round", r)
             model, _, _ = run_round(
-                model, [ClientState(0, data)], spec, local, fed, r, round_seed, test
+                model, [ClientState(0, data)], spec, local, "fedavg", r, round_seed, test
             )
             reference = fedprox_local_train(
                 reference, spec, data, local, derive_seed(round_seed, 0)

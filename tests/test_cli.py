@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lss.cli as cli
+import lss.experiment as experiment
 from lss.analysis import TheoryParams, convergence_bound, lr_choice, max_local_steps
 from lss.cli import main
 from lss.params import load_checkpoint
@@ -92,6 +93,30 @@ class TestRun:
         assert override.partition("=")[0] in capsys.readouterr().err
         assert started == []
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["data.val_fraction=0.0"], "data.val_fraction"),
+            (["data.test_fraction=0.0"], "data.test_fraction"),
+            (["data.val_fraction=0.5", "data.test_fraction=0.496"], "data.val_fraction"),
+            (["experiment.num_clients=200"], "experiment.num_clients"),
+            (
+                ["experiment.num_clients=200", "partition.mode=feature_shift"],
+                "experiment.num_clients",
+            ),
+        ],
+    )
+    def test_empty_split_or_client_rejected_before_warmup(
+        self, tmp_path, capsys, monkeypatch, overrides, key
+    ):
+        started = []
+        monkeypatch.setattr(experiment, "warmup_pretrain", lambda *a, **k: started.append(a))
+        cfg = write_smoke(tmp_path)
+        assert main(["run", str(cfg), *(arg for o in overrides for arg in ("--set", o))]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "samples" in err
+        assert started == []
+
     def test_resolved_snapshot_reproduces_the_run(self, tmp_path):
         cfg = write_smoke(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -115,6 +140,14 @@ class TestEval:
         assert main(["eval", str(ckpt), "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "accuracy:" in out and "split: test" in out
+
+    def test_eval_rejects_empty_split(self, tmp_path, capsys):
+        cfg = write_smoke(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        ckpt = tmp_path / "run1" / "final.lssw"
+        args = ["eval", str(ckpt), "--config", str(cfg), "--set", "data.test_fraction=0.0"]
+        assert main(args) == 1
+        assert "data.test_fraction" in capsys.readouterr().err
 
     def test_eval_rejects_mismatched_model(self, tmp_path, capsys):
         cfg = write_smoke(tmp_path)

@@ -16,7 +16,6 @@ from lss.experiment import run_experiment
 from lss.federation import (
     CSV_HEADER,
     ClientState,
-    FederationConfig,
     RoundRecord,
     data_proportional_weights,
     derive_seed,
@@ -27,11 +26,6 @@ from lss.federation import (
 from lss.local_training import LocalConfig, fedprox_local_train
 from lss.model import MlpSpec, accuracy, init_params
 from lss.params import ParamVector
-
-
-def fed_cfg(n, strategy="fedavg", weights=None):
-    weights = weights if weights is not None else tuple([1.0 / n] * n)
-    return FederationConfig(strategy=strategy, client_weights=tuple(weights))
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +53,7 @@ class TestDeriveSeed:
             derive_seed(1.5)
 
 
-class TestFederationConfig:
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            fed_cfg(2, weights=(0.7, 0.7))
-        with pytest.raises(ValueError, match="non-negative"):
-            fed_cfg(2, weights=(1.5, -0.5))
-        with pytest.raises(ValueError, match="strategy"):
-            fed_cfg(2, strategy="sgd")
-
+class TestDataProportionalWeights:
     def test_data_proportional_weights(self, fed_setup):
         _, _, clients, _ = fed_setup
         weights = data_proportional_weights(clients)
@@ -97,10 +83,9 @@ class TestWarmup:
 class TestRunRound:
     def test_zero_local_steps_is_identity(self, fed_setup):
         spec, anchor, clients, test = fed_setup
-        cfg = fed_cfg(3)
         local = LocalConfig(eta=0.1, tau=0)
         new_global, record, _ = run_round(
-            anchor, clients, spec, local, cfg, 1, derive_seed(0, "round", 1), test
+            anchor, clients, spec, local, "fedavg", 1, derive_seed(0, "round", 1), test
         )
         np.testing.assert_allclose(new_global.values, anchor.values, rtol=0, atol=1e-12)
         assert record.round_index == 1
@@ -108,43 +93,58 @@ class TestRunRound:
 
     def test_single_client_weight_one_returns_client_final(self, fed_setup):
         spec, anchor, clients, test = fed_setup
-        cfg = fed_cfg(1, weights=(1.0,))
         local = LocalConfig(eta=0.05, tau=4, batch_size=32)
         new_global, _, finals = run_round(
-            anchor, clients[:1], spec, local, cfg, 1, 99, test
+            anchor, clients[:1], spec, local, "fedavg", 1, 99, test
         )
         assert np.array_equal(new_global.values, finals[0].values)
 
     def test_hand_set_finals_aggregate_to_hand_average(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
+        # 48 and 144 samples give the uploads weights 0.25 and 0.75
+        pooled = clients[0].data
+        clients = [
+            ClientState(0, pooled.subset(np.arange(48))),
+            ClientState(1, pooled.subset(np.arange(48, 192))),
+        ]
         fixed = {
             0: ParamVector(np.full(anchor.dim, 1.0)),
             1: ParamVector(np.full(anchor.dim, 3.0)),
         }
 
         def fake_train(strategy, a, s, data, local, seed):
-            cid = next(i for i, c in enumerate(clients) if c.data is data)
+            cid = next(c.client_id for c in clients if c.data is data)
             return fixed[cid], None
 
         monkeypatch.setattr(federation, "train_client", fake_train)
-        cfg = fed_cfg(2, weights=(0.25, 0.75))
         new_global, record, _ = run_round(
-            anchor, clients[:2], spec, LocalConfig(), cfg, 1, 0, test
+            anchor, clients, spec, LocalConfig(), "fedavg", 1, 0, test
         )
         np.testing.assert_allclose(new_global.values, 2.5, rtol=1e-15)
         assert len(record.per_client_pre_agg_accuracy) == 2
 
     def test_client_order_invariance(self, fed_setup):
         spec, anchor, clients, test = fed_setup
-        cfg = fed_cfg(3)
         local = LocalConfig(eta=0.05, tau=3, batch_size=32)
         seed = derive_seed(4, "round", 1)
-        ref, _, _ = run_round(anchor, clients, spec, local, cfg, 1, seed, test)
+        ref, _, _ = run_round(anchor, clients, spec, local, "fedavg", 1, seed, test)
         shuffled = [clients[2], clients[0], clients[1]]
-        out, _, _ = run_round(anchor, shuffled, spec, local, cfg, 1, seed, test)
+        out, _, _ = run_round(anchor, shuffled, spec, local, "fedavg", 1, seed, test)
         assert np.array_equal(out.values, ref.values)
 
-    def test_weight_count_must_match_clients_before_training(self, fed_setup, monkeypatch):
+    def test_client_order_invariance_with_unequal_sizes(self, fed_setup):
+        spec, anchor, _, test = fed_setup
+        data = gen_blobs(6, 40, 8, 1.0, seed=32)
+        cuts = np.split(np.arange(220), [30, 150])
+        clients = [ClientState(i, data.subset(ids)) for i, ids in enumerate(cuts)]
+        assert [c.data.n for c in clients] == [30, 120, 70]
+        local = LocalConfig(eta=0.05, tau=3, batch_size=32)
+        seed = derive_seed(5, "round", 1)
+        ref, _, _ = run_round(anchor, clients, spec, local, "lss", 1, seed, test)
+        out, _, _ = run_round(anchor, clients[::-1], spec, local, "lss", 1, seed, test)
+        assert np.array_equal(out.values, ref.values)
+
+    def test_unknown_strategy_rejected_before_training(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
         calls = []
 
@@ -153,8 +153,8 @@ class TestRunRound:
             return a, None
 
         monkeypatch.setattr(federation, "train_client", counting)
-        with pytest.raises(ValueError, match="2 client weights for 3 clients"):
-            run_round(anchor, clients, spec, LocalConfig(), fed_cfg(2), 1, 0, test)
+        with pytest.raises(ValueError, match="strategy"):
+            run_round(anchor, clients, spec, LocalConfig(), "sgd", 1, 0, test)
         assert calls == []
 
     def test_client_failure_is_attributed(self, fed_setup, monkeypatch):
@@ -165,18 +165,17 @@ class TestRunRound:
 
         monkeypatch.setattr(federation, "train_client", exploding)
         with pytest.raises(RuntimeError, match="client 0"):
-            run_round(anchor, clients, spec, LocalConfig(), fed_cfg(3), 1, 0, test)
+            run_round(anchor, clients, spec, LocalConfig(), "fedavg", 1, 0, test)
 
     def test_single_client_fedavg_equals_centralized_sgd(self, fed_setup):
         spec, anchor, clients, test = fed_setup
         all_data = gen_blobs(6, 120, 8, 1.0, seed=31)
         client = [ClientState(0, all_data)]
-        cfg = fed_cfg(1, weights=(1.0,))
         local = LocalConfig(eta=0.05, tau=5, batch_size=32, mu_prox=0.0)
         model = anchor
         for r in (1, 2, 3):
             round_seed = derive_seed(8, "round", r)
-            model, _, _ = run_round(model, client, spec, local, cfg, r, round_seed, test)
+            model, _, _ = run_round(model, client, spec, local, "fedavg", r, round_seed, test)
         reference = anchor
         for r in (1, 2, 3):
             seed = derive_seed(derive_seed(8, "round", r), 0)
@@ -196,12 +195,6 @@ class TestRoundRecordCsv:
         assert lines[0] == CSV_HEADER == "round,global_acc,global_loss,client_accs,update_norms,wall_time_s"
         assert lines[1] == "1,0.5,1.25,0.5;0.25,1;2,0"
         assert lines[2] == "2,0.75,0.5,0.5;1,0.5;0.125,0"
-
-    def test_measured_timing_mode(self, tmp_path):
-        records = [RoundRecord(1, 0.5, 1.0, (0.5,), (1.0,), 3.5)]
-        path = tmp_path / "rounds.csv"
-        write_rounds_csv(records, path, deterministic_timing=False)
-        assert path.read_text().splitlines()[1].endswith(",3.5")
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="accuracy"):
@@ -256,7 +249,7 @@ class TestRunExperiment:
         assert len(result.transforms) == 2
         assert result.plan.alpha == "feature-shift"
 
-    def test_client_weights_are_data_proportional(self):
+    def test_clients_partition_the_train_split(self):
         result = run_experiment(tiny_experiment())
         sizes = [c.data.n for c in result.clients]
         assert sum(sizes) == round(0.8 * 120)

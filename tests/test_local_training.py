@@ -174,7 +174,7 @@ class TestRegularizedGrad:
         rng, spec, pool, batch = self.make_instance(seed=2, dim_spec=(2, (), 3))
         cfg = LocalConfig(lambda_a=1.3, lambda_d=0.7)
         coeffs = sample_interp_coeffs(len(pool), "uniform_random", rng)
-        _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
+        loss, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
 
         frozen = pool[:-1]
 
@@ -185,6 +185,7 @@ class TestRegularizedGrad:
             div = diversity_loss(ParamVector(x), frozen)
             return task + cfg.lambda_a * aff - cfg.lambda_d * div
 
+        assert loss == scalar(pool[-1].values)
         fd = finite_diff_grad(scalar, pool[-1].values)
         assert max_rel_err(grad.values, fd) < 1e-4
 
@@ -206,7 +207,7 @@ class TestRegularizedGrad:
                 lambda_a=float(rng.uniform(0, 4)), lambda_d=float(rng.uniform(0, 4))
             )
             coeffs = sample_interp_coeffs(len(pool), "uniform_random", rng)
-            _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
+            loss, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
 
             frozen = pool[:-1]
 
@@ -216,9 +217,15 @@ class TestRegularizedGrad:
                 div = diversity_loss(ParamVector(x), frozen)
                 return task + cfg.lambda_a * aff - cfg.lambda_d * div
 
+            assert loss == scalar(pool[-1].values)
             fd = finite_diff_grad(scalar, pool[-1].values)
             worst = max(worst, max_rel_err(grad.values, fd))
         assert worst < 1e-4
+
+    def test_pool_needs_an_active_member(self):
+        _, spec, pool, batch = self.make_instance()
+        with pytest.raises(ValueError, match="active member"):
+            lss_regularized_grad(pool[:1], [1.0], spec, batch, LocalConfig())
 
     def test_chain_rule_scaling(self):
         # task part of the gradient is exactly alpha_active * grad at f_s

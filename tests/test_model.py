@@ -57,15 +57,16 @@ class TestLossAndGrad:
         assert loss == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        # 100 random architecture/params/batch triples, both activations
+        # 100 random architecture/params/batch triples: 0, 1 or 2 hidden
+        # layers, each depth with both activations
         rng = np.random.default_rng(42)
         worst = 0.0
         for trial in range(100):
             spec = MlpSpec(
                 input_dim=int(rng.integers(2, 5)),
-                hidden_dims=() if trial % 2 == 0 else (int(rng.integers(2, 5)),),
+                hidden_dims=tuple(int(rng.integers(2, 5)) for _ in range(trial % 3)),
                 num_classes=int(rng.integers(2, 5)),
-                activation="tanh" if trial % 3 else "relu",
+                activation="tanh" if trial % 2 else "relu",
             )
             params = perturbed(init_params(spec, trial), rng, 0.4)
             batch = random_batch(rng, spec, int(rng.integers(1, 9)))
