@@ -37,6 +37,8 @@ class Dataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite (no NaN or Inf)")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels length must match number of rows")
         if self.num_classes < 2:
@@ -333,19 +335,3 @@ def write_partition_plan(plan: PartitionPlan, path) -> None:
         fh.write(f"clients: {plan.num_clients}\n")
         for cid, ids in enumerate(plan.client_indices):
             fh.write(f"client {cid}: {' '.join(str(i) for i in ids)}\n")
-
-
-def read_partition_plan(path) -> PartitionPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "# lss partition plan v1":
-        raise ValueError("not a partition plan file (missing header)")
-    alpha_s = lines[1].split(":", 1)[1].strip()
-    alpha: float | str = alpha_s if alpha_s == FEATURE_SHIFT_MARKER else float(alpha_s)
-    seed = int(lines[2].split(":", 1)[1])
-    num_clients = int(lines[3].split(":", 1)[1])
-    indices = []
-    for ln in lines[4 : 4 + num_clients]:
-        _, _, rest = ln.partition(":")
-        indices.append(tuple(int(tok) for tok in rest.split()))
-    return PartitionPlan(tuple(indices), alpha, seed)

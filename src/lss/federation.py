@@ -11,6 +11,7 @@ do not depend on the order the clients are given in.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -63,8 +64,13 @@ class RoundRecord:
         for a in (self.global_test_accuracy, *self.per_client_pre_agg_accuracy):
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"accuracy out of range: {a}")
-        if any(u < 0 for u in self.per_client_update_norm):
-            raise ValueError("update norms must be non-negative")
+        r, norms = self.round_index, self.per_client_update_norm
+        if not math.isfinite(self.global_test_loss):
+            raise ValueError(f"round {r}: global test loss is {self.global_test_loss}")
+        if not all(0 <= u < math.inf for u in norms):
+            raise ValueError(
+                f"round {r}: update norms must be finite and non-negative: {norms}"
+            )
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,11 @@ class Batch:
         return int(self.features.shape[0])
 
 
-def _unpack(flat: np.ndarray, spec: MlpSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+# (W, b) views of one flat vector, one pair per layer.
+Layers = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _unpack(flat: np.ndarray, spec: MlpSpec) -> Layers:
     """Split a flat vector into (W, b) views, W laid out (fan_in, fan_out)."""
     layers = []
     off = 0
@@ -124,10 +128,9 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
 
 
 def _forward(
-    params: ParamVector, spec: MlpSpec, features: np.ndarray
+    layers: Layers, spec: MlpSpec, features: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Returns (logits, activations per layer input, pre-activations)."""
-    layers = _unpack(params.values, spec)
     a = features
     acts = [a]  # inputs to each layer
     pre = []
@@ -142,7 +145,8 @@ def _forward(
 
 def logits(params: ParamVector, spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     _check_params(params, spec)
-    out, _, _ = _forward(params, spec, np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    out, _, _ = _forward(_unpack(params.values, spec), spec, features)
     return out
 
 
@@ -156,29 +160,25 @@ def predict_proba(
     return e / e.sum(axis=1, keepdims=True)
 
 
-def loss_and_grad(
-    params: ParamVector, spec: MlpSpec, batch: Batch
-) -> tuple[float, ParamVector]:
-    """Mean cross-entropy over the batch and its exact gradient."""
-    _check_params(params, spec)
-    _check_labels(batch, spec)
-    n = batch.size
-    out, acts, pre = _forward(params, spec, batch.features)
+def _backprop(
+    layers: Layers, grads: Layers, spec: MlpSpec, features: np.ndarray, labels: np.ndarray
+) -> float:
+    """Mean cross-entropy at the weights viewed by ``layers``; writes its
+    gradient into the views ``grads``.  Inputs are not checked."""
+    n = labels.shape[0]
+    rows = np.arange(n)
+    out, acts, pre = _forward(layers, spec, features)
 
     shifted = out - out.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_z
-    loss = float(-log_probs[np.arange(n), batch.labels].mean())
+    loss = float(-log_probs[rows, labels].mean())
 
     # dL/dlogits = (softmax - onehot) / n
     dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), batch.labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
 
-    # Each layer's gradient is written into its views of one flat buffer.
-    flat_grad = np.empty(params.dim, dtype=np.float64)
-    layers = _unpack(params.values, spec)
-    grads = _unpack(flat_grad, spec)
     delta = dlogits
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
@@ -186,11 +186,22 @@ def loss_and_grad(
         np.sum(delta, axis=0, out=gb)
         if idx > 0:
             da = delta @ layers[idx][0].T
-            z = pre[idx - 1]
             if spec.activation == "relu":
-                delta = da * (z > 0.0)
-            else:
-                delta = da * (1.0 - np.tanh(z) ** 2)
+                delta = da * (pre[idx - 1] > 0.0)
+            else:  # acts[idx] is tanh of the pre-activation
+                delta = da * (1.0 - acts[idx] ** 2)
+    return loss
+
+
+def loss_and_grad(
+    params: ParamVector, spec: MlpSpec, batch: Batch
+) -> tuple[float, ParamVector]:
+    """Mean cross-entropy over the batch and its exact gradient."""
+    _check_params(params, spec)
+    _check_labels(batch, spec)
+    flat_grad = np.empty(params.dim, dtype=np.float64)
+    layers, grads = _unpack(params.values, spec), _unpack(flat_grad, spec)
+    loss = _backprop(layers, grads, spec, batch.features, batch.labels)
     return loss, ParamVector._wrap(flat_grad)
 
 

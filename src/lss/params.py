@@ -207,7 +207,11 @@ def load_checkpoint(path) -> tuple[ParamVector, ShapeSpec]:
             rows, cols, bias_flag = struct.unpack(
                 "<QQB", _read_exact(fh, 17, "layer triple")
             )
+            if bias_flag not in (0, 1):
+                raise ValueError(f"bad bias flag {bias_flag} in checkpoint layer triple")
             layers.append((int(rows), int(cols), bool(bias_flag)))
+        if fh.read(1):
+            raise ValueError("checkpoint has trailing bytes after the last layer triple")
     shape = ShapeSpec(tuple(layers))
     params = ParamVector._wrap(values)
     if shape.param_count() != params.dim:

@@ -30,6 +30,17 @@ output:
   dir: OUTDIR
 """
 
+GOLDEN = """
+experiment: {master_seed: 2024, rounds: 2, strategy: lss, num_clients: 3,
+             warmup_steps: 30, warmup_eta: 0.1}
+data: {num_classes: 5, per_class: 60, input_dim: 6, spread: 1.0}
+model: {hidden_dims: [], activation: relu}
+partition: {mode: dirichlet, alpha: 0.5}
+local: {eta: 0.05, tau: 4, batch_size: 32, lambda_a: 1.0, lambda_d: 1.0,
+        num_pool_models: 3}
+output: {dir: OUTDIR}
+"""
+
 
 def write_smoke(tmp_path, out_name="run1"):
     cfg = tmp_path / "smoke.yaml"
@@ -130,6 +141,16 @@ class TestRun:
         assert (tmp_path / "replay" / "final.lssw").read_bytes() == (
             tmp_path / "run1" / "final.lssw"
         ).read_bytes()
+
+
+    def test_diverged_run_exits_1_naming_the_round(self, tmp_path, capsys):
+        # The golden configuration: at this step size the update norms
+        # overflow to inf in round 1 while every weight stays finite.
+        cfg = tmp_path / "golden.yaml"
+        cfg.write_text(GOLDEN.replace("OUTDIR", str(tmp_path / "out")))
+        with np.errstate(over="ignore"):
+            assert main(["run", str(cfg), "-s", "local.eta=1e300"]) == 1
+        assert "round 1: update norms must be finite" in capsys.readouterr().err
 
 
 class TestEval:

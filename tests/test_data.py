@@ -12,7 +12,6 @@ from lss.data import (
     feature_shift_partition,
     gen_blobs,
     load_idx,
-    read_partition_plan,
     split_dataset,
     write_partition_plan,
 )
@@ -59,6 +58,18 @@ class TestGenBlobs:
             gen_blobs(1, 5, 4, 0.5, seed=0)
         with pytest.raises(ValueError):
             gen_blobs(3, 5, 4, 0.0, seed=0)
+        for spread in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                gen_blobs(3, 5, 4, spread, seed=0)
+
+
+class TestDataset:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_features(self, bad):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(feats, [0, 1, 0], 2)
 
 
 class TestSplitDataset:
@@ -237,19 +248,6 @@ class TestLoadIdx:
 
 
 class TestPartitionPlanIO:
-    def test_roundtrip(self, tmp_path):
-        plan = PartitionPlan(((0, 2, 4), (1, 3)), 0.3, 42)
-        path = tmp_path / "plan.txt"
-        write_partition_plan(plan, path)
-        back = read_partition_plan(path)
-        assert back == plan
-
-    def test_feature_shift_marker_roundtrip(self, tmp_path):
-        plan = PartitionPlan(((0, 1), (2,)), "feature-shift", 7)
-        path = tmp_path / "plan.txt"
-        write_partition_plan(plan, path)
-        assert read_partition_plan(path) == plan
-
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="more than one client"):
             PartitionPlan(((0, 1), (1, 2)), 1.0, 0)

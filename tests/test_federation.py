@@ -201,6 +201,11 @@ class TestRoundRecordCsv:
             RoundRecord(1, 1.5, 1.0, (), (), 0.0)
         with pytest.raises(ValueError, match="norms"):
             RoundRecord(1, 0.5, 1.0, (), (-1.0,), 0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="round 3: update norms"):
+                RoundRecord(3, 0.5, 1.0, (0.5, 0.5), (1.0, bad), 0.0)
+            with pytest.raises(ValueError, match="round 3: global test loss"):
+                RoundRecord(3, 0.5, bad, (0.5,), (1.0,), 0.0)
 
 
 def tiny_experiment(seed=3, rounds=1, strategy="fedavg"):

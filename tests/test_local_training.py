@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import lss.local_training as local_training
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
 from lss.local_training import (
+    COEFF_MODES,
     LocalConfig,
     MinibatchSampler,
     _spawn_rngs,
@@ -384,3 +388,101 @@ class TestFedproxLocalTrain:
         _, grad = fedprox_loss_and_grad(params, anchor, spec, batch, mu=0.9)
         fd = finite_diff_grad(scalar, params.values)
         assert max_rel_err(grad.values, fd) < 1e-4
+
+
+def reference_lss(anchor, spec, data, cfg, seed):
+    """Soup training written out from the public reference functions
+    (``lss_regularized_grad`` interpolates with ``interpolate``)."""
+    rng_batch, rng_coeff = _spawn_rngs(seed)
+    sampler = MinibatchSampler(data.features, data.labels, cfg.batch_size, rng_batch)
+    pool = [anchor]
+    for _ in range(cfg.num_pool_models):
+        pool.append(uniform_average(pool))
+        for _ in range(cfg.tau):
+            coeffs = sample_interp_coeffs(len(pool), cfg.coeff_mode, rng_coeff)
+            _, grad = lss_regularized_grad(pool, coeffs, spec, sampler.next_batch(), cfg)
+            pool[-1] = axpy(pool[-1], -cfg.eta, grad)
+    return pool, uniform_average(pool)
+
+
+def reference_fedprox(anchor, spec, data, cfg, seed):
+    rng_batch, _ = _spawn_rngs(seed)
+    sampler = MinibatchSampler(data.features, data.labels, cfg.batch_size, rng_batch)
+    f = anchor
+    for _ in range(cfg.tau):
+        _, grad = fedprox_loss_and_grad(f, anchor, spec, sampler.next_batch(), cfg.mu_prox)
+        f = axpy(f, -cfg.eta, grad)
+    return f
+
+
+def engine_case(hidden, activation, n, seed=0):
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec(input_dim=4, hidden_dims=hidden, num_classes=3, activation=activation)
+    anchor = perturbed(init_params(spec, seed), rng, 0.3)
+    data = Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), 3)
+    return spec, anchor, data
+
+
+# 7 samples are fewer than one batch of 16; 37 leave an epoch tail of 5.
+CLIENT_SIZES = (7, 37)
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize(
+        "hidden, activation, coeff_mode",
+        list(itertools.product([(), (5,), (4, 3)], ["relu", "tanh"], COEFF_MODES)),
+    )
+    @pytest.mark.parametrize(
+        "lambda_a, lambda_d", [(0.0, 0.0), (0.7, 0.0), (0.0, 0.4), (0.7, 0.4)]
+    )
+    def test_lss_local_train_is_bit_identical(
+        self, hidden, activation, coeff_mode, lambda_a, lambda_d
+    ):
+        for n in CLIENT_SIZES:
+            spec, anchor, data = engine_case(hidden, activation, n)
+            cfg = LocalConfig(
+                eta=0.2, tau=5, batch_size=16, lambda_a=lambda_a, lambda_d=lambda_d,
+                num_pool_models=3, coeff_mode=coeff_mode,
+            )
+            final, trace = lss_local_train(anchor, spec, data, cfg, seed=11)
+            pool, ref_final = reference_lss(anchor, spec, data, cfg, seed=11)
+            assert len(trace.pool_members) == len(pool) == 4
+            for got, want in zip(trace.pool_members, pool):
+                assert np.array_equal(got.values, want.values)
+            assert np.array_equal(final.values, ref_final.values)
+            assert not np.array_equal(final.values, anchor.values)
+
+    @pytest.mark.parametrize(
+        "hidden, activation", list(itertools.product([(), (5,), (4, 3)], ["relu", "tanh"]))
+    )
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_fedprox_local_train_is_bit_identical(self, hidden, activation, mu):
+        for n in CLIENT_SIZES:
+            spec, anchor, data = engine_case(hidden, activation, n)
+            cfg = LocalConfig(eta=0.2, tau=6, batch_size=16, mu_prox=mu)
+            got = fedprox_local_train(anchor, spec, data, cfg, seed=4)
+            want = reference_fedprox(anchor, spec, data, cfg, seed=4)
+            assert np.array_equal(got.values, want.values)
+            assert not np.array_equal(got.values, anchor.values)
+
+    def test_divergence_raises_from_both_trainers(self):
+        spec, anchor, data = engine_case((5,), "relu", 37)
+        cfg = LocalConfig(eta=1e308, tau=3, batch_size=16, num_pool_models=2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                lss_local_train(anchor, spec, data, cfg, seed=0)
+            with pytest.raises(ValueError, match="non-finite"):
+                fedprox_local_train(anchor, spec, data, cfg, seed=0)
+
+    def test_bad_inputs_rejected_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(local_training, "_backprop", lambda *a: steps.append(a))
+        spec, anchor, _ = engine_case((), "relu", 7)
+        wide = Dataset(np.zeros((4, 4)), [0, 1, 2, 4], 5)  # label 4, spec has 3 classes
+        cfg = LocalConfig(eta=0.1, tau=3, batch_size=16, num_pool_models=2)
+        for train in (lss_local_train, fedprox_local_train):
+            with pytest.raises(ValueError, match="num_classes=3"):
+                train(anchor, spec, wide, cfg, seed=0)
+            with pytest.raises(ValueError, match="spec needs"):
+                train(pv(1.0, 2.0), spec, wide, cfg, seed=0)
+        assert steps == []

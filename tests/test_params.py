@@ -199,6 +199,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.lssw"
+        save_checkpoint(path, ParamVector(np.arange(1.0, 7.0)), ShapeSpec(((2, 2, True),)))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_bias_flag_must_be_0_or_1(self, tmp_path):
+        path = tmp_path / "model.lssw"
+        save_checkpoint(path, ParamVector(np.arange(1.0, 7.0)), ShapeSpec(((2, 2, True),)))
+        raw = bytearray(path.read_bytes())
+        assert raw[-1] == 1  # the last byte is the only layer's bias flag
+        raw[-1] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="bias flag 2"):
+            load_checkpoint(path)
+
     def test_shape_dim_mismatch_on_save(self, tmp_path):
         with pytest.raises(ValueError, match="parameters"):
             save_checkpoint(tmp_path / "x.lssw", pv(1.0, 2.0), ShapeSpec(((2, 2, True),)))
