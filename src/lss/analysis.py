@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
+from .federation import data_proportional_weights
 from .model import Batch, MlpSpec, loss_and_grad, predict_proba
-from .params import ParamVector, l2_distance, uniform_average
+from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,9 @@ def estimate_zeta(
     """
     if len(client_datasets) == 0:
         raise ValueError("estimate_zeta: no client datasets")
-    sizes = np.array([d.n for d in client_datasets], dtype=np.float64)
-    weights = sizes / sizes.sum()
-    grads = [
-        loss_and_grad(params, spec, d.as_batch())[1].values for d in client_datasets
-    ]
-    global_grad = float(weights[0]) * grads[0]
-    for g, w in zip(grads[1:], weights[1:]):
-        global_grad = global_grad + float(w) * g
-    gaps = [float(np.linalg.norm(g - global_grad)) for g in grads]
+    grads = [loss_and_grad(params, spec, d.as_batch())[1] for d in client_datasets]
+    global_grad = weighted_average(grads, data_proportional_weights(client_datasets)).values
+    gaps = [float(np.linalg.norm(g.values - global_grad)) for g in grads]
     return max(gaps)
 
 

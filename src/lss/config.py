@@ -1,27 +1,35 @@
-"""Experiment configuration: a small YAML schema with strict validation.
+"""Experiment configuration: the section dataclasses are the schema.
 
-Config files are YAML mappings with one section per subsystem.  Unknown
-sections or keys are rejected, every key is typed, and violations are
-reported by dotted path (e.g. ``partition.alpha``).  Omitted optional keys
-fall back to the library defaults.  ``serialize_config`` emits a canonical
-snapshot that parses back to an identical config, which is what run output
-directories store for reproducibility.
+Config files are YAML mappings with one section per subsystem.  Each key
+is declared once, as a field of a frozen dataclass: ``data``, ``model``,
+``partition``, ``local`` and ``analysis`` are ``DataConfig``,
+``ModelConfig``, ``PartitionConfig``, ``LocalConfig`` and
+``AnalysisConfig``; ``experiment.*`` and ``output.dir`` are the flat fields
+of ``ExperimentConfig``.  A field's type is the key's type, its default the
+key's default, and its ``check`` metadata the key's range check.  Every
+config object casts and checks its fields when it is constructed and
+raises ``ConfigError`` naming the field; the parser reports the same
+failure by dotted path (e.g. ``partition.alpha``), rejects unknown
+sections and keys, and fills omitted keys with the defaults.
+``serialize_config`` emits a canonical snapshot that parses back to an
+identical config, which is what run output directories store for
+reproducibility.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations`` here: a field's annotation is
+# read at run time as the key's type.
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from typing import Any, Callable
 
 import yaml
 
-from .federation import STRATEGIES
-from .local_training import COEFF_MODES, LocalConfig
 from .model import ACTIVATIONS
 
-PARTITION_MODES = ("dirichlet", "feature_shift")
+COEFF_MODES = ("uniform_random", "active_only")
 DATA_SOURCES = ("blobs", "idx")
+PARTITION_MODES = ("dirichlet", "feature_shift")
+STRATEGIES = ("fedavg", "fedprox", "lss")
 
 
 class ConfigError(ValueError):
@@ -29,61 +37,8 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    source: str = "blobs"
-    num_classes: int = 10
-    per_class: int = 300
-    input_dim: int = 16
-    spread: float = 0.5
-    images_path: str = ""
-    labels_path: str = ""
-    val_fraction: float = 0.1
-    test_fraction: float = 0.1
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    hidden_dims: tuple[int, ...] = ()
-    activation: str = "relu"
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    mode: str = "dirichlet"
-    alpha: float = 1.0
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    zeta: bool = True
-    sigma: bool = True
-    sigma_draws: int = 32
-    hessian: bool = False
-    hessian_iters: int = 30
-    bvcl: bool = False
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    master_seed: int
-    output_dir: str
-    rounds: int = 1
-    strategy: str = "lss"
-    num_clients: int = 5
-    warmup_steps: int = 0
-    warmup_eta: float = 0.1
-    data: DataConfig = field(default_factory=DataConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
-    local: LocalConfig = field(default_factory=LocalConfig)
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-
-
-_REQUIRED = object()
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -120,6 +75,15 @@ def _as_int_tuple(value: Any, path: str) -> tuple[int, ...]:
     return tuple(_as_int(v, path) for v in value)
 
 
+_CASTERS: dict[Any, Callable[[Any, str], Any]] = {
+    int: _as_int,
+    float: _as_float,
+    str: _as_str,
+    bool: _as_bool,
+    tuple[int, ...]: _as_int_tuple,
+}
+
+
 def _choice(options: tuple[str, ...]) -> Callable[[Any, str], None]:
     def check(value: Any, path: str) -> None:
         if value not in options:
@@ -146,87 +110,149 @@ def _at_least(minimum: int) -> Callable[[Any, str], None]:
     return check
 
 
+def _all_positive(value: Any, path: str) -> None:
+    if any(v <= 0 for v in value):
+        raise ConfigError(path, f"every entry must be > 0, got {list(value)}")
+
+
 def _fraction(value: Any, path: str) -> None:
     if not 0.0 <= value < 1.0:
         raise ConfigError(path, f"must be in [0, 1), got {value}")
 
 
-# key -> (caster, default, validator or None)
-_SCHEMA: dict[str, dict[str, tuple[Callable, Any, Callable | None]]] = {
-    "experiment": {
-        "master_seed": (_as_int, _REQUIRED, None),
-        "rounds": (_as_int, 1, _at_least(1)),
-        "strategy": (_as_str, "lss", _choice(STRATEGIES)),
-        "num_clients": (_as_int, 5, _at_least(1)),
-        "warmup_steps": (_as_int, 0, _non_negative),
-        "warmup_eta": (_as_float, 0.1, _positive),
-    },
-    "data": {
-        "source": (_as_str, "blobs", _choice(DATA_SOURCES)),
-        "num_classes": (_as_int, 10, _at_least(2)),
-        "per_class": (_as_int, 300, _at_least(1)),
-        "input_dim": (_as_int, 16, _at_least(1)),
-        "spread": (_as_float, 0.5, _positive),
-        "images_path": (_as_str, "", None),
-        "labels_path": (_as_str, "", None),
-        "val_fraction": (_as_float, 0.1, _fraction),
-        "test_fraction": (_as_float, 0.1, _fraction),
-    },
-    "model": {
-        "hidden_dims": (_as_int_tuple, (), None),
-        "activation": (_as_str, "relu", _choice(ACTIVATIONS)),
-    },
-    "partition": {
-        "mode": (_as_str, "dirichlet", _choice(PARTITION_MODES)),
-        "alpha": (_as_float, 1.0, _positive),
-    },
-    "local": {
-        "eta": (_as_float, 5e-4, _positive),
-        "tau": (_as_int, 8, _non_negative),
-        "batch_size": (_as_int, 64, _at_least(1)),
-        "lambda_a": (_as_float, 3.0, _non_negative),
-        "lambda_d": (_as_float, 3.0, _non_negative),
-        "num_pool_models": (_as_int, 4, _at_least(1)),
-        "mu_prox": (_as_float, 0.0, _non_negative),
-        "coeff_mode": (_as_str, "uniform_random", _choice(COEFF_MODES)),
-        "dist_epsilon": (_as_float, 1e-8, _positive),
-    },
-    "analysis": {
-        "zeta": (_as_bool, True, None),
-        "sigma": (_as_bool, True, None),
-        "sigma_draws": (_as_int, 32, _at_least(2)),
-        "hessian": (_as_bool, False, None),
-        "hessian_iters": (_as_int, 30, _at_least(1)),
-        "bvcl": (_as_bool, False, None),
-    },
-    "output": {
-        "dir": (_as_str, _REQUIRED, None),
-    },
-}
+def _key(default: Any, check: Callable[[Any, str], None] | None = None) -> Any:
+    """A config key: a field with its default and its range check."""
+    return field(default=default, metadata={"check": check})
 
 
-def _parse_section(raw: Any, section: str) -> dict[str, Any]:
-    schema = _SCHEMA[section]
+class _Checked:
+    """Casts every field to its declared type and runs its check on construction."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if is_dataclass(f.type):  # a section, checked when it was built
+                continue
+            value = _CASTERS[f.type](getattr(self, f.name), f.name)
+            check = f.metadata.get("check")
+            if check is not None:
+                check(value, f.name)
+            object.__setattr__(self, f.name, value)
+
+
+@dataclass(frozen=True)
+class DataConfig(_Checked):
+    source: str = _key("blobs", _choice(DATA_SOURCES))
+    num_classes: int = _key(10, _at_least(2))
+    per_class: int = _key(300, _at_least(1))
+    input_dim: int = _key(16, _at_least(1))
+    spread: float = _key(0.5, _positive)
+    images_path: str = _key("")
+    labels_path: str = _key("")
+    val_fraction: float = _key(0.1, _fraction)
+    test_fraction: float = _key(0.1, _fraction)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.source == "idx" and (not self.images_path or not self.labels_path):
+            raise ConfigError(
+                "images_path", "required (with data.labels_path) when source is idx"
+            )
+        if self.val_fraction + self.test_fraction >= 1.0:
+            raise ConfigError("val_fraction", "val_fraction + test_fraction must be < 1")
+
+
+@dataclass(frozen=True)
+class ModelConfig(_Checked):
+    hidden_dims: tuple[int, ...] = _key((), _all_positive)
+    activation: str = _key("relu", _choice(ACTIVATIONS))
+
+
+@dataclass(frozen=True)
+class PartitionConfig(_Checked):
+    mode: str = _key("dirichlet", _choice(PARTITION_MODES))
+    alpha: float = _key(1.0, _positive)
+
+
+@dataclass(frozen=True)
+class LocalConfig(_Checked):
+    """Hyperparameters for one client's local training."""
+
+    eta: float = _key(5e-4, _positive)
+    # tau == 0 is allowed as the degenerate no-op used by tests/smoke runs
+    tau: int = _key(8, _non_negative)
+    batch_size: int = _key(64, _at_least(1))
+    lambda_a: float = _key(3.0, _non_negative)
+    lambda_d: float = _key(3.0, _non_negative)
+    num_pool_models: int = _key(4, _at_least(1))
+    mu_prox: float = _key(0.0, _non_negative)
+    coeff_mode: str = _key("uniform_random", _choice(COEFF_MODES))
+    dist_epsilon: float = _key(1e-8, _positive)
+
+
+@dataclass(frozen=True)
+class AnalysisConfig(_Checked):
+    zeta: bool = _key(True)
+    sigma: bool = _key(True)
+    sigma_draws: int = _key(32, _at_least(2))
+    hessian: bool = _key(False)
+    hessian_iters: int = _key(30, _at_least(1))
+    bvcl: bool = _key(False)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig(_Checked):
+    master_seed: int
+    output_dir: str
+    rounds: int = _key(1, _at_least(1))
+    strategy: str = _key("lss", _choice(STRATEGIES))
+    num_clients: int = _key(5, _at_least(1))
+    warmup_steps: int = _key(0, _non_negative)
+    warmup_eta: float = _key(0.1, _positive)
+    data: DataConfig = field(default_factory=DataConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    partition: PartitionConfig = field(default_factory=PartitionConfig)
+    local: LocalConfig = field(default_factory=LocalConfig)
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+
+
+def _layout() -> dict[str, tuple[type | None, dict[str, Field]]]:
+    """YAML section -> (its dataclass, key -> field), in ``config.yaml`` order.
+
+    The section dataclass is None for ``experiment`` and ``output``, whose
+    keys are ``ExperimentConfig``'s own fields: ``output.dir`` is
+    ``output_dir`` and every other flat field sits under ``experiment``.
+    """
+    flat = {f.name: f for f in fields(ExperimentConfig) if not is_dataclass(f.type)}
+    output = {"dir": flat.pop("output_dir")}
+    sections = {
+        f.name: (f.type, {g.name: g for g in fields(f.type)})
+        for f in fields(ExperimentConfig)
+        if is_dataclass(f.type)
+    }
+    return {"experiment": (None, flat), **sections, "output": (None, output)}
+
+
+def _keywords(raw: Any, section: str, keys: dict[str, Field]) -> dict[str, Any]:
+    """The constructor arguments one raw section gives, by field name."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(section, f"expected a mapping, got {raw!r}")
     for key in raw:
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(f"{section}.{key}", "unknown key")
-    out = {}
-    for key, (caster, default, validator) in schema.items():
-        path = f"{section}.{key}"
-        if key in raw:
-            value = caster(raw[key], path)
-        elif default is _REQUIRED:
-            raise ConfigError(path, "missing required key")
-        else:
-            value = default
-        if validator is not None:
-            validator(value, path)
-        out[key] = value
-    return out
+    for key, f in keys.items():
+        if key not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{section}.{key}", "missing required key")
+    return {keys[key].name: value for key, value in raw.items()}
+
+
+def _build(cls: type, kwargs: dict[str, Any], paths: dict[str, str]) -> Any:
+    """``cls(**kwargs)``, with a failing field reported by its dotted path."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(paths[exc.path], exc.message) from exc
 
 
 def parse_config_data(raw: Any) -> ExperimentConfig:
@@ -235,39 +261,21 @@ def parse_config_data(raw: Any) -> ExperimentConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("<root>", f"expected a mapping, got {raw!r}")
+    layout = _layout()
     for section in raw:
-        if section not in _SCHEMA:
+        if section not in layout:
             raise ConfigError(str(section), "unknown section")
-    sections = {name: _parse_section(raw.get(name), name) for name in _SCHEMA}
-
-    exp = sections["experiment"]
-    data = DataConfig(**sections["data"])
-    if data.source == "idx" and (not data.images_path or not data.labels_path):
-        raise ConfigError(
-            "data.images_path", "required (with data.labels_path) when source is idx"
-        )
-    if data.val_fraction + data.test_fraction >= 1.0:
-        raise ConfigError(
-            "data.val_fraction", "val_fraction + test_fraction must be < 1"
-        )
-    try:
-        local = LocalConfig(**sections["local"])
-    except ValueError as exc:
-        raise ConfigError("local", str(exc)) from exc
-    return ExperimentConfig(
-        master_seed=exp["master_seed"],
-        output_dir=sections["output"]["dir"],
-        rounds=exp["rounds"],
-        strategy=exp["strategy"],
-        num_clients=exp["num_clients"],
-        warmup_steps=exp["warmup_steps"],
-        warmup_eta=exp["warmup_eta"],
-        data=data,
-        model=ModelConfig(**sections["model"]),
-        partition=PartitionConfig(**sections["partition"]),
-        local=local,
-        analysis=AnalysisConfig(**sections["analysis"]),
-    )
+    top: dict[str, Any] = {}
+    top_paths: dict[str, str] = {}
+    for section, (cls, keys) in layout.items():
+        kwargs = _keywords(raw.get(section), section, keys)
+        paths = {f.name: f"{section}.{key}" for key, f in keys.items()}
+        if cls is None:
+            top.update(kwargs)
+            top_paths.update(paths)
+        else:
+            top[section] = _build(cls, kwargs, paths)
+    return _build(ExperimentConfig, top, top_paths)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -279,26 +287,12 @@ def parse_config(path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, dict[str, Any]]:
     """Canonical nested-dict form, in schema order, with plain YAML types."""
-    values = {
-        "experiment": {
-            "master_seed": cfg.master_seed,
-            "rounds": cfg.rounds,
-            "strategy": cfg.strategy,
-            "num_clients": cfg.num_clients,
-            "warmup_steps": cfg.warmup_steps,
-            "warmup_eta": cfg.warmup_eta,
-        },
-        "data": {k: getattr(cfg.data, k) for k in _SCHEMA["data"]},
-        "model": {
-            "hidden_dims": list(cfg.model.hidden_dims),
-            "activation": cfg.model.activation,
-        },
-        "partition": {k: getattr(cfg.partition, k) for k in _SCHEMA["partition"]},
-        "local": {k: getattr(cfg.local, k) for k in _SCHEMA["local"]},
-        "analysis": {k: getattr(cfg.analysis, k) for k in _SCHEMA["analysis"]},
-        "output": {"dir": cfg.output_dir},
-    }
-    return values
+    out = {}
+    for section, (cls, keys) in _layout().items():
+        owner = cfg if cls is None else getattr(cfg, section)
+        values = {key: getattr(owner, f.name) for key, f in keys.items()}
+        out[section] = {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+    return out
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -206,10 +206,6 @@ class FeatureTransform:
     def inverse(self) -> "FeatureTransform":
         return FeatureTransform(np.linalg.inv(self.matrix))
 
-    @classmethod
-    def identity(cls, dim: int) -> "FeatureTransform":
-        return cls(np.eye(dim))
-
 
 def _random_rotation(dim: int, max_angle: float, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal matrix built from plane rotations with |angle| <= max_angle."""

@@ -55,7 +55,14 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
             cfg.data.spread,
             derive_seed(cfg.master_seed, "blobs"),
         )
-    return load_idx(cfg.data.images_path, cfg.data.labels_path)
+    data = load_idx(cfg.data.images_path, cfg.data.labels_path)
+    if data.num_classes != cfg.data.num_classes:
+        raise ConfigError(
+            "data.num_classes",
+            f"is {cfg.data.num_classes}, but the IDX labels give {data.num_classes} "
+            f"classes (largest label + 1)",
+        )
+    return data
 
 
 def build_model_spec(cfg: ExperimentConfig, data: Dataset) -> MlpSpec:

@@ -18,12 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import STRATEGIES, LocalConfig
 from .data import Dataset
-from .local_training import LocalConfig, LocalTrace, fedprox_local_train, lss_local_train
+from .local_training import LocalTrace, fedprox_local_train, lss_local_train
 from .model import MlpSpec, accuracy, init_params, loss_and_grad
 from .params import ParamVector, l2_distance, weighted_average
-
-STRATEGIES = ("fedavg", "fedprox", "lss")
 
 CSV_HEADER = "round,global_acc,global_loss,client_accs,update_norms,wall_time_s"
 
@@ -81,8 +80,9 @@ class ClientState:
     data: Dataset
 
 
-def data_proportional_weights(clients: Sequence[ClientState]) -> tuple[float, ...]:
-    sizes = np.array([c.data.n for c in clients], dtype=np.float64)
+def data_proportional_weights(datasets: Sequence[Dataset]) -> tuple[float, ...]:
+    """FedAvg's aggregation weights: each dataset's share of the samples."""
+    sizes = np.array([d.n for d in datasets], dtype=np.float64)
     return tuple(sizes / sizes.sum())
 
 
@@ -157,7 +157,7 @@ def run_round(
             ) from exc
         finals.append(final)
 
-    new_global = weighted_average(finals, data_proportional_weights(clients))
+    new_global = weighted_average(finals, data_proportional_weights([c.data for c in clients]))
     eval_batch = eval_data.as_batch()
     global_acc = accuracy(new_global, spec, eval_batch)
     global_loss, _ = loss_and_grad(new_global, spec, eval_batch)

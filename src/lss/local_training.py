@@ -20,59 +20,17 @@ the end of each member phase: no update turns a non-finite entry finite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from .config import COEFF_MODES, LocalConfig  # COEFF_MODES is re-exported
 from .model import (
     Batch, MlpSpec, _backprop, _check_labels, _check_params, _unpack, loss_and_grad
 )
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
-
-COEFF_MODES = ("uniform_random", "active_only")
-
-
-@dataclass(frozen=True)
-class LocalConfig:
-    """Hyperparameters for one client's local training."""
-
-    eta: float = 5e-4
-    tau: int = 8
-    batch_size: int = 64
-    lambda_a: float = 3.0
-    lambda_d: float = 3.0
-    num_pool_models: int = 4
-    mu_prox: float = 0.0
-    coeff_mode: str = "uniform_random"
-    dist_epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        # Comparisons are written so that NaN fails them; ``< math.inf``
-        # rejects infinity.
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        # tau == 0 is allowed as the degenerate no-op used by tests/smoke runs
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not all(0 <= v < math.inf for v in (self.lambda_a, self.lambda_d, self.mu_prox)):
-            raise ValueError("lambda_a, lambda_d, mu_prox must be finite and non-negative")
-        if self.num_pool_models < 1:
-            raise ValueError(
-                f"num_pool_models must be >= 1, got {self.num_pool_models}"
-            )
-        if self.coeff_mode not in COEFF_MODES:
-            raise ValueError(
-                f"coeff_mode must be one of {COEFF_MODES}, got {self.coeff_mode!r}"
-            )
-        if not 0 < self.dist_epsilon < math.inf:
-            raise ValueError(
-                f"dist_epsilon must be finite and > 0, got {self.dist_epsilon}"
-            )
 
 
 def sample_interp_coeffs(

@@ -8,6 +8,7 @@ import lss.experiment as experiment
 from lss.analysis import TheoryParams, convergence_bound, lr_choice, max_local_steps
 from lss.cli import main
 from lss.params import load_checkpoint
+from test_data import _write_idx_pair
 
 SMOKE = """
 experiment:
@@ -176,6 +177,39 @@ class TestEval:
         ckpt = tmp_path / "run1" / "final.lssw"
         assert main(["eval", str(ckpt), "--config", str(cfg), "--set", "model.hidden_dims=[8]"]) == 1
         assert "parameters" in capsys.readouterr().err
+
+
+class TestIdxSource:
+    def write_idx_config(self, tmp_path):
+        """30 four-pixel images labelled 0, 1, 2, as an IDX pair and a config."""
+        pixels = np.random.default_rng(0).integers(0, 256, size=30 * 4).tolist()
+        images, labels = _write_idx_pair(tmp_path, pixels, [i % 3 for i in range(30)])
+        cfg = tmp_path / "idx.yaml"
+        cfg.write_text(
+            SMOKE.replace("OUTDIR", str(tmp_path / "out")).replace(
+                "data:\n",
+                f"data:\n  source: idx\n  images_path: {images}\n  labels_path: {labels}\n",
+            )
+        )
+        return cfg
+
+    def test_matching_class_count_runs_and_evaluates(self, tmp_path):
+        cfg = self.write_idx_config(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        assert main(["eval", str(tmp_path / "out" / "final.lssw"), "--config", str(cfg)]) == 0
+
+    def test_class_count_mismatch_rejected_before_warmup(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_idx_config(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        started = []
+        monkeypatch.setattr(experiment, "warmup_pretrain", lambda *a, **k: started.append(a))
+        ckpt = str(tmp_path / "out" / "final.lssw")
+        for argv in (["run", str(cfg)], ["eval", ckpt, "--config", str(cfg)]):
+            assert main([*argv, "--set", "data.num_classes=10"]) == 1
+            err = capsys.readouterr().err
+            assert "data.num_classes: is 10, but the IDX labels give 3 classes" in err
+        assert started == []
 
 
 class TestSweep:

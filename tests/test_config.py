@@ -1,9 +1,22 @@
+import math
+import re
+from pathlib import Path
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lss.config import (
+    AnalysisConfig,
     ConfigError,
+    DataConfig,
+    ExperimentConfig,
+    LocalConfig,
+    ModelConfig,
+    PartitionConfig,
     apply_overrides,
+    config_to_dict,
     parse_config,
     parse_config_data,
     serialize_config,
@@ -89,7 +102,218 @@ class TestValidation:
             parse_text(MINIMAL + "\nlocal:\n  eta: 0\n")
 
 
+SECTIONS = {
+    "data": DataConfig,
+    "model": ModelConfig,
+    "partition": PartitionConfig,
+    "local": LocalConfig,
+    "analysis": AnalysisConfig,
+}
+
+# One out-of-range value for every checked key.
+BAD_VALUES = [
+    ("experiment.rounds", 0),
+    ("experiment.strategy", "magic"),
+    ("experiment.num_clients", 0),
+    ("experiment.warmup_steps", -1),
+    ("experiment.warmup_eta", 0.0),
+    ("data.source", "csv"),
+    ("data.num_classes", 1),
+    ("data.per_class", 0),
+    ("data.input_dim", 0),
+    ("data.spread", -1.0),
+    ("data.val_fraction", 1.0),
+    ("data.test_fraction", -0.1),
+    ("model.hidden_dims", [8, 0]),
+    ("model.activation", "gelu"),
+    ("partition.mode", "label_skew"),
+    ("partition.alpha", 0.0),
+    ("local.eta", 0.0),
+    ("local.tau", -1),
+    ("local.batch_size", 0),
+    ("local.lambda_a", -0.1),
+    ("local.lambda_d", -0.1),
+    ("local.num_pool_models", 0),
+    ("local.mu_prox", -1.0),
+    ("local.coeff_mode", "nope"),
+    ("local.dist_epsilon", 0.0),
+    ("analysis.sigma_draws", 1),
+    ("analysis.hessian_iters", 0),
+]
+FLOAT_KEYS = [key for key, bad in BAD_VALUES if isinstance(bad, float)]
+
+
+def with_key(key, value):
+    section, name = key.split(".")
+    raw = yaml.safe_load(MINIMAL)
+    raw.setdefault(section, {})[name] = value
+    return raw
+
+
+def construct(key, value):
+    """Build the dataclass that owns ``key`` directly, with ``value``."""
+    section, name = key.split(".")
+    if section == "experiment":
+        return ExperimentConfig(master_seed=1, output_dir="x", **{name: value})
+    return SECTIONS[section](**{name: value})
+
+
+class TestEveryRejectionNamesItsKey:
+    @pytest.mark.parametrize("key, bad", BAD_VALUES)
+    def test_parser_reports_the_dotted_key(self, key, bad):
+        with pytest.raises(ConfigError) as info:
+            parse_config_data(with_key(key, bad))
+        assert info.value.path == key
+
+    @pytest.mark.parametrize("key, bad", BAD_VALUES)
+    def test_construction_names_the_field(self, key, bad):
+        with pytest.raises(ValueError, match=rf"^{key.split('.')[1]}: "):
+            construct(key, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats(self, key, bad):
+        with pytest.raises(ConfigError) as info:
+            parse_config_data(with_key(key, bad))
+        assert info.value.path == key
+        with pytest.raises(ValueError, match=rf"^{key.split('.')[1]}: .*finite"):
+            construct(key, bad)
+
+    def test_construction_casts_to_the_declared_types(self):
+        local = LocalConfig(eta=1, lambda_a=3)
+        assert type(local.eta) is float and type(local.lambda_a) is float
+        assert ModelConfig(hidden_dims=[8, 4]).hidden_dims == (8, 4)
+        with pytest.raises(ValueError, match="^tau: expected an integer"):
+            LocalConfig(tau=1.5)
+
+
+# Every key with a strategy for its valid values.
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, max_value=1e300)
+NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+FRACTION = st.floats(min_value=0.0, max_value=0.45)
+VALID = {
+    "experiment": {
+        "master_seed": st.integers(0, 2**63 - 1),
+        "rounds": st.integers(1, 10**6),
+        "strategy": st.sampled_from(["fedavg", "fedprox", "lss"]),
+        "num_clients": st.integers(1, 10**6),
+        "warmup_steps": st.integers(0, 10**6),
+        "warmup_eta": st.one_of(POSITIVE, st.integers(1, 10**6)),
+    },
+    "data": {
+        "source": st.sampled_from(["blobs", "idx"]),
+        "num_classes": st.integers(2, 10**6),
+        "per_class": st.integers(1, 10**6),
+        "input_dim": st.integers(1, 10**6),
+        "spread": POSITIVE,
+        "images_path": st.text(min_size=1),
+        "labels_path": st.text(min_size=1),
+        "val_fraction": FRACTION,
+        "test_fraction": FRACTION,
+    },
+    "model": {
+        "hidden_dims": st.lists(st.integers(1, 4096), max_size=3),
+        "activation": st.sampled_from(["relu", "tanh"]),
+    },
+    "partition": {
+        "mode": st.sampled_from(["dirichlet", "feature_shift"]),
+        "alpha": POSITIVE,
+    },
+    "local": {
+        "eta": POSITIVE,
+        "tau": st.integers(0, 10**6),
+        "batch_size": st.integers(1, 10**6),
+        "lambda_a": st.one_of(NON_NEGATIVE, st.integers(0, 10**6)),
+        "lambda_d": NON_NEGATIVE,
+        "num_pool_models": st.integers(1, 10**6),
+        "mu_prox": NON_NEGATIVE,
+        "coeff_mode": st.sampled_from(["uniform_random", "active_only"]),
+        "dist_epsilon": POSITIVE,
+    },
+    "analysis": {
+        "zeta": st.booleans(),
+        "sigma": st.booleans(),
+        "sigma_draws": st.integers(2, 10**6),
+        "hessian": st.booleans(),
+        "hessian_iters": st.integers(1, 10**6),
+        "bvcl": st.booleans(),
+    },
+    "output": {"dir": st.text()},
+}
+
+MINIMAL_SNAPSHOT = """\
+experiment:
+  master_seed: 42
+  rounds: 1
+  strategy: lss
+  num_clients: 5
+  warmup_steps: 0
+  warmup_eta: 0.1
+data:
+  source: blobs
+  num_classes: 10
+  per_class: 300
+  input_dim: 16
+  spread: 0.5
+  images_path: ''
+  labels_path: ''
+  val_fraction: 0.1
+  test_fraction: 0.1
+model:
+  hidden_dims: []
+  activation: relu
+partition:
+  mode: dirichlet
+  alpha: 1.0
+local:
+  eta: 0.0005
+  tau: 8
+  batch_size: 64
+  lambda_a: 3.0
+  lambda_d: 3.0
+  num_pool_models: 4
+  mu_prox: 0.0
+  coeff_mode: uniform_random
+  dist_epsilon: 1.0e-08
+analysis:
+  zeta: true
+  sigma: true
+  sigma_draws: 32
+  hessian: false
+  hessian_iters: 30
+  bvcl: false
+output:
+  dir: runs/demo
+"""
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def key_lists(mapping):
+    return {section: list(keys) for section, keys in mapping.items()}
+
+
 class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.fixed_dictionaries(
+        {section: st.fixed_dictionaries(keys) for section, keys in VALID.items()}
+    ))
+    def test_every_key_round_trips(self, raw):
+        cfg = parse_config_data(raw)
+        assert key_lists(config_to_dict(cfg)) == key_lists(VALID)
+        assert parse_config_data(yaml.safe_load(serialize_config(cfg))) == cfg
+
+    def test_minimal_snapshot_bytes(self):
+        assert serialize_config(parse_text(MINIMAL)) == MINIMAL_SNAPSHOT
+
+    def test_readme_config_block_is_the_library_defaults(self):
+        readme = README.read_text(encoding="utf-8")
+        block = re.search(r"## Config format.*?```yaml\n(.*?)```", readme, re.S).group(1)
+        raw = yaml.safe_load(block)
+        cfg = parse_config_data(raw)
+        assert cfg == ExperimentConfig(master_seed=cfg.master_seed, output_dir=cfg.output_dir)
+        assert key_lists(raw) == key_lists(config_to_dict(cfg))
+
     def test_serialize_then_parse_is_identity(self):
         text = MINIMAL + """
 local:

@@ -56,7 +56,7 @@ class TestDeriveSeed:
 class TestDataProportionalWeights:
     def test_data_proportional_weights(self, fed_setup):
         _, _, clients, _ = fed_setup
-        weights = data_proportional_weights(clients)
+        weights = data_proportional_weights([c.data for c in clients])
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
         assert weights[0] == pytest.approx(clients[0].data.n / sum(c.data.n for c in clients))
 
