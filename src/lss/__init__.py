@@ -52,7 +52,6 @@ from .local_training import (
 from .model import Batch, MlpSpec, accuracy, init_params, loss_and_grad
 from .params import (
     ParamVector,
-    ShapeSpec,
     axpy,
     l2_distance,
     load_checkpoint,

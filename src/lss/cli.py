@@ -119,7 +119,7 @@ def _write_artifacts(cfg: ExperimentConfig, result: ExperimentResult, out: Path)
     staged("rounds.csv", lambda p: write_rounds_csv(result.records, p))
     staged(
         "final.lssw",
-        lambda p: save_checkpoint(p, result.final_model, result.spec.shape_spec()),
+        lambda p: save_checkpoint(p, result.final_model, result.spec.layer_shapes()),
     )
     staged(
         "diagnostics.txt",
@@ -197,13 +197,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_raw_config(args.config, args.set or [])
-    params, _ = load_checkpoint(args.checkpoint)
+    params, layers = load_checkpoint(args.checkpoint)
     base = build_dataset(cfg)
     spec = build_model_spec(cfg, base)
-    if params.dim != spec.param_count():
+    if layers != spec.layer_shapes():
         raise ValueError(
-            f"checkpoint has {params.dim} parameters, config model needs "
-            f"{spec.param_count()}"
+            f"checkpoint layers {layers} do not match the config model's "
+            f"{spec.layer_shapes()}"
         )
     splits = dict(zip(("train", "val", "test"), split_experiment_data(cfg, base)))
     data = splits[args.split]

@@ -115,6 +115,11 @@ def _all_positive(value: Any, path: str) -> None:
         raise ConfigError(path, f"every entry must be > 0, got {list(value)}")
 
 
+def _seed(value: Any, path: str) -> None:
+    if not 0 <= value < 2**64:
+        raise ConfigError(path, f"must be in [0, 2**64), got {value}")
+
+
 def _fraction(value: Any, path: str) -> None:
     if not 0.0 <= value < 1.0:
         raise ConfigError(path, f"must be in [0, 1), got {value}")
@@ -201,7 +206,7 @@ class AnalysisConfig(_Checked):
 
 @dataclass(frozen=True)
 class ExperimentConfig(_Checked):
-    master_seed: int
+    master_seed: int = field(metadata={"check": _seed})
     output_dir: str
     rounds: int = _key(1, _at_least(1))
     strategy: str = _key("lss", _choice(STRATEGIES))

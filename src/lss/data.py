@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Batch
+from .params import read_exact
 
 FEATURE_SHIFT_MARKER = "feature-shift"
 
@@ -267,44 +268,36 @@ def feature_shift_partition(
 
 
 def _read_be32(fh, what: str) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise ValueError(f"truncated IDX file while reading {what}")
-    return struct.unpack(">I", raw)[0]
+    return struct.unpack(">I", read_exact(fh, 4, what))[0]
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair as a flat-feature dataset."""
     with open(images_path, "rb") as fh:
-        magic = _read_be32(fh, "image magic")
+        magic = _read_be32(fh, "IDX image magic")
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(
                 f"bad IDX image magic: expected {IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}"
             )
-        count = _read_be32(fh, "image count")
-        rows = _read_be32(fh, "row count")
-        cols = _read_be32(fh, "column count")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise ValueError(
-                f"truncated IDX image data: expected {count * rows * cols} bytes, "
-                f"got {len(raw)}"
-            )
+        count = _read_be32(fh, "IDX image count")
+        rows = _read_be32(fh, "IDX row count")
+        cols = _read_be32(fh, "IDX column count")
+        raw = read_exact(
+            fh,
+            count * rows * cols,
+            f"IDX image data (count, rows and cols fields {count} x {rows} x {cols})",
+        )
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     features = pixels.reshape(count, rows * cols)
 
     with open(labels_path, "rb") as fh:
-        magic = _read_be32(fh, "label magic")
+        magic = _read_be32(fh, "IDX label magic")
         if magic != IDX_LABELS_MAGIC:
             raise ValueError(
                 f"bad IDX label magic: expected {IDX_LABELS_MAGIC:#010x}, got {magic:#010x}"
             )
-        label_count = _read_be32(fh, "label count")
-        raw = fh.read(label_count)
-        if len(raw) != label_count:
-            raise ValueError(
-                f"truncated IDX label data: expected {label_count} bytes, got {len(raw)}"
-            )
+        label_count = _read_be32(fh, "IDX label count")
+        raw = read_exact(fh, label_count, f"IDX label data (label count field {label_count})")
     if label_count != count:
         raise ValueError(
             f"IDX count mismatch: {count} images but {label_count} labels"

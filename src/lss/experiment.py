@@ -62,6 +62,12 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
             f"is {cfg.data.num_classes}, but the IDX labels give {data.num_classes} "
             f"classes (largest label + 1)",
         )
+    if data.input_dim != cfg.data.input_dim:
+        raise ConfigError(
+            "data.input_dim",
+            f"is {cfg.data.input_dim}, but the IDX images have {data.input_dim} "
+            f"pixels (rows x cols)",
+        )
     return data
 
 

@@ -31,15 +31,19 @@ def derive_seed(*parts: int | str) -> int:
     """Stable 64-bit seed from a mix of integers and strings.
 
     Unlike Python's salted ``hash``, this is identical across runs and
-    platforms, which is what makes experiments replayable.
+    platforms, which is what makes experiments replayable.  Integer parts
+    must lie in [0, 2**64), the range their 8-byte encoding covers, so no
+    two distinct integers are encoded alike.
     """
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str)):
             raise TypeError(f"seed parts must be int or str, got {type(part)}")
         if isinstance(part, int):
+            if not 0 <= part < 2**64:
+                raise ValueError(f"int seed parts must be in [0, 2**64), got {part}")
             h.update(b"i")
-            h.update((part & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+            h.update(part.to_bytes(8, "little"))
         else:
             raw = part.encode("utf-8")
             h.update(b"s")
@@ -153,7 +157,7 @@ def run_round(
             )
         except Exception as exc:
             raise RuntimeError(
-                f"client {client.client_id} failed during round {round_index}"
+                f"client {client.client_id} failed during round {round_index}: {exc}"
             ) from exc
         finals.append(final)
 

@@ -20,6 +20,7 @@ the end of each member phase: no update turns a non-finite entry finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -221,7 +222,12 @@ def _train(
                     push.fill(0.0)
                     for k in range(m if lam_d != 0.0 else 1):
                         np.subtract(active, rows[k], out=tmp)
-                        tmp /= max(float(np.sqrt(np.dot(tmp, tmp))), config.dist_epsilon)
+                        dist = float(np.sqrt(np.dot(tmp, tmp)))
+                        if not math.isfinite(dist):
+                            raise ValueError(
+                                f"soup member {m} diverged: its distance to member {k} is {dist}"
+                            )
+                        tmp /= max(dist, config.dist_epsilon)
                         push += tmp
                         if k == 0 and lam_a != 0.0:
                             grad += np.multiply(tmp, lam_a, out=tmp)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParamVector, ShapeSpec
+from .params import ParamVector, dense_param_count
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -44,10 +44,7 @@ class MlpSpec:
         return [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
 
     def param_count(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_shapes())
-
-    def shape_spec(self) -> ShapeSpec:
-        return ShapeSpec(tuple((fi, fo, True) for fi, fo in self.layer_shapes()))
+        return dense_param_count(self.layer_shapes())
 
 
 @dataclass
@@ -117,13 +114,11 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     """Deterministic Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng(seed)
     flat = np.empty(spec.param_count(), dtype=np.float64)
-    off = 0
-    for fi, fo in spec.layer_shapes():
+    for w, b in _unpack(flat, spec):
+        fi, fo = w.shape
         s = np.sqrt(6.0 / (fi + fo))
-        flat[off : off + fi * fo] = rng.uniform(-s, s, size=fi * fo)
-        off += fi * fo
-        flat[off : off + fo] = 0.0
-        off += fo
+        w[:] = rng.uniform(-s, s, size=w.shape)
+        b[:] = 0.0
     return ParamVector._wrap(flat)
 
 

@@ -9,8 +9,8 @@ supplies, which makes results independent of thread scheduling.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,23 +19,6 @@ WEIGHT_SUM_TOL = 1e-9
 
 CHECKPOINT_MAGIC = b"LSSW"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ShapeSpec:
-    """Maps a flat vector onto dense layers as (fan_in, fan_out, has_bias) triples."""
-
-    layer_dims: tuple[tuple[int, int, bool], ...]
-
-    def __post_init__(self) -> None:
-        for rows, cols, has_bias in self.layer_dims:
-            if rows <= 0 or cols <= 0:
-                raise ValueError(f"layer dims must be positive, got ({rows}, {cols})")
-            if not isinstance(has_bias, bool):
-                raise ValueError("has_bias must be a bool")
-
-    def param_count(self) -> int:
-        return sum(r * c + (c if b else 0) for r, c, b in self.layer_dims)
 
 
 class ParamVector:
@@ -157,66 +140,89 @@ def axpy(y: ParamVector, alpha: float, x: ParamVector) -> ParamVector:
 #   u32         format version (currently 1)
 #   u64         dim
 #   dim * f64   weights, IEEE-754 little-endian
-#   u32         number of shape triples
-#   per triple: u64 fan_in, u64 fan_out, u8 has_bias
+#   u32         number of layers
+#   per layer:  u64 fan_in, u64 fan_out, u8 has_bias (always 1)
+#
+# The layers are the (fan_in, fan_out) pairs of ``MlpSpec.layer_shapes()``,
+# and the weights are laid out as ``model._unpack`` reads them: per layer a
+# row-major (fan_in, fan_out) matrix, then fan_out biases.  Every layer
+# has a bias, and each layer's fan_in is the previous layer's fan_out; the
+# reader rejects any other file, since no ``MlpSpec`` describes it.
 # ---------------------------------------------------------------------------
 
+LayerShapes = Sequence[tuple[int, int]]
 
-def save_checkpoint(path, params: ParamVector, shape: ShapeSpec) -> None:
-    """Write a bit-exact checkpoint of ``params`` described by ``shape``."""
-    if shape.param_count() != params.dim:
-        raise ValueError(
-            f"shape describes {shape.param_count()} parameters, vector has {params.dim}"
-        )
+
+def dense_param_count(layers: LayerShapes) -> int:
+    """Weights and biases of dense layers given as (fan_in, fan_out) pairs."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in layers)
+
+
+def _check_layers(layers: LayerShapes, dim: int) -> None:
+    """Reject layers that no ``MlpSpec`` describes or that do not hold ``dim`` weights."""
+    for i, (fan_in, fan_out) in enumerate(layers):
+        if fan_in <= 0 or fan_out <= 0:
+            raise ValueError(f"layer {i} has a zero width: ({fan_in}, {fan_out})")
+        if i > 0 and fan_in != layers[i - 1][1]:
+            raise ValueError(
+                f"layer {i} takes {fan_in} inputs, but layer {i - 1} gives {layers[i - 1][1]}"
+            )
+    count = dense_param_count(layers)
+    if count != dim:
+        raise ValueError(f"layers {list(layers)} hold {count} parameters, vector has {dim}")
+
+
+def save_checkpoint(path, params: ParamVector, layers: LayerShapes) -> None:
+    """Write a bit-exact checkpoint of ``params`` with its (fan_in, fan_out) layers."""
+    _check_layers(layers, params.dim)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", params.dim))
         fh.write(params.values.astype("<f8").tobytes())
-        fh.write(struct.pack("<I", len(shape.layer_dims)))
-        for rows, cols, has_bias in shape.layer_dims:
-            fh.write(struct.pack("<QQB", rows, cols, 1 if has_bias else 0))
+        fh.write(struct.pack("<I", len(layers)))
+        for fan_in, fan_out in layers:
+            fh.write(struct.pack("<QQB", fan_in, fan_out, 1))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated checkpoint while reading {what}")
-    return data
+def read_exact(fh, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of the binary file ``fh``.
+
+    The size is checked against the bytes left in the file before
+    anything is read, so a corrupt size field cannot ask for more memory
+    than the file holds.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"truncated {what}: needs {n} bytes, but only {left} remain")
+    return fh.read(n)
 
 
-def load_checkpoint(path) -> tuple[ParamVector, ShapeSpec]:
-    """Read back a checkpoint written by :func:`save_checkpoint`."""
+def load_checkpoint(path) -> tuple[ParamVector, list[tuple[int, int]]]:
+    """Read back a checkpoint written by :func:`save_checkpoint`: the
+    weights and their (fan_in, fan_out) layers."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "checkpoint magic")
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(
                 f"bad checkpoint magic: expected {CHECKPOINT_MAGIC!r}, got {magic!r}"
             )
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint version"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (dim,) = struct.unpack("<Q", _read_exact(fh, 8, "dim"))
+        (dim,) = struct.unpack("<Q", read_exact(fh, 8, "checkpoint dim field"))
         if dim == 0:
             raise ValueError("checkpoint declares zero-dimensional vector")
-        raw = _read_exact(fh, 8 * dim, "weights")
+        raw = read_exact(fh, 8 * dim, f"checkpoint weights (dim field {dim})")
         values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        (n_layers,) = struct.unpack("<I", _read_exact(fh, 4, "layer count"))
-        layers = []
-        for _ in range(n_layers):
-            rows, cols, bias_flag = struct.unpack(
-                "<QQB", _read_exact(fh, 17, "layer triple")
-            )
-            if bias_flag not in (0, 1):
-                raise ValueError(f"bad bias flag {bias_flag} in checkpoint layer triple")
-            layers.append((int(rows), int(cols), bool(bias_flag)))
+        (n_layers,) = struct.unpack("<I", read_exact(fh, 4, "checkpoint layer count"))
+        raw = read_exact(fh, 17 * n_layers, f"checkpoint layers (layer count field {n_layers})")
         if fh.read(1):
-            raise ValueError("checkpoint has trailing bytes after the last layer triple")
-    shape = ShapeSpec(tuple(layers))
-    params = ParamVector._wrap(values)
-    if shape.param_count() != params.dim:
-        raise ValueError(
-            f"checkpoint shape describes {shape.param_count()} parameters, "
-            f"vector has {params.dim}"
-        )
-    return params, shape
+            raise ValueError("checkpoint has trailing bytes after the last layer")
+    layers = []
+    for fan_in, fan_out, has_bias in struct.iter_unpack("<QQB", raw):
+        if has_bias != 1:
+            raise ValueError(f"checkpoint layer {len(layers)} has bias flag {has_bias}, not 1")
+        layers.append((fan_in, fan_out))
+    _check_layers(layers, dim)
+    return ParamVector._wrap(values), layers

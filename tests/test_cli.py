@@ -145,12 +145,21 @@ class TestRun:
 
 
     def test_diverged_run_exits_1_naming_the_round(self, tmp_path, capsys):
-        # The golden configuration: at this step size the update norms
-        # overflow to inf in round 1 while every weight stays finite.
+        # The golden configuration: at this step size the distances and
+        # update norms overflow to inf in round 1 while every weight stays
+        # finite.  LSS stops at the first soup distance, naming the client;
+        # FedAvg has no pool, so the round's update norms catch it.
         cfg = tmp_path / "golden.yaml"
         cfg.write_text(GOLDEN.replace("OUTDIR", str(tmp_path / "out")))
         with np.errstate(over="ignore"):
             assert main(["run", str(cfg), "-s", "local.eta=1e300"]) == 1
+        assert (
+            "error: client 0 failed during round 1: soup member 1 diverged: "
+            "its distance to member 0 is inf"
+        ) in capsys.readouterr().err
+        with np.errstate(over="ignore"):
+            argv = ["run", str(cfg), "-s", "local.eta=1e300", "-s", "experiment.strategy=fedavg"]
+            assert main(argv) == 1
         assert "round 1: update norms must be finite" in capsys.readouterr().err
 
 
@@ -176,7 +185,15 @@ class TestEval:
         assert main(["run", str(cfg)]) == 0
         ckpt = tmp_path / "run1" / "final.lssw"
         assert main(["eval", str(ckpt), "--config", str(cfg), "--set", "model.hidden_dims=[8]"]) == 1
-        assert "parameters" in capsys.readouterr().err
+        assert "checkpoint layers [(4, 3)] do not match" in capsys.readouterr().err
+        # [2] and [2, 1] both hold 19 weights on the 4-input, 3-class data
+        assert main(["run", str(cfg), "--set", "model.hidden_dims=[2]"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), "--config", str(cfg), "--set", "model.hidden_dims=[2,1]"]) == 1
+        assert (
+            "checkpoint layers [(4, 2), (2, 3)] do not match the config model's "
+            "[(4, 2), (2, 1), (1, 3)]"
+        ) in capsys.readouterr().err
 
 
 class TestIdxSource:
@@ -209,6 +226,19 @@ class TestIdxSource:
             assert main([*argv, "--set", "data.num_classes=10"]) == 1
             err = capsys.readouterr().err
             assert "data.num_classes: is 10, but the IDX labels give 3 classes" in err
+        assert started == []
+
+    def test_input_dim_mismatch_rejected_before_warmup(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_idx_config(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        started = []
+        monkeypatch.setattr(experiment, "warmup_pretrain", lambda *a, **k: started.append(a))
+        ckpt = str(tmp_path / "out" / "final.lssw")
+        for argv in (["run", str(cfg)], ["eval", ckpt, "--config", str(cfg)]):
+            assert main([*argv, "-s", "data.input_dim=16"]) == 1
+            err = capsys.readouterr().err
+            assert "data.input_dim: is 16, but the IDX images have 4 pixels" in err
         assert started == []
 
 
@@ -306,6 +336,6 @@ class TestBound:
     def test_checkpoint_roundtrip_through_cli_artifacts(self, tmp_path):
         cfg = write_smoke(tmp_path)
         assert main(["run", str(cfg)]) == 0
-        params, shape = load_checkpoint(tmp_path / "run1" / "final.lssw")
-        assert params.dim == shape.param_count()
+        params, layers = load_checkpoint(tmp_path / "run1" / "final.lssw")
+        assert layers == [(4, 3)] and params.dim == 4 * 3 + 3
         assert np.all(np.isfinite(params.values))

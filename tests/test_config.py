@@ -112,6 +112,8 @@ SECTIONS = {
 
 # One out-of-range value for every checked key.
 BAD_VALUES = [
+    ("experiment.master_seed", -1),
+    ("experiment.master_seed", 2**64),
     ("experiment.rounds", 0),
     ("experiment.strategy", "magic"),
     ("experiment.num_clients", 0),
@@ -154,7 +156,7 @@ def construct(key, value):
     """Build the dataclass that owns ``key`` directly, with ``value``."""
     section, name = key.split(".")
     if section == "experiment":
-        return ExperimentConfig(master_seed=1, output_dir="x", **{name: value})
+        return ExperimentConfig(**{"master_seed": 1, "output_dir": "x", name: value})
     return SECTIONS[section](**{name: value})
 
 

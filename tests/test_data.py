@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lss.data import (
     Dataset,
@@ -245,6 +247,40 @@ class TestLoadIdx:
         images, labels = _write_idx_pair(tmp_path, [0] * 5, [0, 1])
         with pytest.raises(ValueError, match="truncated"):
             load_idx(images, labels)
+
+    def test_huge_image_header_rejected_before_reading(self, tmp_path):
+        images, labels = _write_idx_pair(tmp_path, [0] * 8, [0, 1])
+        raw = images.read_bytes()
+        images.write_bytes(raw[:4] + struct.pack(">III", 2**20, 2**20, 2**20) + raw[16:])
+        with pytest.raises(
+            ValueError,
+            match=r"count, rows and cols fields 1048576 x 1048576 x 1048576\): "
+            rf"needs {2**60} bytes, but only 8 remain",
+        ):
+            load_idx(images, labels)
+
+    def test_huge_label_count_rejected_before_reading(self, tmp_path):
+        images, labels = _write_idx_pair(tmp_path, [0] * 8, [0, 1], label_count=2**32 - 1)
+        with pytest.raises(ValueError, match=r"label count field 4294967295\): needs"):
+            load_idx(images, labels)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 5), min_size=1, max_size=20).filter(lambda ls: max(ls) >= 1),
+        st.data(),
+    )
+    def test_roundtrip(self, tmp_path, rows, cols, labels, data):
+        pixels = data.draw(
+            st.lists(st.integers(0, 255), min_size=len(labels) * rows * cols,
+                     max_size=len(labels) * rows * cols)
+        )
+        images_path, labels_path = _write_idx_pair(tmp_path, pixels, labels, rows=rows, cols=cols)
+        loaded = load_idx(images_path, labels_path)
+        assert loaded.features.shape == (len(labels), rows * cols)
+        assert np.array_equal(np.rint(loaded.features * 255.0), np.reshape(pixels, loaded.features.shape))
+        assert loaded.labels.tolist() == labels and loaded.num_classes == max(labels) + 1
 
 
 class TestPartitionPlanIO:

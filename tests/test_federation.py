@@ -52,6 +52,13 @@ class TestDeriveSeed:
         with pytest.raises(TypeError):
             derive_seed(1.5)
 
+    def test_int_parts_outside_64_bits_are_rejected_not_reduced(self):
+        # reduced mod 2**64, -1 and 2**64 - 1 would give the same seed
+        assert derive_seed(0) != derive_seed(2**64 - 1)
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"\[0, 2\*\*64\), got {bad}"):
+                derive_seed(bad, "blobs")
+
 
 class TestDataProportionalWeights:
     def test_data_proportional_weights(self, fed_setup):

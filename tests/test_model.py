@@ -14,10 +14,6 @@ class TestMlpSpec:
         spec = MlpSpec(input_dim=4, hidden_dims=(5, 3), num_classes=2)
         assert spec.param_count() == (4 * 5 + 5) + (5 * 3 + 3) + (3 * 2 + 2)
 
-    def test_shape_spec_matches_param_count(self):
-        spec = MlpSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
-        assert spec.shape_spec().param_count() == spec.param_count()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MlpSpec(input_dim=0, num_classes=2)

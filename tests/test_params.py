@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lss.model import MlpSpec, init_params
 from lss.params import (
     ParamVector,
-    ShapeSpec,
     axpy,
     l2_distance,
     load_checkpoint,
@@ -159,28 +161,50 @@ class TestAxpy:
         np.testing.assert_allclose(back.values, y.values, rtol=0, atol=1e-12 * (1 + np.abs(y.values).max()))
 
 
-class TestShapeSpec:
-    def test_param_count(self):
-        shape = ShapeSpec(((2, 3, True), (3, 4, False)))
-        assert shape.param_count() == 2 * 3 + 3 + 3 * 4
+def write_checkpoint(path, layers):
+    """A checkpoint of distinct weights over ``layers``; returns its bytes."""
+    dim = sum(fi * fo + fo for fi, fo in layers)
+    save_checkpoint(path, ParamVector(np.arange(1.0, dim + 1.0)), layers)
+    return path.read_bytes()
 
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            ShapeSpec(((0, 3, True),))
+
+def layer_record(fan_in, fan_out):
+    return struct.pack("<QQB", fan_in, fan_out, 1)
+
+
+def patched(raw, layers_bytes, n_layers):
+    """``raw`` with its layer count and layer records replaced."""
+    (dim,) = struct.unpack_from("<Q", raw, 8)
+    head = raw[: 16 + 8 * dim]
+    return head + struct.pack("<I", n_layers) + layers_bytes
+
+
+def mlp_specs(width):
+    return st.builds(
+        MlpSpec,
+        input_dim=st.integers(1, width),
+        hidden_dims=st.lists(st.integers(1, width), max_size=2).map(tuple),
+        num_classes=st.integers(2, width),
+        activation=st.sampled_from(["relu", "tanh"]),
+    )
+
+
+# hypothesis reuses one tmp_path for every example; each example rewrites it
+tmp_path_ok = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
 
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        shape = ShapeSpec(((4, 3, True), (3, 2, True)))
-        params = ParamVector(rng.standard_normal(shape.param_count()))
+        layers = [(4, 3), (3, 2)]
+        params = ParamVector(rng.standard_normal(4 * 3 + 3 + 3 * 2 + 2))
         path = tmp_path / "model.lssw"
-        save_checkpoint(path, params, shape)
-        loaded, loaded_shape = load_checkpoint(path)
-        assert loaded_shape == shape
+        save_checkpoint(path, params, layers)
+        loaded, loaded_layers = load_checkpoint(path)
+        assert loaded_layers == layers
         assert np.array_equal(loaded.values, params.values)
         # byte-level stability of the writer
-        save_checkpoint(tmp_path / "again.lssw", params, shape)
+        save_checkpoint(tmp_path / "again.lssw", params, layers)
         assert (tmp_path / "again.lssw").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -190,32 +214,91 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
-        shape = ShapeSpec(((2, 2, True),))
-        params = ParamVector(np.arange(1.0, 7.0))
         path = tmp_path / "model.lssw"
-        save_checkpoint(path, params, shape)
-        raw = path.read_bytes()
+        raw = write_checkpoint(path, [(2, 2)])
         path.write_bytes(raw[: len(raw) - 10])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="truncated checkpoint layers"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.lssw"
-        save_checkpoint(path, ParamVector(np.arange(1.0, 7.0)), ShapeSpec(((2, 2, True),)))
-        path.write_bytes(path.read_bytes() + b"\x00")
+        path.write_bytes(write_checkpoint(path, [(2, 2)]) + b"\x00")
         with pytest.raises(ValueError, match="trailing bytes"):
             load_checkpoint(path)
 
-    def test_bias_flag_must_be_0_or_1(self, tmp_path):
+    @pytest.mark.parametrize("flag", [0, 2])
+    def test_bias_flag_must_be_1(self, tmp_path, flag):
         path = tmp_path / "model.lssw"
-        save_checkpoint(path, ParamVector(np.arange(1.0, 7.0)), ShapeSpec(((2, 2, True),)))
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(write_checkpoint(path, [(2, 2)]))
         assert raw[-1] == 1  # the last byte is the only layer's bias flag
-        raw[-1] = 2
+        raw[-1] = flag
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="bias flag 2"):
+        with pytest.raises(ValueError, match=f"bias flag {flag}, not 1"):
             load_checkpoint(path)
 
-    def test_shape_dim_mismatch_on_save(self, tmp_path):
-        with pytest.raises(ValueError, match="parameters"):
-            save_checkpoint(tmp_path / "x.lssw", pv(1.0, 2.0), ShapeSpec(((2, 2, True),)))
+    def test_zero_width_rejected(self, tmp_path):
+        # (2, 0) and (0, 2) layers hold as many weights as no layer at all
+        path = tmp_path / "model.lssw"
+        raw = write_checkpoint(path, [(2, 2)])
+        layers = layer_record(2, 2) + layer_record(2, 0)
+        path.write_bytes(patched(raw, layers, 2))
+        with pytest.raises(ValueError, match=r"layer 1 has a zero width: \(2, 0\)"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="zero width"):
+            save_checkpoint(path, pv(1.0, 2.0), [(0, 2), (2, 1), (1, 2)])
+
+    def test_layers_must_chain(self, tmp_path):
+        # (1, 2) then (3, 2) holds 4 + 8 = 12 weights, as (2, 2) then (2, 2) does
+        path = tmp_path / "model.lssw"
+        raw = write_checkpoint(path, [(2, 2), (2, 2)])
+        path.write_bytes(patched(raw, layer_record(1, 2) + layer_record(3, 2), 2))
+        with pytest.raises(ValueError, match="layer 1 takes 3 inputs, but layer 0 gives 2"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="layer 1 takes 3 inputs"):
+            save_checkpoint(path, pv(*range(12)), [(1, 2), (3, 2)])
+
+    def test_layer_dim_mismatch_on_save(self, tmp_path):
+        with pytest.raises(ValueError, match="hold 6 parameters, vector has 2"):
+            save_checkpoint(tmp_path / "x.lssw", pv(1.0, 2.0), [(2, 2)])
+
+    @pytest.mark.parametrize("dim", [2**40, 2**62, 2**64 - 1])
+    def test_huge_dim_field_rejected_before_reading(self, tmp_path, dim):
+        path = tmp_path / "model.lssw"
+        raw = write_checkpoint(path, [(2, 2)])
+        path.write_bytes(raw[:8] + struct.pack("<Q", dim) + raw[16:])
+        with pytest.raises(ValueError, match=rf"dim field {dim}\): needs {8 * dim} bytes"):
+            load_checkpoint(path)
+
+    def test_huge_layer_count_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "model.lssw"
+        raw = write_checkpoint(path, [(2, 2)])
+        path.write_bytes(patched(raw, layer_record(2, 2), 2**32 - 1))
+        with pytest.raises(ValueError, match=r"layer count field 4294967295\): needs"):
+            load_checkpoint(path)
+
+    @tmp_path_ok
+    @given(mlp_specs(6), st.integers(0, 2**32 - 1))
+    def test_spec_roundtrip_bit_exact(self, tmp_path, spec, seed):
+        params = init_params(spec, seed)
+        path = tmp_path / "model.lssw"
+        save_checkpoint(path, params, spec.layer_shapes())
+        loaded, layers = load_checkpoint(path)
+        assert layers == spec.layer_shapes()
+        assert loaded.values.tobytes() == params.values.tobytes()
+
+    @settings(tmp_path_ok, max_examples=30)
+    @given(mlp_specs(3), st.integers(1, 255), st.integers(0, 255))
+    def test_every_corruption_is_rejected(self, tmp_path, spec, flip, extra):
+        path = tmp_path / "model.lssw"
+        save_checkpoint(path, init_params(spec, 0), spec.layer_shapes())
+        raw = path.read_bytes()
+        weights_end = 16 + 8 * spec.param_count()
+        corrupt = [raw[:cut] for cut in range(len(raw))] + [raw + bytes([extra])]
+        for i in [*range(16), *range(weights_end, len(raw))]:
+            changed = bytearray(raw)
+            changed[i] ^= flip
+            corrupt.append(bytes(changed))
+        for bad in corrupt:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
