@@ -49,7 +49,7 @@ from .local_training import (
     lss_regularized_grad,
     sample_interp_coeffs,
 )
-from .model import Batch, MlpSpec, accuracy, init_params, loss_and_grad
+from .model import MlpSpec, accuracy, init_params, loss_and_grad
 from .params import (
     ParamVector,
     axpy,

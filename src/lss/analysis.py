@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .federation import data_proportional_weights
-from .model import Batch, MlpSpec, loss_and_grad, predict_proba
+from .model import MlpSpec, loss_and_grad, predict_proba
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 
@@ -135,7 +135,7 @@ def estimate_zeta(
     """
     if len(client_datasets) == 0:
         raise ValueError("estimate_zeta: no client datasets")
-    grads = [loss_and_grad(params, spec, d.as_batch())[1] for d in client_datasets]
+    grads = [loss_and_grad(params, spec, d)[1] for d in client_datasets]
     global_grad = weighted_average(grads, data_proportional_weights(client_datasets)).values
     gaps = [float(np.linalg.norm(g.values - global_grad)) for g in grads]
     return max(gaps)
@@ -154,12 +154,11 @@ def estimate_sigma(
         raise ValueError(f"num_draws must be >= 2, got {num_draws}")
     if batch_size >= client_data.n:
         return 0.0
-    full_grad = loss_and_grad(params, spec, client_data.as_batch())[1].values
+    full_grad = loss_and_grad(params, spec, client_data)[1].values
     rng = np.random.default_rng(seed)
     acc = 0.0
     for _ in range(num_draws):
-        idx = rng.choice(client_data.n, size=batch_size, replace=False)
-        batch = Batch(client_data.features[idx], client_data.labels[idx])
+        batch = client_data.subset(rng.choice(client_data.n, size=batch_size, replace=False))
         g = loss_and_grad(params, spec, batch)[1].values
         diff = g - full_grad
         acc += float(np.dot(diff, diff))
@@ -280,7 +279,7 @@ def hessian_top_eig(
     n_batches = max(1, math.ceil(data.n / batch_size))
     eigs = []
     for chunk in np.array_split(rng.permutation(data.n), n_batches):
-        batch = Batch(data.features[chunk], data.labels[chunk])
+        batch = data.subset(chunk)
 
         def grad_fn(x: np.ndarray) -> np.ndarray:
             return loss_and_grad(ParamVector(x), spec, batch)[1].values

@@ -207,9 +207,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     splits = dict(zip(("train", "val", "test"), split_experiment_data(cfg, base)))
     data = splits[args.split]
-    batch = data.as_batch()
-    acc = accuracy(params, spec, batch)
-    loss, _ = loss_and_grad(params, spec, batch)
+    acc = accuracy(params, spec, data)
+    loss, _ = loss_and_grad(params, spec, data)
     print(f"split: {args.split}")
     print(f"accuracy: {acc:.6f}")
     print(f"loss: {loss:.6f}")

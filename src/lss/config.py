@@ -237,12 +237,18 @@ def _layout() -> dict[str, tuple[type | None, dict[str, Field]]]:
     return {"experiment": (None, flat), **sections, "output": (None, output)}
 
 
+def _mapping(raw: Any, path: str) -> dict:
+    """A raw section (or the root) as a mapping; an omitted one is empty."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected a mapping, got {raw!r}")
+    return raw
+
+
 def _keywords(raw: Any, section: str, keys: dict[str, Field]) -> dict[str, Any]:
     """The constructor arguments one raw section gives, by field name."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(section, f"expected a mapping, got {raw!r}")
+    raw = _mapping(raw, section)
     for key in raw:
         if key not in keys:
             raise ConfigError(f"{section}.{key}", "unknown key")
@@ -262,10 +268,7 @@ def _build(cls: type, kwargs: dict[str, Any], paths: dict[str, str]) -> Any:
 
 def parse_config_data(raw: Any) -> ExperimentConfig:
     """Validate a raw mapping (already loaded from YAML) into a config."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", f"expected a mapping, got {raw!r}")
+    raw = _mapping(raw, "<root>")
     layout = _layout()
     for section in raw:
         if section not in layout:
@@ -321,9 +324,11 @@ def apply_overrides(raw: dict | None, overrides: list[str]) -> dict:
     """Apply ``section.key=value`` overrides onto a raw config mapping.
 
     Values are parsed as YAML scalars, so ``local.lambda_a=3`` yields an
-    integer 3 and ``local.eta=5e-4`` a float.
+    integer 3 and ``local.eta=5e-4`` a float.  Sections that are not
+    mappings are left for ``parse_config_data`` to reject, unless an
+    override writes into one, which raises the same ``ConfigError`` here.
     """
-    out: dict = {} if raw is None else {k: dict(v or {}) for k, v in raw.items()}
+    out = {k: dict(v) if isinstance(v, dict) else v for k, v in _mapping(raw, "<root>").items()}
     for item in overrides:
         key, sep, value = item.partition("=")
         if not sep:
@@ -331,5 +336,6 @@ def apply_overrides(raw: dict | None, overrides: list[str]) -> dict:
         section, dot, name = key.strip().partition(".")
         if not dot or not section or not name:
             raise ConfigError(key, "override key must be a dotted section.key path")
-        out.setdefault(section, {})[name] = _parse_override_value(value)
+        out[section] = _mapping(out.get(section), section)
+        out[section][name] = _parse_override_value(value)
     return out

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch
 from .params import read_exact
 
 FEATURE_SHIFT_MARKER = "feature-shift"
@@ -27,15 +26,23 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled feature matrix. Immutable after construction."""
+    """Labeled samples: a finite 2-D float64 feature matrix and one int64
+    label in ``[0, num_classes)`` per row.  Every model, trainer and
+    estimator reads its data as a ``Dataset``, so these are checked once,
+    here.
+
+    A ``Dataset`` does not copy arrays that already have those dtypes: it
+    holds read-only views of them.  The caller's arrays stay writable, and
+    writing to them changes the dataset.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        feats = np.asarray(self.features, dtype=np.float64).view()
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(feats)):
@@ -63,8 +70,10 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
-    def as_batch(self) -> Batch:
-        return Batch(self.features, self.labels)
+    def as_batch(self) -> "Dataset":
+        # The benchmark's ``perfbench/child.py`` calls this and passes the
+        # result to ``model.loss_and_grad``, which takes the dataset itself.
+        return self
 
     def label_marginal(self) -> np.ndarray:
         counts = np.bincount(self.labels, minlength=self.num_classes)

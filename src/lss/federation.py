@@ -162,10 +162,9 @@ def run_round(
         finals.append(final)
 
     new_global = weighted_average(finals, data_proportional_weights([c.data for c in clients]))
-    eval_batch = eval_data.as_batch()
-    global_acc = accuracy(new_global, spec, eval_batch)
-    global_loss, _ = loss_and_grad(new_global, spec, eval_batch)
-    client_accs = tuple(accuracy(f, spec, eval_batch) for f in finals)
+    global_acc = accuracy(new_global, spec, eval_data)
+    global_loss, _ = loss_and_grad(new_global, spec, eval_data)
+    client_accs = tuple(accuracy(f, spec, eval_data) for f in finals)
     norms = tuple(l2_distance(f, global_model) for f in finals)
     record = RoundRecord(
         round_index=round_index,

@@ -28,9 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .config import COEFF_MODES, LocalConfig  # COEFF_MODES is re-exported
-from .model import (
-    Batch, MlpSpec, _backprop, _check_labels, _check_params, _unpack, loss_and_grad
-)
+from .data import Dataset
+from .model import MlpSpec, _backprop, _check_data, _check_params, _unpack, loss_and_grad
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 
@@ -91,7 +90,7 @@ def lss_regularized_grad(
     pool: Sequence[ParamVector],
     coeffs: Sequence[float],
     spec: MlpSpec,
-    batch: Batch,
+    batch: Dataset,
     config: LocalConfig,
 ) -> tuple[float, ParamVector]:
     """Regularized loss at the interpolated model and its gradient w.r.t.
@@ -138,28 +137,28 @@ class MinibatchSampler:
     Clients smaller than one batch always yield their whole dataset.
     """
 
-    def __init__(self, features, labels, batch_size: int, rng: np.random.Generator):
-        self._features = np.asarray(features, dtype=np.float64)
-        self._labels = np.asarray(labels, dtype=np.int64)
-        self._n = self._features.shape[0]
+    def __init__(self, data: Dataset, batch_size: int, rng: np.random.Generator):
+        self._data = data
+        self._n = data.n
         self._batch_size = batch_size
         self._rng = rng
         self._order = None
         self._pos = 0
 
-    def next_batch(self) -> Batch:
-        return Batch(*self._next())
+    def next_batch(self) -> Dataset:
+        return Dataset(*self._next(), self._data.num_classes)
 
     def _next(self) -> tuple[np.ndarray, np.ndarray]:
         """The next minibatch's features and labels, unchecked."""
+        data = self._data
         if self._n <= self._batch_size:
-            return self._features, self._labels
+            return data.features, data.labels
         if self._order is None or self._pos >= self._n:
             self._order = self._rng.permutation(self._n)
             self._pos = 0
         chunk = self._order[self._pos : self._pos + self._batch_size]
         self._pos += len(chunk)
-        return self._features[chunk], self._labels[chunk]
+        return data.features[chunk], data.labels[chunk]
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -171,16 +170,26 @@ def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 @dataclass(frozen=True)
 class LocalTrace:
-    """Geometry of a finished soup: the final pool and its spread."""
+    """A finished soup's pool, anchor first, and its geometry on demand."""
 
     pool_members: tuple[ParamVector, ...]
-    anchor_distance: float
-    pool_mean_pairwise_distance: float
+
+    @property
+    def anchor_distance(self) -> float:
+        """Distance from the anchor to the uploaded pool average."""
+        return l2_distance(uniform_average(self.pool_members), self.pool_members[0])
+
+    @property
+    def pool_mean_pairwise_distance(self) -> float:
+        return mean_pairwise_distance(self.pool_members)
 
 
+# A diverging member overflows in the loop; its distances and its final
+# weights are checked, so numpy's own warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def _train(
-    anchor: ParamVector, spec: MlpSpec, client_data, config: LocalConfig, seed: int,
-    soup: bool,
+    anchor: ParamVector, spec: MlpSpec, client_data: Dataset, config: LocalConfig,
+    seed: int, soup: bool,
 ) -> list[ParamVector]:
     """The local-training engine; returns the pool, anchor first.
 
@@ -188,10 +197,9 @@ def _train(
     interpolation objective, otherwise one member by proximal SGD.
     """
     _check_params(anchor, spec)
-    data = Batch(client_data.features, client_data.labels)
-    _check_labels(data, spec)
+    _check_data(client_data, spec)
     rng_batch, rng_coeff = _spawn_rngs(seed)
-    sampler = MinibatchSampler(data.features, data.labels, config.batch_size, rng_batch)
+    sampler = MinibatchSampler(client_data, config.batch_size, rng_batch)
     members = config.num_pool_models if soup else 1
     rows = np.empty((members + 1, anchor.dim))
     rows[0] = anchor.values
@@ -245,7 +253,7 @@ def _train(
 def lss_local_train(
     anchor: ParamVector,
     spec: MlpSpec,
-    client_data,
+    client_data: Dataset,
     config: LocalConfig,
     seed: int,
 ) -> tuple[ParamVector, LocalTrace]:
@@ -257,20 +265,14 @@ def lss_local_train(
     coefficients are sampled every step.  Deterministic given ``seed``.
     """
     pool = _train(anchor, spec, client_data, config, seed, soup=True)
-    final = uniform_average(pool)
-    trace = LocalTrace(
-        pool_members=tuple(pool),
-        anchor_distance=l2_distance(final, anchor),
-        pool_mean_pairwise_distance=mean_pairwise_distance(pool),
-    )
-    return final, trace
+    return uniform_average(pool), LocalTrace(tuple(pool))
 
 
 def fedprox_loss_and_grad(
     params: ParamVector,
     anchor: ParamVector,
     spec: MlpSpec,
-    batch: Batch,
+    batch: Dataset,
     mu: float,
 ) -> tuple[float, ParamVector]:
     """Task loss plus (mu/2)||f - anchor||^2 and its gradient."""
@@ -285,7 +287,7 @@ def fedprox_loss_and_grad(
 def fedprox_local_train(
     anchor: ParamVector,
     spec: MlpSpec,
-    client_data,
+    client_data: Dataset,
     config: LocalConfig,
     seed: int,
 ) -> ParamVector:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset
 from .params import ParamVector, dense_param_count
 
 ACTIVATIONS = ("relu", "tanh")
@@ -47,33 +48,6 @@ class MlpSpec:
         return dense_param_count(self.layer_shapes())
 
 
-@dataclass
-class Batch:
-    """A minibatch: features (batch_size x input_dim) and integer labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got ndim={self.features.ndim}")
-        if self.features.shape[0] == 0:
-            raise ValueError("batch must contain at least one sample")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError(
-                f"labels shape {self.labels.shape} does not match "
-                f"batch size {self.features.shape[0]}"
-            )
-        if np.any(self.labels < 0):
-            raise ValueError("labels must be non-negative class indices")
-
-    @property
-    def size(self) -> int:
-        return int(self.features.shape[0])
-
-
 # (W, b) views of one flat vector, one pair per layer.
 Layers = list[tuple[np.ndarray, np.ndarray]]
 
@@ -98,15 +72,17 @@ def _check_params(params: ParamVector, spec: MlpSpec) -> None:
         )
 
 
-def _check_labels(batch: Batch, spec: MlpSpec) -> None:
-    if np.any(batch.labels >= spec.num_classes):
+def _check_data(data: Dataset, spec: MlpSpec) -> None:
+    """O(1): a ``Dataset`` has already checked its labels against its own
+    ``num_classes``, which may not exceed the spec's."""
+    if data.num_classes > spec.num_classes:
         raise ValueError(
-            f"labels exceed num_classes={spec.num_classes}: max={batch.labels.max()}"
+            f"dataset has {data.num_classes} classes, "
+            f"more than the spec's num_classes={spec.num_classes}"
         )
-    if batch.features.shape[1] != spec.input_dim:
+    if data.input_dim != spec.input_dim:
         raise ValueError(
-            f"features have {batch.features.shape[1]} columns, "
-            f"spec expects {spec.input_dim}"
+            f"dataset has {data.input_dim} features, spec expects {spec.input_dim}"
         )
 
 
@@ -189,21 +165,21 @@ def _backprop(
 
 
 def loss_and_grad(
-    params: ParamVector, spec: MlpSpec, batch: Batch
+    params: ParamVector, spec: MlpSpec, data: Dataset
 ) -> tuple[float, ParamVector]:
-    """Mean cross-entropy over the batch and its exact gradient."""
+    """Mean cross-entropy over the dataset and its exact gradient."""
     _check_params(params, spec)
-    _check_labels(batch, spec)
+    _check_data(data, spec)
     flat_grad = np.empty(params.dim, dtype=np.float64)
     layers, grads = _unpack(params.values, spec), _unpack(flat_grad, spec)
-    loss = _backprop(layers, grads, spec, batch.features, batch.labels)
+    loss = _backprop(layers, grads, spec, data.features, data.labels)
     return loss, ParamVector._wrap(flat_grad)
 
 
-def accuracy(params: ParamVector, spec: MlpSpec, data: Batch) -> float:
+def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class index."""
     _check_params(params, spec)
-    _check_labels(data, spec)
-    out = logits(params, spec, data.features)
+    _check_data(data, spec)
+    out, _, _ = _forward(_unpack(params.values, spec), spec, data.features)
     preds = np.argmax(out, axis=1)  # argmax returns the first (lowest) max index
     return float(np.mean(preds == data.labels))

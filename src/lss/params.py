@@ -78,6 +78,8 @@ def _check_same_dim(a: ParamVector, b: ParamVector, op: str) -> None:
         raise ValueError(f"{op}: dimension mismatch ({a.dim} vs {b.dim})")
 
 
+# A distance between diverged models overflows to inf; callers check it.
+@np.errstate(over="ignore", invalid="ignore")
 def l2_distance(a: ParamVector, b: ParamVector) -> float:
     """Euclidean distance between two weight vectors."""
     _check_same_dim(a, b, "l2_distance")

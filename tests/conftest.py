@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lss.data import gen_blobs
-from lss.model import Batch, MlpSpec, init_params
+from lss.data import Dataset, gen_blobs
+from lss.model import MlpSpec, init_params
 from lss.params import ParamVector
 
 
@@ -28,10 +28,11 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-3) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def random_batch(rng: np.random.Generator, spec: MlpSpec, size: int) -> Batch:
-    return Batch(
+def random_batch(rng: np.random.Generator, spec: MlpSpec, size: int) -> Dataset:
+    return Dataset(
         rng.standard_normal((size, spec.input_dim)),
         rng.integers(0, spec.num_classes, size),
+        spec.num_classes,
     )
 
 

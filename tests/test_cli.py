@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -144,23 +145,49 @@ class TestRun:
         ).read_bytes()
 
 
-    def test_diverged_run_exits_1_naming_the_round(self, tmp_path, capsys):
-        # The golden configuration: at this step size the distances and
-        # update norms overflow to inf in round 1 while every weight stays
-        # finite.  LSS stops at the first soup distance, naming the client;
-        # FedAvg has no pool, so the round's update norms catch it.
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                [],
+                "client 0 failed during round 1: soup member 1 diverged: "
+                "its distance to member 0 is inf",
+            ),
+            (
+                ["experiment.strategy=fedprox", "local.mu_prox=1"],
+                "client 0 failed during round 1: operation produced non-finite entries",
+            ),
+            (
+                ["experiment.strategy=fedprox", "local.mu_prox=1", "local.tau=8"],
+                "client 0 failed during round 1: operation produced non-finite entries",
+            ),
+            (
+                ["experiment.strategy=fedavg"],
+                "round 1: update norms must be finite and non-negative: (inf, inf, inf)",
+            ),
+            (
+                ["experiment.strategy=fedprox", "local.tau=8"],
+                "round 1: update norms must be finite and non-negative: (inf, inf, inf)",
+            ),
+        ],
+        ids=["lss", "fedprox", "fedprox-tau8", "fedavg", "fedprox-mu0-tau8"],
+    )
+    def test_diverged_run_prints_one_error_line(self, tmp_path, capsys, overrides, message):
+        # The golden configuration at a step size that overflows in round 1.
+        # LSS stops at the first soup distance and FedProx at the member's
+        # non-finite weights, naming the client; FedAvg keeps every weight
+        # finite, so the round's update norms catch it.  numpy's overflow
+        # warnings must not reach the user before the error.
         cfg = tmp_path / "golden.yaml"
         cfg.write_text(GOLDEN.replace("OUTDIR", str(tmp_path / "out")))
-        with np.errstate(over="ignore"):
-            assert main(["run", str(cfg), "-s", "local.eta=1e300"]) == 1
-        assert (
-            "error: client 0 failed during round 1: soup member 1 diverged: "
-            "its distance to member 0 is inf"
-        ) in capsys.readouterr().err
-        with np.errstate(over="ignore"):
-            argv = ["run", str(cfg), "-s", "local.eta=1e300", "-s", "experiment.strategy=fedavg"]
+        argv = ["run", str(cfg), "-s", "local.eta=1e300"]
+        for item in overrides:
+            argv += ["-s", item]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(argv) == 1
-        assert "round 1: update norms must be finite" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestEval:

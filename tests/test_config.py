@@ -361,3 +361,23 @@ class TestOverrides:
         out = apply_overrides(yaml.safe_load(MINIMAL), ["local.nope=3"])
         with pytest.raises(ConfigError, match="local.nope"):
             parse_config_data(out)
+
+    @pytest.mark.parametrize(
+        "text, overrides, message",
+        [
+            (MINIMAL + "data: 5\n", ["local.tau=3"], "data: expected a mapping, got 5"),
+            (MINIMAL + "data: 5\n", ["data.spread=1"], "data: expected a mapping, got 5"),
+            (MINIMAL + "data: 0\n", ["local.tau=3"], "data: expected a mapping, got 0"),
+            (MINIMAL + "local: [1]\n", ["local.tau=3"], "local: expected a mapping, got [1]"),
+            ("- 1\n- 2\n", ["local.tau=3"], "<root>: expected a mapping, got [1, 2]"),
+            ("7\n", ["local.tau=3"], "<root>: expected a mapping, got 7"),
+        ],
+        ids=["other-section", "same-section", "falsy", "list-section", "list-root", "scalar-root"],
+    )
+    def test_non_mapping_gives_the_error_of_the_file_alone(self, text, overrides, message):
+        raw = yaml.safe_load(text)
+        with pytest.raises(ConfigError) as alone:
+            parse_config_data(raw)
+        with pytest.raises(ConfigError) as overridden:
+            parse_config_data(apply_overrides(raw, overrides))
+        assert str(alone.value) == str(overridden.value) == message

@@ -53,7 +53,7 @@ class TestGenBlobs:
         spec = MlpSpec(input_dim=8, hidden_dims=(), num_classes=10)
         cfg = LocalConfig(eta=0.1, tau=500, batch_size=64)
         trained = fedprox_local_train(init_params(spec, 0), spec, train, cfg, seed=11)
-        assert accuracy(trained, spec, test.as_batch()) > 0.95
+        assert accuracy(trained, spec, test) > 0.95
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,6 +72,17 @@ class TestDataset:
         feats[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             Dataset(feats, [0, 1, 0], 2)
+
+    def test_freezes_views_not_the_callers_arrays(self):
+        feats, labels = np.zeros((3, 2)), np.array([0, 1, 0], dtype=np.int64)
+        data = Dataset(feats, labels, 2)
+        assert feats.flags.writeable and labels.flags.writeable
+        assert not data.features.flags.writeable and not data.labels.flags.writeable
+        # No copy: the dataset reads the caller's memory.
+        assert np.shares_memory(data.features, feats)
+        assert np.shares_memory(data.labels, labels)
+        with pytest.raises(ValueError, match="read-only"):
+            data.features[0, 0] = 1.0
 
 
 class TestSplitDataset:

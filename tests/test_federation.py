@@ -84,7 +84,7 @@ class TestWarmup:
         data = gen_blobs(10, 200, 8, 0.5, seed=13)
         spec = MlpSpec(input_dim=8, hidden_dims=(), num_classes=10)
         anchor = warmup_pretrain(spec, data, 500, seed=0, eta=0.1)
-        assert accuracy(anchor, spec, data.as_batch()) > 0.8
+        assert accuracy(anchor, spec, data) > 0.8
 
 
 class TestRunRound:

@@ -1,4 +1,7 @@
 import itertools
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from lss.local_training import (
     mean_pairwise_distance,
     sample_interp_coeffs,
 )
-from lss.model import Batch, MlpSpec, init_params, loss_and_grad
+from lss.model import MlpSpec, init_params, loss_and_grad
 from lss.params import ParamVector, axpy, l2_distance, uniform_average
 
 
@@ -243,28 +246,25 @@ class TestRegularizedGrad:
 
 class TestMinibatchSampler:
     def test_epoch_covers_every_sample_once(self):
-        feats = np.arange(10, dtype=np.float64)[:, None]
-        labels = np.zeros(10, dtype=np.int64)
-        sampler = MinibatchSampler(feats, labels, 3, np.random.default_rng(0))
+        data = Dataset(np.arange(10.0)[:, None], np.zeros(10, dtype=np.int64), 2)
+        sampler = MinibatchSampler(data, 3, np.random.default_rng(0))
         seen = []
         for _ in range(4):  # 3 + 3 + 3 + 1
             seen.extend(sampler.next_batch().features[:, 0].astype(int))
         assert sorted(seen) == list(range(10))
 
     def test_reshuffles_after_exhaustion(self):
-        feats = np.arange(6, dtype=np.float64)[:, None]
-        labels = np.zeros(6, dtype=np.int64)
-        sampler = MinibatchSampler(feats, labels, 2, np.random.default_rng(1))
+        data = Dataset(np.arange(6.0)[:, None], np.zeros(6, dtype=np.int64), 2)
+        sampler = MinibatchSampler(data, 2, np.random.default_rng(1))
         epoch1 = [tuple(sampler.next_batch().features[:, 0]) for _ in range(3)]
         epoch2 = [tuple(sampler.next_batch().features[:, 0]) for _ in range(3)]
         assert sorted(sum(epoch1, ())) == sorted(sum(epoch2, ()))
 
     def test_tiny_client_gets_whole_dataset(self):
-        feats = np.arange(3, dtype=np.float64)[:, None]
-        labels = np.zeros(3, dtype=np.int64)
-        sampler = MinibatchSampler(feats, labels, 64, np.random.default_rng(2))
+        data = Dataset(np.arange(3.0)[:, None], np.zeros(3, dtype=np.int64), 2)
+        sampler = MinibatchSampler(data, 64, np.random.default_rng(2))
         batch = sampler.next_batch()
-        assert batch.size == 3
+        assert batch.n == 3
 
 
 class TestLssLocalTrain:
@@ -320,6 +320,23 @@ class TestLssLocalTrain:
             dists.append(l2_distance(final, softmax_anchor))
         assert all(b <= a + 1e-6 for a, b in zip(dists, dists[1:]))
 
+    def test_trace_geometry_is_computed_from_the_pool(
+        self, small_blobs, softmax_spec, softmax_anchor
+    ):
+        cfg = LocalConfig(eta=0.05, tau=4, batch_size=32, num_pool_models=3)
+        final, trace = lss_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=3)
+        assert trace.pool_members[0] == softmax_anchor
+        assert trace.anchor_distance == l2_distance(final, softmax_anchor) > 0.0
+        pool = list(trace.pool_members)
+        assert trace.pool_mean_pairwise_distance == mean_pairwise_distance(pool) > 0.0
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library use.*?```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+        printed = [float(v) for v in capsys.readouterr().out.split()]
+        assert len(printed) == 2 and all(0.0 < v < math.inf for v in printed)
+
     def test_diversity_strength_spreads_pool(self, softmax_spec, softmax_anchor, small_blobs):
         spreads = []
         for lam in (0.0, 3.0):
@@ -343,7 +360,7 @@ class TestSgdLocalTrain:
         )
         cfg = LocalConfig(eta=0.2, tau=1, batch_size=64, mu_prox=0.0)  # whole dataset per batch
         out = fedprox_local_train(softmax_anchor, softmax_spec, tiny, cfg, seed=0)
-        _, grad = loss_and_grad(softmax_anchor, softmax_spec, tiny.as_batch())
+        _, grad = loss_and_grad(softmax_anchor, softmax_spec, tiny)
         expected = axpy(softmax_anchor, -0.2, grad)
         assert np.array_equal(out.values, expected.values)
 
@@ -354,7 +371,7 @@ class TestFedproxLocalTrain:
         prox = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
         # reference: minibatch SGD written out step by step
         rng_batch, _ = _spawn_rngs(5)
-        sampler = MinibatchSampler(small_blobs.features, small_blobs.labels, 32, rng_batch)
+        sampler = MinibatchSampler(small_blobs, 32, rng_batch)
         sgd = softmax_anchor
         for _ in range(8):
             _, grad = loss_and_grad(sgd, softmax_spec, sampler.next_batch())
@@ -367,10 +384,9 @@ class TestFedproxLocalTrain:
         assert l2_distance(out, softmax_anchor) < 1e-3
 
     def test_prox_gradient_vanishes_at_anchor(self, small_blobs, softmax_spec, softmax_anchor):
-        batch = small_blobs.as_batch()
-        base_loss, base_grad = loss_and_grad(softmax_anchor, softmax_spec, batch)
+        base_loss, base_grad = loss_and_grad(softmax_anchor, softmax_spec, small_blobs)
         loss, grad = fedprox_loss_and_grad(
-            softmax_anchor, softmax_anchor, softmax_spec, batch, mu=7.0
+            softmax_anchor, softmax_anchor, softmax_spec, small_blobs, mu=7.0
         )
         assert loss == base_loss
         assert np.array_equal(grad.values, base_grad.values)
@@ -394,7 +410,7 @@ def reference_lss(anchor, spec, data, cfg, seed):
     """Soup training written out from the public reference functions
     (``lss_regularized_grad`` interpolates with ``interpolate``)."""
     rng_batch, rng_coeff = _spawn_rngs(seed)
-    sampler = MinibatchSampler(data.features, data.labels, cfg.batch_size, rng_batch)
+    sampler = MinibatchSampler(data, cfg.batch_size, rng_batch)
     pool = [anchor]
     for _ in range(cfg.num_pool_models):
         pool.append(uniform_average(pool))
@@ -407,7 +423,7 @@ def reference_lss(anchor, spec, data, cfg, seed):
 
 def reference_fedprox(anchor, spec, data, cfg, seed):
     rng_batch, _ = _spawn_rngs(seed)
-    sampler = MinibatchSampler(data.features, data.labels, cfg.batch_size, rng_batch)
+    sampler = MinibatchSampler(data, cfg.batch_size, rng_batch)
     f = anchor
     for _ in range(cfg.tau):
         _, grad = fedprox_loss_and_grad(f, anchor, spec, sampler.next_batch(), cfg.mu_prox)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
-from lss.model import Batch, MlpSpec, accuracy, init_params, logits, loss_and_grad
+from lss.data import Dataset
+from lss.model import MlpSpec, accuracy, init_params, logits, loss_and_grad
 from lss.params import ParamVector
 
 
@@ -48,7 +49,7 @@ class TestLossAndGrad:
     def test_zero_params_gives_log_c(self):
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=5)
         params = ParamVector(np.zeros(spec.param_count()))
-        batch = Batch(np.random.default_rng(0).standard_normal((8, 3)), np.arange(8) % 5)
+        batch = Dataset(np.random.default_rng(0).standard_normal((8, 3)), np.arange(8) % 5, 5)
         loss, _ = loss_and_grad(params, spec, batch)
         assert loss == pytest.approx(np.log(5.0), abs=1e-12)
 
@@ -80,9 +81,10 @@ class TestLossAndGrad:
         spec = MlpSpec(input_dim=4, hidden_dims=(3,), num_classes=3)
         params = perturbed(init_params(spec, 0), rng)
         batch = random_batch(rng, spec, 5)
-        doubled = Batch(
+        doubled = Dataset(
             np.vstack([batch.features, batch.features]),
             np.concatenate([batch.labels, batch.labels]),
+            batch.num_classes,
         )
         l1, g1 = loss_and_grad(params, spec, batch)
         l2, g2 = loss_and_grad(params, spec, doubled)
@@ -104,7 +106,7 @@ class TestLossAndGrad:
 
     def test_loss_non_negative_and_decreases_with_confidence(self):
         spec = MlpSpec(input_dim=2, hidden_dims=(), num_classes=2)
-        batch = Batch(np.array([[1.0, 0.0]]), np.array([0]))
+        batch = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
         losses = []
         for scale in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
             # weight matrix steering class 0 up on this input
@@ -117,16 +119,31 @@ class TestLossAndGrad:
 
     def test_dim_mismatch_and_bad_labels(self):
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=2)
-        batch = Batch(np.zeros((2, 3)), np.array([0, 1]))
+        batch = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
         with pytest.raises(ValueError, match="dim"):
             loss_and_grad(ParamVector(np.zeros(5)), spec, batch)
-        bad = Batch(np.zeros((2, 3)), np.array([0, 7]))
-        with pytest.raises(ValueError, match="labels"):
+        bad = Dataset(np.zeros((2, 3)), np.array([0, 7]), 8)
+        with pytest.raises(ValueError, match="dataset has 8 classes.*num_classes=2"):
             loss_and_grad(ParamVector(np.zeros(spec.param_count())), spec, bad)
 
+    def test_fewer_declared_classes_than_the_spec_are_accepted(self):
+        spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=4)
+        data = Dataset(np.ones((2, 3)), np.array([0, 1]), 2)
+        loss, _ = loss_and_grad(ParamVector(np.zeros(spec.param_count())), spec, data)
+        assert loss == pytest.approx(np.log(4.0), abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [loss_and_grad, accuracy])
+    def test_every_entry_point_checks_the_dataset(self, fn):
+        spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=2)
+        params = ParamVector(np.zeros(spec.param_count()))
+        with pytest.raises(ValueError, match="dataset has 3 classes.*num_classes=2"):
+            fn(params, spec, Dataset(np.zeros((2, 3)), np.array([0, 1]), 3))
+        with pytest.raises(ValueError, match="dataset has 4 features, spec expects 3"):
+            fn(params, spec, Dataset(np.zeros((2, 4)), np.array([0, 1]), 2))
+
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            Batch(np.zeros((0, 3)), np.array([], dtype=int))
+        with pytest.raises(ValueError, match="non-empty"):
+            Dataset(np.zeros((0, 3)), np.array([], dtype=int), 2)
 
 
 class TestAccuracy:
@@ -134,21 +151,21 @@ class TestAccuracy:
         spec = MlpSpec(input_dim=2, hidden_dims=(), num_classes=2)
         # W = [[4, -4], [0, 0]], b = 0: sign of x0 decides
         params = ParamVector(np.array([4.0, -4.0, 0.0, 0.0, 0.0, 0.0]))
-        batch = Batch(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]))
+        batch = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]), 2)
         assert accuracy(params, spec, batch) == 1.0
 
     def test_zero_params_ties_break_to_class_zero(self):
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=4)
         params = ParamVector(np.zeros(spec.param_count()))
         labels = np.array([0, 0, 1, 2, 3, 0])
-        batch = Batch(np.random.default_rng(1).standard_normal((6, 3)), labels)
+        batch = Dataset(np.random.default_rng(1).standard_normal((6, 3)), labels, 4)
         assert accuracy(params, spec, batch) == pytest.approx(np.mean(labels == 0))
 
     def test_hand_built_separable_case(self):
         spec = MlpSpec(input_dim=1, hidden_dims=(), num_classes=2)
         # logits = [2x, -2x]: positive x -> class 0
         params = ParamVector(np.array([2.0, -2.0, 0.0, 0.0]))
-        batch = Batch(np.array([[3.0], [-2.0]]), np.array([0, 1]))
+        batch = Dataset(np.array([[3.0], [-2.0]]), np.array([0, 1]), 2)
         out = logits(params, spec, batch.features)
         np.testing.assert_allclose(out, [[6.0, -6.0], [-4.0, 4.0]])
         assert accuracy(params, spec, batch) == 1.0
