@@ -15,9 +15,8 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import yaml
 
 from .analysis import (
     TheoryParams,
@@ -30,13 +29,7 @@ from .analysis import (
     max_local_steps,
     write_diagnostics,
 )
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    parse_config_data,
-    serialize_config,
-)
+from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .data import write_partition_plan
 from .experiment import (
     ExperimentResult,
@@ -48,14 +41,6 @@ from .experiment import (
 from .federation import derive_seed, write_rounds_csv
 from .model import accuracy, loss_and_grad
 from .params import l2_distance, load_checkpoint, save_checkpoint
-
-
-def _load_raw_config(path: str, overrides: list[str]) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return parse_config_data(raw)
 
 
 def _collect_diagnostics(cfg: ExperimentConfig, result: ExperimentResult) -> dict:
@@ -105,7 +90,8 @@ def _collect_diagnostics(cfg: ExperimentConfig, result: ExperimentResult) -> dic
     return entries
 
 
-def _write_artifacts(cfg: ExperimentConfig, result: ExperimentResult, out: Path) -> None:
+def _write_artifacts(cfg: ExperimentConfig, result: ExperimentResult) -> None:
+    out = Path(cfg.output_dir)
     if out.exists() and not out.is_dir():
         raise ValueError(f"output path {out} exists and is not a directory")
     out.mkdir(parents=True, exist_ok=True)
@@ -128,10 +114,16 @@ def _write_artifacts(cfg: ExperimentConfig, result: ExperimentResult, out: Path)
     staged("partition.txt", lambda p: write_partition_plan(result.plan, p))
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load_raw_config(args.config, args.set or [])
+def _run(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run one experiment and write its artifacts into ``cfg.output_dir``."""
     result = run_experiment(cfg)
-    _write_artifacts(cfg, result, Path(cfg.output_dir))
+    _write_artifacts(cfg, result)
+    return result
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = parse_config(args.config, args.set or [])
+    result = _run(cfg)
     for rec in result.records:
         print(
             f"round {rec.round_index}: acc={rec.global_test_accuracy:.4f} "
@@ -156,7 +148,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not grid:
         raise ConfigError("--grid", "at least one grid entry is required")
     base_overrides = args.set or []
-    sweep_root = Path(args.out) if args.out else None
+    # The base config must be valid on its own; it also names the sweep root.
+    sweep_root = Path(parse_config(args.config, base_overrides).output_dir)
 
     keys = [k for k, _ in grid]
     rows = []
@@ -164,26 +157,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell_overrides = [f"{k}={v}" for k, v in zip(keys, combo)]
         label = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo))
         cell_name = f"cell_{cell_idx:03d}_{label}"
-        overrides = list(base_overrides) + cell_overrides
         status, final_acc = "ok", ""
         try:
-            cfg = _load_raw_config(args.config, overrides)
-            root = sweep_root if sweep_root is not None else Path(cfg.output_dir)
-            cell_dir = root / cell_name
-            cfg = _load_raw_config(
-                args.config, overrides + [f"output.dir={cell_dir}"]
-            )
-            result = run_experiment(cfg)
-            _write_artifacts(cfg, result, cell_dir)
+            cfg = parse_config(args.config, [*base_overrides, *cell_overrides])
+            # Set, not overridden: YAML would cut an override path at " #".
+            result = _run(replace(cfg, output_dir=str(sweep_root / cell_name)))
             final_acc = format(result.records[-1].global_test_accuracy, ".17g")
         except Exception as exc:
             status = f"error: {exc}"
         rows.append((cell_name, list(combo), status, final_acc))
         print(f"{cell_name}: {status}" + (f" acc={final_acc}" if final_acc else ""))
 
-    if sweep_root is None:
-        cfg = _load_raw_config(args.config, base_overrides)
-        sweep_root = Path(cfg.output_dir)
     sweep_root.mkdir(parents=True, exist_ok=True)
     summary = sweep_root / "summary.csv"
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
@@ -196,7 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_raw_config(args.config, args.set or [])
+    cfg = parse_config(args.config, args.set or [])
     params, layers = load_checkpoint(args.checkpoint)
     base = build_dataset(cfg)
     spec = build_model_spec(cfg, base)
@@ -261,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid axis as dotted key with comma-separated values",
     )
     sweep_p.add_argument("--set", "-s", action="append", metavar="KEY=VALUE")
-    sweep_p.add_argument("--out", help="sweep root directory (default: output.dir)")
     sweep_p.set_defaults(func=cmd_sweep)
 
     eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")

@@ -20,7 +20,7 @@ reproducibility.
 # read at run time as the key's type.
 import sys
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import yaml
 
@@ -286,13 +286,6 @@ def parse_config_data(raw: Any) -> ExperimentConfig:
     return _build(ExperimentConfig, top, top_paths)
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load and validate a YAML config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    return parse_config_data(raw)
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, dict[str, Any]]:
     """Canonical nested-dict form, in schema order, with plain YAML types."""
     out = {}
@@ -320,7 +313,7 @@ def _parse_override_value(text: str) -> Any:
     return value
 
 
-def apply_overrides(raw: dict | None, overrides: list[str]) -> dict:
+def apply_overrides(raw: dict | None, overrides: Sequence[str]) -> dict:
     """Apply ``section.key=value`` overrides onto a raw config mapping.
 
     Values are parsed as YAML scalars, so ``local.lambda_a=3`` yields an
@@ -339,3 +332,11 @@ def apply_overrides(raw: dict | None, overrides: list[str]) -> dict:
         out[section] = _mapping(out.get(section), section)
         out[section][name] = _parse_override_value(value)
     return out
+
+
+def parse_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
+    """Load a YAML config file, apply ``section.key=value`` overrides, and
+    validate; the one reader of config files."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    return parse_config_data(apply_overrides(raw, overrides))

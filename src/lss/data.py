@@ -289,6 +289,8 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"bad IDX image magic: expected {IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}"
             )
         count = _read_be32(fh, "IDX image count")
+        if count == 0:
+            raise ValueError(f"IDX image count field of {images_path} is 0: it holds no images")
         rows = _read_be32(fh, "IDX row count")
         cols = _read_be32(fh, "IDX column count")
         raw = read_exact(
@@ -312,7 +314,13 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"IDX count mismatch: {count} images but {label_count} labels"
         )
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, int(labels.max()) + 1)
+    num_classes = int(labels.max()) + 1
+    if num_classes < 2:
+        raise ValueError(
+            f"IDX labels {labels_path} give {num_classes} class (largest label + 1); "
+            "at least 2 are needed"
+        )
+    return Dataset(features, labels, num_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,17 @@ class ExperimentResult:
     last_round_client_models: tuple[ParamVector, ...]
 
 
+def _blobs(cfg: ExperimentConfig, tag: str) -> Dataset:
+    """The config's Gaussian blobs, drawn from the seed stream named ``tag``."""
+    d = cfg.data
+    return gen_blobs(
+        d.num_classes, d.per_class, d.input_dim, d.spread, derive_seed(cfg.master_seed, tag)
+    )
+
+
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.data.source == "blobs":
-        return gen_blobs(
-            cfg.data.num_classes,
-            cfg.data.per_class,
-            cfg.data.input_dim,
-            cfg.data.spread,
-            derive_seed(cfg.master_seed, "blobs"),
-        )
+        return _blobs(cfg, "blobs")
     data = load_idx(cfg.data.images_path, cfg.data.labels_path)
     if data.num_classes != cfg.data.num_classes:
         raise ConfigError(
@@ -101,19 +103,6 @@ def split_experiment_data(
     return split_dataset(base, fractions, derive_seed(cfg.master_seed, "split"))
 
 
-def _warmup_proxy(cfg: ExperimentConfig, val: Dataset) -> Dataset:
-    if cfg.data.source == "blobs":
-        # Same generator family, disjoint seed: shared geometry, fresh noise.
-        return gen_blobs(
-            cfg.data.num_classes,
-            cfg.data.per_class,
-            cfg.data.input_dim,
-            cfg.data.spread,
-            derive_seed(cfg.master_seed, "proxy"),
-        )
-    return val
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     base = build_dataset(cfg)
     train, val, test = split_experiment_data(cfg, base)
@@ -121,9 +110,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("experiment.num_clients", f"exceeds the {train.n} training samples")
     spec = build_model_spec(cfg, base)
 
+    # Warm-up data: blobs on a disjoint seed (shared geometry, fresh noise) or
+    # the IDX val split, passed as a temporary so it is freed before the rounds.
     anchor = warmup_pretrain(
         spec,
-        _warmup_proxy(cfg, val),
+        _blobs(cfg, "proxy") if cfg.data.source == "blobs" else val,
         cfg.warmup_steps,
         derive_seed(cfg.master_seed, "init"),
         eta=cfg.warmup_eta,

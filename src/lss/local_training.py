@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -131,34 +131,23 @@ def lss_regularized_grad(
     return loss, ParamVector._wrap(grad)
 
 
-class MinibatchSampler:
-    """Without-replacement minibatches; reshuffles when an epoch is exhausted.
+def _batches(
+    data: Dataset, batch_size: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Endless without-replacement minibatches as unchecked ``(features, labels)``.
 
+    Each epoch draws a fresh permutation when its first batch is taken.
     Clients smaller than one batch always yield their whole dataset.
     """
-
-    def __init__(self, data: Dataset, batch_size: int, rng: np.random.Generator):
-        self._data = data
-        self._n = data.n
-        self._batch_size = batch_size
-        self._rng = rng
-        self._order = None
-        self._pos = 0
-
-    def next_batch(self) -> Dataset:
-        return Dataset(*self._next(), self._data.num_classes)
-
-    def _next(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next minibatch's features and labels, unchecked."""
-        data = self._data
-        if self._n <= self._batch_size:
-            return data.features, data.labels
-        if self._order is None or self._pos >= self._n:
-            self._order = self._rng.permutation(self._n)
-            self._pos = 0
-        chunk = self._order[self._pos : self._pos + self._batch_size]
-        self._pos += len(chunk)
-        return data.features[chunk], data.labels[chunk]
+    n = data.n
+    if n <= batch_size:
+        while True:
+            yield data.features, data.labels
+    while True:
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            chunk = order[lo : lo + batch_size]
+            yield data.features[chunk], data.labels[chunk]
 
 
 def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -199,7 +188,7 @@ def _train(
     _check_params(anchor, spec)
     _check_data(client_data, spec)
     rng_batch, rng_coeff = _spawn_rngs(seed)
-    sampler = MinibatchSampler(client_data, config.batch_size, rng_batch)
+    batches = _batches(client_data, config.batch_size, rng_batch)
     members = config.num_pool_models if soup else 1
     rows = np.empty((members + 1, anchor.dim))
     rows[0] = anchor.values
@@ -215,7 +204,7 @@ def _train(
         active = rows[m]
         active[:] = uniform_average(pool).values
         for _ in range(config.tau):
-            features, labels = sampler._next()
+            features, labels = next(batches)
             if soup:
                 coeffs = sample_interp_coeffs(m + 1, config.coeff_mode, rng_coeff)
                 np.multiply(rows[0], coeffs[0], out=x)

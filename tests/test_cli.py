@@ -1,8 +1,10 @@
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 import lss.cli as cli
 import lss.experiment as experiment
@@ -224,10 +226,10 @@ class TestEval:
 
 
 class TestIdxSource:
-    def write_idx_config(self, tmp_path):
-        """30 four-pixel images labelled 0, 1, 2, as an IDX pair and a config."""
-        pixels = np.random.default_rng(0).integers(0, 256, size=30 * 4).tolist()
-        images, labels = _write_idx_pair(tmp_path, pixels, [i % 3 for i in range(30)])
+    def write_idx_config(self, tmp_path, labels=tuple(i % 3 for i in range(30))):
+        """Four-pixel images (by default 30, labelled 0, 1, 2), as an IDX pair and a config."""
+        pixels = np.random.default_rng(0).integers(0, 256, size=len(labels) * 4).tolist()
+        images, labels = _write_idx_pair(tmp_path, pixels, labels)
         cfg = tmp_path / "idx.yaml"
         cfg.write_text(
             SMOKE.replace("OUTDIR", str(tmp_path / "out")).replace(
@@ -269,6 +271,22 @@ class TestIdxSource:
         assert started == []
 
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ((), r"IDX image count field of \S+images\.idx is 0: it holds no images"),
+            ((0,) * 30, r"IDX labels \S+labels\.idx give 1 class \(largest label \+ 1\); "
+                        r"at least 2 are needed"),
+        ],
+        ids=["zero-images", "one-class"],
+    )
+    def test_degenerate_idx_pair_prints_one_error_line(self, tmp_path, capsys, labels, message):
+        cfg = self.write_idx_config(tmp_path, labels)
+        assert main(["run", str(cfg)]) == 1
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_single_cell_matches_run_artifacts(self, tmp_path):
         cfg = write_smoke(tmp_path, out_name="plain")
@@ -303,6 +321,42 @@ class TestSweep:
         assert len(summary) == 3
         statuses = [line.split(",")[2] for line in summary[1:]]
         assert statuses[0].startswith("error") and statuses[1] == "ok"
+
+    def test_invalid_base_config_exits_before_any_cell(self, tmp_path, capsys):
+        # The grid would override the bad key, but the base config is checked alone.
+        cfg = tmp_path / "bad_base.yaml"
+        cfg.write_text(
+            SMOKE.replace("OUTDIR", str(tmp_path / "bad")).replace("eta: 0.05", "eta: -1")
+        )
+        assert main(["sweep", str(cfg), "--grid", "local.eta=0.05,0.1"]) == 1
+        assert capsys.readouterr().err == "error: local.eta: must be > 0, got -1.0\n"
+        assert not (tmp_path / "bad").exists()
+
+    def test_set_output_dir_moves_the_whole_sweep(self, tmp_path):
+        cfg = write_smoke(tmp_path, out_name="unused")
+        moved = tmp_path / "moved"
+        self.check_sweep_root(cfg, moved, ["-s", f"output.dir={moved}"])
+        assert not (tmp_path / "unused").exists()
+
+    def test_cells_keep_a_root_that_yaml_would_cut(self, tmp_path):
+        # Unquoted, "a #1" reads as "a" plus a comment in YAML.
+        root = tmp_path / "a #1"
+        cfg = tmp_path / "smoke.yaml"
+        cfg.write_text(SMOKE.replace("OUTDIR", f'"{root}"'))
+        self.check_sweep_root(cfg, root, [])
+        assert not (tmp_path / "a").exists()
+
+    @staticmethod
+    def check_sweep_root(cfg, root, extra):
+        """A 2-cell tau sweep puts its cells and summary under ``root``."""
+        assert main(["sweep", str(cfg), "--grid", "local.tau=1,2", *extra]) == 0
+        cells = sorted(p.name for p in root.glob("cell_*"))
+        assert cells == ["cell_000_tau=1", "cell_001_tau=2"]
+        assert (root / "summary.csv").exists()
+        for cell in cells:
+            snapshot = yaml.safe_load((root / cell / "config.yaml").read_text())
+            assert snapshot["output"]["dir"] == str(root / cell)
+            assert (root / cell / "rounds.csv").exists()
 
     def test_tau_sweep_reproduces_rise_then_fall(self, tmp_path):
         # heterogeneous fixture, accuracy averaged over three seed cells per tau

@@ -53,6 +53,7 @@ class TestDefaults:
         cfg = parse_config(path)
         assert cfg.master_seed == 42
         assert cfg.output_dir == "runs/demo"
+        assert parse_config(path, ["partition.alpha=0.3"]).partition.alpha == 0.3
 
 
 class TestValidation:
@@ -356,6 +357,21 @@ class TestOverrides:
             apply_overrides({}, ["local.lambda_a"])
         with pytest.raises(ConfigError, match="dotted"):
             apply_overrides({}, ["lambda_a=3"])
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("partition.alpha=-1", "partition.alpha: must be > 0, got -1.0"),
+            ("local.nope=3", "local.nope: unknown key"),
+            ("experiment.master_seed=x", "experiment.master_seed: expected an integer, got 'x'"),
+        ],
+    )
+    def test_file_parse_reports_a_bad_override_by_dotted_path(self, tmp_path, override, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(MINIMAL)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path, [override])
+        assert str(err.value) == message
 
     def test_unknown_override_key_rejected_at_parse(self):
         out = apply_overrides(yaml.safe_load(MINIMAL), ["local.nope=3"])

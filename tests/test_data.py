@@ -275,6 +275,18 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match=r"label count field 4294967295\): needs"):
             load_idx(images, labels)
 
+    def test_zero_images_name_the_count_field(self, tmp_path):
+        images, labels = _write_idx_pair(tmp_path, [], [])
+        with pytest.raises(ValueError, match=r"IDX image count field of .*images\.idx is 0"):
+            load_idx(images, labels)
+
+    def test_one_class_names_the_labels_and_the_class_count(self, tmp_path):
+        images, labels = _write_idx_pair(tmp_path, [0] * 8, [0, 0])
+        with pytest.raises(
+            ValueError, match=r"IDX labels .*labels\.idx give 1 class \(largest label \+ 1\)"
+        ):
+            load_idx(images, labels)
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
     @given(
         st.integers(1, 4),

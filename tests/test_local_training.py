@@ -12,7 +12,7 @@ from lss.data import Dataset
 from lss.local_training import (
     COEFF_MODES,
     LocalConfig,
-    MinibatchSampler,
+    _batches,
     _spawn_rngs,
     affinity_loss,
     diversity_loss,
@@ -244,26 +244,26 @@ class TestRegularizedGrad:
         np.testing.assert_allclose(grad.values, 0.3 * task_grad.values, rtol=1e-15)
 
 
-class TestMinibatchSampler:
+class TestBatches:
     def test_epoch_covers_every_sample_once(self):
         data = Dataset(np.arange(10.0)[:, None], np.zeros(10, dtype=np.int64), 2)
-        sampler = MinibatchSampler(data, 3, np.random.default_rng(0))
+        batches = _batches(data, 3, np.random.default_rng(0))
         seen = []
         for _ in range(4):  # 3 + 3 + 3 + 1
-            seen.extend(sampler.next_batch().features[:, 0].astype(int))
+            seen.extend(Dataset(*next(batches), 2).features[:, 0].astype(int))
         assert sorted(seen) == list(range(10))
 
     def test_reshuffles_after_exhaustion(self):
         data = Dataset(np.arange(6.0)[:, None], np.zeros(6, dtype=np.int64), 2)
-        sampler = MinibatchSampler(data, 2, np.random.default_rng(1))
-        epoch1 = [tuple(sampler.next_batch().features[:, 0]) for _ in range(3)]
-        epoch2 = [tuple(sampler.next_batch().features[:, 0]) for _ in range(3)]
+        batches = _batches(data, 2, np.random.default_rng(1))
+        epoch1 = [tuple(Dataset(*next(batches), 2).features[:, 0]) for _ in range(3)]
+        epoch2 = [tuple(Dataset(*next(batches), 2).features[:, 0]) for _ in range(3)]
         assert sorted(sum(epoch1, ())) == sorted(sum(epoch2, ()))
 
     def test_tiny_client_gets_whole_dataset(self):
         data = Dataset(np.arange(3.0)[:, None], np.zeros(3, dtype=np.int64), 2)
-        sampler = MinibatchSampler(data, 64, np.random.default_rng(2))
-        batch = sampler.next_batch()
+        batches = _batches(data, 64, np.random.default_rng(2))
+        batch = Dataset(*next(batches), 2)
         assert batch.n == 3
 
 
@@ -371,10 +371,11 @@ class TestFedproxLocalTrain:
         prox = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
         # reference: minibatch SGD written out step by step
         rng_batch, _ = _spawn_rngs(5)
-        sampler = MinibatchSampler(small_blobs, 32, rng_batch)
+        batches = _batches(small_blobs, 32, rng_batch)
         sgd = softmax_anchor
         for _ in range(8):
-            _, grad = loss_and_grad(sgd, softmax_spec, sampler.next_batch())
+            batch = Dataset(*next(batches), small_blobs.num_classes)
+            _, grad = loss_and_grad(sgd, softmax_spec, batch)
             sgd = axpy(sgd, -0.05, grad)
         assert np.array_equal(prox.values, sgd.values)
 
@@ -410,23 +411,25 @@ def reference_lss(anchor, spec, data, cfg, seed):
     """Soup training written out from the public reference functions
     (``lss_regularized_grad`` interpolates with ``interpolate``)."""
     rng_batch, rng_coeff = _spawn_rngs(seed)
-    sampler = MinibatchSampler(data, cfg.batch_size, rng_batch)
+    batches = _batches(data, cfg.batch_size, rng_batch)
     pool = [anchor]
     for _ in range(cfg.num_pool_models):
         pool.append(uniform_average(pool))
         for _ in range(cfg.tau):
             coeffs = sample_interp_coeffs(len(pool), cfg.coeff_mode, rng_coeff)
-            _, grad = lss_regularized_grad(pool, coeffs, spec, sampler.next_batch(), cfg)
+            batch = Dataset(*next(batches), data.num_classes)
+            _, grad = lss_regularized_grad(pool, coeffs, spec, batch, cfg)
             pool[-1] = axpy(pool[-1], -cfg.eta, grad)
     return pool, uniform_average(pool)
 
 
 def reference_fedprox(anchor, spec, data, cfg, seed):
     rng_batch, _ = _spawn_rngs(seed)
-    sampler = MinibatchSampler(data, cfg.batch_size, rng_batch)
+    batches = _batches(data, cfg.batch_size, rng_batch)
     f = anchor
     for _ in range(cfg.tau):
-        _, grad = fedprox_loss_and_grad(f, anchor, spec, sampler.next_batch(), cfg.mu_prox)
+        batch = Dataset(*next(batches), data.num_classes)
+        _, grad = fedprox_loss_and_grad(f, anchor, spec, batch, cfg.mu_prox)
         f = axpy(f, -cfg.eta, grad)
     return f
 
