@@ -43,6 +43,9 @@ class TheoryParams:
     rounds: int
 
     def __post_init__(self) -> None:
+        for name in ("beta", "sigma", "zeta", "c", "d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.d <= 0:

@@ -15,7 +15,7 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -29,7 +29,7 @@ from .analysis import (
     max_local_steps,
     write_diagnostics,
 )
-from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import ConfigError, ExperimentConfig, check_key, parse_config, serialize_config
 from .data import write_partition_plan
 from .experiment import (
     ExperimentResult,
@@ -122,7 +122,7 @@ def _run(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.set or [])
+    cfg = parse_config(args.config, args.set)
     result = _run(cfg)
     for rec in result.records:
         print(
@@ -133,23 +133,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(items: list[str]) -> list[tuple[str, list[str]]]:
-    grid = []
-    for item in items:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    grid = []  # (dotted key, values); every key is checked before any cell runs
+    for item in args.grid:
         key, sep, values = item.partition("=")
         if not sep or not values:
             raise ConfigError(item, "grid entry must look like section.key=v1,v2")
+        check_key(key.strip())
         grid.append((key.strip(), values.split(",")))
-    return grid
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid or [])
-    if not grid:
-        raise ConfigError("--grid", "at least one grid entry is required")
-    base_overrides = args.set or []
     # The base config must be valid on its own; it also names the sweep root.
-    sweep_root = Path(parse_config(args.config, base_overrides).output_dir)
+    sweep_root = Path(parse_config(args.config, args.set).output_dir)
 
     keys = [k for k, _ in grid]
     rows = []
@@ -159,9 +152,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cell_name = f"cell_{cell_idx:03d}_{label}"
         status, final_acc = "ok", ""
         try:
-            cfg = parse_config(args.config, [*base_overrides, *cell_overrides])
-            # Set, not overridden: YAML would cut an override path at " #".
-            result = _run(replace(cfg, output_dir=str(sweep_root / cell_name)))
+            out = f"output.dir={sweep_root / cell_name}"
+            result = _run(parse_config(args.config, [*args.set, *cell_overrides, out]))
             final_acc = format(result.records[-1].global_test_accuracy, ".17g")
         except Exception as exc:
             status = f"error: {exc}"
@@ -180,7 +172,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, args.set or [])
+    cfg = parse_config(args.config, args.set)
     params, layers = load_checkpoint(args.checkpoint)
     base = build_dataset(cfg)
     spec = build_model_spec(cfg, base)
@@ -200,16 +192,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    p = TheoryParams(
-        beta=args.beta,
-        sigma=args.sigma,
-        zeta=args.zeta,
-        c=args.c,
-        d=args.d,
-        num_clients=args.clients,
-        tau=args.tau,
-        rounds=args.rounds,
-    )
+    p = TheoryParams(**{f.name: getattr(args, f.name) for f in fields(TheoryParams)})
     print(f"learning_rate: {lr_choice(p):.12g}")
     print(f"bound: {convergence_bound(p):.12g}")
     print(f"bound_alt_first_term: {convergence_bound(p, first_term='d_squared'):.12g}")
@@ -223,35 +206,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lss", description="Federated-learning experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one experiment from a config file")
-    run_p.add_argument("config", help="path to a YAML experiment config")
-    run_p.add_argument(
+    sets = argparse.ArgumentParser(add_help=False)
+    sets.add_argument(
         "--set",
         "-s",
         action="append",
+        default=[],
         metavar="KEY=VALUE",
         help="override a config key by dotted path, e.g. local.lambda_a=3",
     )
+
+    run_p = sub.add_parser("run", parents=[sets], help="run one experiment from a config file")
+    run_p.add_argument("config", help="path to a YAML experiment config")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="run a cartesian grid of overrides")
+    sweep_p = sub.add_parser("sweep", parents=[sets], help="run a cartesian grid of overrides")
     sweep_p.add_argument("config", help="path to a YAML experiment config")
     sweep_p.add_argument(
         "--grid",
         "-g",
         action="append",
+        required=True,
         metavar="KEY=V1,V2,...",
         help="grid axis as dotted key with comma-separated values",
     )
-    sweep_p.add_argument("--set", "-s", action="append", metavar="KEY=VALUE")
     sweep_p.set_defaults(func=cmd_sweep)
 
-    eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
+    eval_p = sub.add_parser("eval", parents=[sets], help="score a checkpoint on a dataset split")
     eval_p.add_argument("checkpoint", help="path to a .lssw checkpoint")
     eval_p.add_argument("--config", required=True, help="config describing the data")
     eval_p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    eval_p.add_argument("--set", "-s", action="append", metavar="KEY=VALUE")
     eval_p.set_defaults(func=cmd_eval)
 
     bound_p = sub.add_parser("bound", help="print convergence-theory quantities")
@@ -260,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound_p.add_argument("--zeta", type=float, required=True)
     bound_p.add_argument("--c", type=float, required=True)
     bound_p.add_argument("--d", type=float, required=True)
-    bound_p.add_argument("--clients", type=int, required=True)
+    bound_p.add_argument("--clients", dest="num_clients", type=int, required=True)
     bound_p.add_argument("--tau", type=int, required=True)
     bound_p.add_argument("--rounds", type=int, required=True)
     bound_p.set_defaults(func=cmd_bound)

@@ -10,7 +10,8 @@ key's default, and its ``check`` metadata the key's range check.  Every
 config object casts and checks its fields when it is constructed and
 raises ``ConfigError`` naming the field; the parser reports the same
 failure by dotted path (e.g. ``partition.alpha``), rejects unknown
-sections and keys, and fills omitted keys with the defaults.
+sections and keys, and fills omitted keys with the defaults.  A
+``section.key=value`` override replaces one key and is checked the same way.
 ``serialize_config`` emits a canonical snapshot that parses back to an
 identical config, which is what run output directories store for
 reproducibility.
@@ -97,17 +98,17 @@ def _positive(value: Any, path: str) -> None:
         raise ConfigError(path, f"must be > 0, got {value}")
 
 
-def _non_negative(value: Any, path: str) -> None:
-    if value < 0:
-        raise ConfigError(path, f"must be >= 0, got {value}")
-
-
 def _at_least(minimum: int) -> Callable[[Any, str], None]:
     def check(value: Any, path: str) -> None:
         if value < minimum:
             raise ConfigError(path, f"must be >= {minimum}, got {value}")
 
     return check
+
+
+def _non_empty(value: Any, path: str) -> None:
+    if not value:
+        raise ConfigError(path, "must not be empty")
 
 
 def _all_positive(value: Any, path: str) -> None:
@@ -184,12 +185,12 @@ class LocalConfig(_Checked):
 
     eta: float = _key(5e-4, _positive)
     # tau == 0 is allowed as the degenerate no-op used by tests/smoke runs
-    tau: int = _key(8, _non_negative)
+    tau: int = _key(8, _at_least(0))
     batch_size: int = _key(64, _at_least(1))
-    lambda_a: float = _key(3.0, _non_negative)
-    lambda_d: float = _key(3.0, _non_negative)
+    lambda_a: float = _key(3.0, _at_least(0))
+    lambda_d: float = _key(3.0, _at_least(0))
     num_pool_models: int = _key(4, _at_least(1))
-    mu_prox: float = _key(0.0, _non_negative)
+    mu_prox: float = _key(0.0, _at_least(0))
     coeff_mode: str = _key("uniform_random", _choice(COEFF_MODES))
     dist_epsilon: float = _key(1e-8, _positive)
 
@@ -207,11 +208,11 @@ class AnalysisConfig(_Checked):
 @dataclass(frozen=True)
 class ExperimentConfig(_Checked):
     master_seed: int = field(metadata={"check": _seed})
-    output_dir: str
+    output_dir: str = field(metadata={"check": _non_empty})
     rounds: int = _key(1, _at_least(1))
     strategy: str = _key("lss", _choice(STRATEGIES))
     num_clients: int = _key(5, _at_least(1))
-    warmup_steps: int = _key(0, _non_negative)
+    warmup_steps: int = _key(0, _at_least(0))
     warmup_eta: float = _key(0.1, _positive)
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -246,16 +247,34 @@ def _mapping(raw: Any, path: str) -> dict:
     return raw
 
 
-def _keywords(raw: Any, section: str, keys: dict[str, Field]) -> dict[str, Any]:
-    """The constructor arguments one raw section gives, by field name."""
+def _read(text: str, kind: Any) -> Any:
+    """Override text as its key's type reads it: a string verbatim, a number
+    as Python reads it, anything else (``.nan`` too) as YAML."""
+    if kind is str:
+        return text
+    for number in (int, float) if kind in (int, float) else ():
+        try:
+            return number(text)
+        except ValueError:
+            continue
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError:
+        return text  # not a value of the key's type, which its cast reports
+
+
+def _keywords(raw: Any, texts: dict[str, str], section: str, keys: dict[str, Field]) -> dict:
+    """The constructor arguments one section gives, by field name: the raw
+    keys, then the override texts read as their keys' types."""
     raw = _mapping(raw, section)
     for key in raw:
         if key not in keys:
             raise ConfigError(f"{section}.{key}", "unknown key")
+    values = {**raw, **{key: _read(text, keys[key].type) for key, text in texts.items()}}
     for key, f in keys.items():
-        if key not in raw and f.default is MISSING and f.default_factory is MISSING:
+        if key not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{section}.{key}", "missing required key")
-    return {keys[key].name: value for key, value in raw.items()}
+    return {keys[key].name: value for key, value in values.items()}
 
 
 def _build(cls: type, kwargs: dict[str, Any], paths: dict[str, str]) -> Any:
@@ -266,17 +285,43 @@ def _build(cls: type, kwargs: dict[str, Any], paths: dict[str, str]) -> Any:
         raise ConfigError(paths[exc.path], exc.message) from exc
 
 
-def parse_config_data(raw: Any) -> ExperimentConfig:
-    """Validate a raw mapping (already loaded from YAML) into a config."""
+def _override(item: str, layout: dict) -> tuple[str, str, str]:
+    """A ``section.key=value`` override as (section, key, value text); the
+    path must name a config key."""
+    key, sep, text = item.partition("=")
+    if not sep:
+        raise ConfigError(item, "override must look like section.key=value")
+    section, dot, name = key.strip().partition(".")
+    if not dot or not section or not name:
+        raise ConfigError(key, "override key must be a dotted section.key path")
+    if section not in layout:
+        raise ConfigError(section, "unknown section")
+    if name not in layout[section][1]:
+        raise ConfigError(f"{section}.{name}", "unknown key")
+    return section, name, text
+
+
+def check_key(key: str) -> None:
+    """Raise the ``ConfigError`` an override of dotted ``key`` gets for its path."""
+    _override(f"{key}=", _layout())
+
+
+def parse_config_data(raw: Any, overrides: Sequence[str] = ()) -> ExperimentConfig:
+    """Validate a raw mapping (already loaded from YAML) into a config; each
+    ``section.key=value`` override replaces one key and is checked like it."""
     raw = _mapping(raw, "<root>")
     layout = _layout()
+    texts: dict[str, dict[str, str]] = {section: {} for section in layout}
+    for item in overrides:
+        section, key, text = _override(item, layout)
+        texts[section][key] = text
     for section in raw:
         if section not in layout:
             raise ConfigError(str(section), "unknown section")
     top: dict[str, Any] = {}
     top_paths: dict[str, str] = {}
     for section, (cls, keys) in layout.items():
-        kwargs = _keywords(raw.get(section), section, keys)
+        kwargs = _keywords(raw.get(section), texts[section], section, keys)
         paths = {f.name: f"{section}.{key}" for key, f in keys.items()}
         if cls is None:
             top.update(kwargs)
@@ -301,42 +346,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
 
 
-def _parse_override_value(text: str) -> Any:
-    value = yaml.safe_load(text)
-    # YAML 1.1 reads dot-less scientific notation like "5e-4" as a string
-    if isinstance(value, str):
-        for caster in (int, float):
-            try:
-                return caster(value)
-            except ValueError:
-                continue
-    return value
-
-
-def apply_overrides(raw: dict | None, overrides: Sequence[str]) -> dict:
-    """Apply ``section.key=value`` overrides onto a raw config mapping.
-
-    Values are parsed as YAML scalars, so ``local.lambda_a=3`` yields an
-    integer 3 and ``local.eta=5e-4`` a float.  Sections that are not
-    mappings are left for ``parse_config_data`` to reject, unless an
-    override writes into one, which raises the same ``ConfigError`` here.
-    """
-    out = {k: dict(v) if isinstance(v, dict) else v for k, v in _mapping(raw, "<root>").items()}
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(item, "override must look like section.key=value")
-        section, dot, name = key.strip().partition(".")
-        if not dot or not section or not name:
-            raise ConfigError(key, "override key must be a dotted section.key path")
-        out[section] = _mapping(out.get(section), section)
-        out[section][name] = _parse_override_value(value)
-    return out
-
-
 def parse_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Load a YAML config file, apply ``section.key=value`` overrides, and
     validate; the one reader of config files."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    return parse_config_data(apply_overrides(raw, overrides))
+    return parse_config_data(raw, overrides)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import STRATEGIES, LocalConfig
 from .data import Dataset
-from .local_training import LocalTrace, fedprox_local_train, lss_local_train
+from .local_training import fedprox_local_train, lss_local_train
 from .model import MlpSpec, accuracy, init_params, loss_and_grad
 from .params import ParamVector, l2_distance, weighted_average
 
@@ -119,15 +119,15 @@ def train_client(
     data: Dataset,
     local_cfg: LocalConfig,
     seed: int,
-) -> tuple[ParamVector, LocalTrace | None]:
-    """One client's local training; ``run_round`` has checked ``strategy``."""
+) -> ParamVector:
+    """One client's upload; ``run_round`` has checked ``strategy``."""
     if strategy == "lss":
-        return lss_local_train(anchor, spec, data, local_cfg, seed)
+        return lss_local_train(anchor, spec, data, local_cfg, seed)[0]
     if strategy == "fedavg":
         # FedAvg is plain SGD: proximal SGD with the pull switched off,
         # whatever ``mu_prox`` the config carries.
         local_cfg = replace(local_cfg, mu_prox=0.0)
-    return fedprox_local_train(anchor, spec, data, local_cfg, seed), None
+    return fedprox_local_train(anchor, spec, data, local_cfg, seed)
 
 
 def run_round(
@@ -152,7 +152,7 @@ def run_round(
     for client in clients:
         seed = derive_seed(round_seed, client.client_id)
         try:
-            final, _ = train_client(
+            final = train_client(
                 strategy, global_model, spec, client.data, local_cfg, seed
             )
         except Exception as exc:

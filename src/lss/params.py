@@ -4,7 +4,7 @@ Every model in the simulator is a single immutable float64 vector
 (:class:`ParamVector`).  Interpolation, aggregation, and distance
 computations all operate on this one currency, so determinism rules are
 centralized here: sums accumulate left to right in the order the caller
-supplies, which makes results independent of thread scheduling.
+supplies, so equal inputs in equal order give bit-identical results.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class ParamVector:
     """Immutable 1-D float64 weight vector.
 
     Entries are validated finite on construction, so any vector obtained
-    from an exported operation is guaranteed NaN/Inf free.  Instances may
-    be shared freely across threads.
+    from an exported operation is guaranteed NaN/Inf free.  Instances are
+    never modified, so one vector may back many models and uploads.
     """
 
     __slots__ = ("_values",)

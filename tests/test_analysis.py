@@ -90,6 +90,13 @@ class TestTheoryParams:
         with pytest.raises(ValueError):
             TheoryParams(beta=1, sigma=-1, zeta=1, c=0, d=1, num_clients=1, tau=1, rounds=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["beta", "sigma", "zeta", "c", "d"])
+    def test_non_finite_constant_rejected_by_name(self, name, bad):
+        constants = dict(beta=1, sigma=1, zeta=1, c=0, d=1, num_clients=1, tau=1, rounds=1)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+            TheoryParams(**{**constants, name: bad})
+
 
 class TestLrChoice:
     def test_matches_independent_calculator_to_12_digits(self):

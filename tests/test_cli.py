@@ -88,6 +88,15 @@ class TestRun:
         snapshot = (tmp_path / "run1" / "config.yaml").read_text()
         assert "lambda_a: 1.5" in snapshot
 
+    def test_output_dir_override_is_taken_verbatim(self, tmp_path, capsys):
+        cfg = write_smoke(tmp_path)
+        out = tmp_path / "a #1"
+        assert main(["run", str(cfg), "-s", f"output.dir={out}"]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+        snapshot = yaml.safe_load((out / "config.yaml").read_text())
+        assert snapshot["output"]["dir"] == str(out)
+        assert not (tmp_path / "a").exists() and not (tmp_path / "run1").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(SMOKE.replace("OUTDIR", str(tmp_path / "o")) + "partition:\n  alpha: -2\n")
@@ -346,6 +355,31 @@ class TestSweep:
         self.check_sweep_root(cfg, root, [])
         assert not (tmp_path / "a").exists()
 
+    def test_set_output_dir_keeps_a_root_that_yaml_would_cut(self, tmp_path):
+        cfg = write_smoke(tmp_path, out_name="unused")
+        root = tmp_path / "a #1"
+        self.check_sweep_root(cfg, root, ["-s", f"output.dir={root}"])
+        assert not (tmp_path / "a").exists() and not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("key", ["local.nope", "tau", "nope.x"])
+    def test_unknown_grid_key_exits_before_any_cell(self, tmp_path, capsys, key):
+        cfg = write_smoke(tmp_path, out_name="never")
+        assert main(["run", str(cfg), "-s", f"{key}=1"]) == 1
+        run_err = capsys.readouterr().err
+        argv = ["sweep", str(cfg), "-g", "local.tau=1,2", "-g", f"{key}=1,2"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == run_err and err.count("\n") == 1 and err.startswith("error: ")
+        assert out == ""
+        assert not (tmp_path / "never").exists()
+
+    def test_sweep_requires_a_grid(self, tmp_path):
+        cfg = write_smoke(tmp_path, out_name="never")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", str(cfg)])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "never").exists()
+
     @staticmethod
     def check_sweep_root(cfg, root, extra):
         """A 2-cell tau sweep puts its cells and summary under ``root``."""
@@ -413,6 +447,21 @@ class TestBound:
         assert f"bound: {convergence_bound(p):.12g}" in out
         assert f"max_local_steps: {max_local_steps(p):.12g}" in out
         assert "total_grad_computations: 64" in out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--beta", "nan"), ("--beta", "inf"), ("--sigma", "-inf"), ("--d", "nan")]
+    )
+    def test_non_finite_constant_exits_1_naming_it(self, capsys, flag, value):
+        argv = {
+            "--beta": "1", "--sigma": "1", "--zeta": "0.5", "--c": "0.5", "--d": "1",
+            "--clients": "4", "--tau": "8", "--rounds": "2",
+        }
+        argv[flag] = value
+        # "--sigma=-inf": argparse would read a separate "-inf" as an option
+        assert main(["bound", *(f"{k}={v}" for k, v in argv.items())]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be finite, got {float(value)}\n"
 
     def test_checkpoint_roundtrip_through_cli_artifacts(self, tmp_path):
         cfg = write_smoke(tmp_path)

@@ -15,7 +15,7 @@ from lss.config import (
     LocalConfig,
     ModelConfig,
     PartitionConfig,
-    apply_overrides,
+    check_key,
     config_to_dict,
     parse_config,
     parse_config_data,
@@ -241,7 +241,7 @@ VALID = {
         "hessian_iters": st.integers(1, 10**6),
         "bvcl": st.booleans(),
     },
-    "output": {"dir": st.text()},
+    "output": {"dir": st.text(min_size=1)},
 }
 
 MINIMAL_SNAPSHOT = """\
@@ -342,21 +342,21 @@ partition:
 class TestOverrides:
     def test_override_values_are_yaml_typed(self):
         raw = yaml.safe_load(MINIMAL)
-        out = apply_overrides(raw, ["local.lambda_a=3", "local.eta=5e-4", "analysis.bvcl=true"])
-        cfg = parse_config_data(out)
+        overrides = ["local.lambda_a=3", "local.eta=5e-4", "analysis.bvcl=true"]
+        cfg = parse_config_data(raw, overrides)
         assert cfg.local.lambda_a == 3
         assert cfg.local.eta == 5e-4
         assert cfg.analysis.bvcl is True
 
     def test_override_creates_missing_section(self):
-        out = apply_overrides(yaml.safe_load(MINIMAL), ["partition.alpha=0.3"])
-        assert parse_config_data(out).partition.alpha == 0.3
+        out = parse_config_data(yaml.safe_load(MINIMAL), ["partition.alpha=0.3"])
+        assert out.partition.alpha == 0.3
 
     def test_bad_override_shapes(self):
         with pytest.raises(ConfigError, match="section.key=value"):
-            apply_overrides({}, ["local.lambda_a"])
+            parse_config_data({}, ["local.lambda_a"])
         with pytest.raises(ConfigError, match="dotted"):
-            apply_overrides({}, ["lambda_a=3"])
+            parse_config_data({}, ["lambda_a=3"])
 
     @pytest.mark.parametrize(
         "override, message",
@@ -364,6 +364,13 @@ class TestOverrides:
             ("partition.alpha=-1", "partition.alpha: must be > 0, got -1.0"),
             ("local.nope=3", "local.nope: unknown key"),
             ("experiment.master_seed=x", "experiment.master_seed: expected an integer, got 'x'"),
+            ("data.spread=.nan", "data.spread: expected a finite number, got nan"),
+            ("data.spread=-.inf", "data.spread: expected a finite number, got -inf"),
+            ("local.tau=2.5", "local.tau: expected an integer, got 2.5"),
+            ("analysis.bvcl=1", "analysis.bvcl: expected a boolean, got 1"),
+            ("model.hidden_dims=[1,", "model.hidden_dims: expected a list of integers, got '[1,'"),
+            ("output.dir=", "output.dir: must not be empty"),
+            ("nope.x=1", "nope: unknown section"),
         ],
     )
     def test_file_parse_reports_a_bad_override_by_dotted_path(self, tmp_path, override, message):
@@ -374,9 +381,8 @@ class TestOverrides:
         assert str(err.value) == message
 
     def test_unknown_override_key_rejected_at_parse(self):
-        out = apply_overrides(yaml.safe_load(MINIMAL), ["local.nope=3"])
         with pytest.raises(ConfigError, match="local.nope"):
-            parse_config_data(out)
+            parse_config_data(yaml.safe_load(MINIMAL), ["local.nope=3"])
 
     @pytest.mark.parametrize(
         "text, overrides, message",
@@ -395,5 +401,62 @@ class TestOverrides:
         with pytest.raises(ConfigError) as alone:
             parse_config_data(raw)
         with pytest.raises(ConfigError) as overridden:
-            parse_config_data(apply_overrides(raw, overrides))
+            parse_config_data(raw, overrides)
         assert str(alone.value) == str(overridden.value) == message
+
+    @pytest.mark.parametrize("key", ["output.dir", "data.images_path"])
+    @pytest.mark.parametrize("text", ["runs/a #1", "2024", "yes", "~", "a: b", " x "])
+    def test_string_key_keeps_the_override_text_verbatim(self, key, text):
+        cfg = parse_config_data(yaml.safe_load(MINIMAL), [f"{key}={text}"])
+        value = cfg.output_dir if key == "output.dir" else cfg.data.images_path
+        assert value == text
+
+    @pytest.mark.parametrize(
+        "override, attr, value",
+        [
+            ("experiment.rounds=010", "rounds", 10),
+            ("experiment.master_seed=1_000", "master_seed", 1000),
+            ("experiment.warmup_eta=1e-3", "warmup_eta", 1e-3),
+            ("experiment.warmup_eta=2", "warmup_eta", 2.0),
+        ],
+    )
+    def test_number_key_reads_the_text_as_python_does(self, override, attr, value):
+        cfg = parse_config_data(yaml.safe_load(MINIMAL), [override])
+        assert getattr(cfg, attr) == value
+        assert type(getattr(cfg, attr)) is type(value)
+
+    def test_override_replaces_the_file_value_and_fills_a_required_key(self):
+        raw = {"experiment": {"master_seed": 1, "rounds": 3}}
+        cfg = parse_config_data(raw, ["experiment.rounds=4", "output.dir=runs/x"])
+        assert (cfg.rounds, cfg.output_dir) == (4, "runs/x")
+
+    def test_later_override_of_a_key_wins(self):
+        cfg = parse_config_data(yaml.safe_load(MINIMAL), ["local.tau=2", "local.tau=5"])
+        assert cfg.local.tau == 5
+
+    def test_empty_output_dir_in_a_file_is_rejected(self):
+        with pytest.raises(ConfigError, match="output.dir: must not be empty"):
+            parse_text(MINIMAL.replace("runs/demo", '""'))
+
+
+class TestCheckKey:
+    def test_known_keys_pass(self):
+        for key in ("experiment.rounds", "output.dir", "local.tau", "model.hidden_dims"):
+            check_key(key)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("tau", "tau: override key must be a dotted section.key path"),
+            ("nope.x", "nope: unknown section"),
+            ("local.nope", "local.nope: unknown key"),
+            ("experiment.output_dir", "experiment.output_dir: unknown key"),
+        ],
+    )
+    def test_unknown_paths_fail_as_an_override_would(self, key, message):
+        with pytest.raises(ConfigError) as err:
+            check_key(key)
+        assert str(err.value) == message
+        with pytest.raises(ConfigError) as as_override:
+            parse_config_data(yaml.safe_load(MINIMAL), [f"{key}=1"])
+        assert str(as_override.value) == message

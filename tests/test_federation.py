@@ -20,10 +20,11 @@ from lss.federation import (
     data_proportional_weights,
     derive_seed,
     run_round,
+    train_client,
     warmup_pretrain,
     write_rounds_csv,
 )
-from lss.local_training import LocalConfig, fedprox_local_train
+from lss.local_training import LocalConfig, fedprox_local_train, lss_local_train
 from lss.model import MlpSpec, accuracy, init_params
 from lss.params import ParamVector
 
@@ -121,7 +122,7 @@ class TestRunRound:
 
         def fake_train(strategy, a, s, data, local, seed):
             cid = next(c.client_id for c in clients if c.data is data)
-            return fixed[cid], None
+            return fixed[cid]
 
         monkeypatch.setattr(federation, "train_client", fake_train)
         new_global, record, _ = run_round(
@@ -157,12 +158,22 @@ class TestRunRound:
 
         def counting(strategy, a, s, data, local, seed):
             calls.append(seed)
-            return a, None
+            return a
 
         monkeypatch.setattr(federation, "train_client", counting)
         with pytest.raises(ValueError, match="strategy"):
             run_round(anchor, clients, spec, LocalConfig(), "sgd", 1, 0, test)
         assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "lss"])
+    def test_train_client_returns_the_upload_alone(self, fed_setup, strategy):
+        spec, anchor, clients, _ = fed_setup
+        local = LocalConfig(eta=0.05, tau=2, batch_size=16, num_pool_models=2)
+        upload = train_client(strategy, anchor, spec, clients[0].data, local, 3)
+        assert isinstance(upload, ParamVector)
+        if strategy == "lss":
+            final, _ = lss_local_train(anchor, spec, clients[0].data, local, 3)
+            assert np.array_equal(upload.values, final.values)
 
     def test_client_failure_is_attributed(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
