@@ -21,7 +21,6 @@ from .analysis import (
 from .config import ExperimentConfig, parse_config, serialize_config
 from .data import (
     Dataset,
-    FeatureTransform,
     PartitionPlan,
     dirichlet_partition,
     feature_shift_partition,

@@ -35,6 +35,7 @@ from .experiment import (
     ExperimentResult,
     build_dataset,
     build_model_spec,
+    partition_clients,
     run_experiment,
     split_experiment_data,
 )
@@ -181,8 +182,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint layers {layers} do not match the config model's "
             f"{spec.layer_shapes()}"
         )
-    splits = dict(zip(("train", "val", "test"), split_experiment_data(cfg, base)))
-    data = splits[args.split]
+    train, val, test = split_experiment_data(cfg, base)
+    if args.split == "test":
+        # the set the run's rounds scored: under feature shift, the mixture
+        # of the client domains rather than the raw test rows
+        _, _, test = partition_clients(cfg, train, test)
+    data = {"train": train, "val": val, "test": test}[args.split]
     acc = accuracy(params, spec, data)
     loss, _ = loss_and_grad(params, spec, data)
     print(f"split: {args.split}")

@@ -196,25 +196,10 @@ def _rebalance_empty(buckets: list[list[int]]) -> None:
             bucket.append(buckets[largest].pop())
 
 
-@dataclass(frozen=True)
-class FeatureTransform:
-    """Invertible affine feature map x -> x @ matrix.T."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) @ self.matrix.T
-
-    def apply_dataset(self, data: Dataset) -> Dataset:
-        return Dataset(self.apply(data.features), data.labels, data.num_classes)
-
-    def inverse(self) -> "FeatureTransform":
-        return FeatureTransform(np.linalg.inv(self.matrix))
+# Feature shift: each client's domain is a rotation by at most this angle in
+# each coordinate plane, then a per-coordinate scaling drawn from this range.
+_MAX_ANGLE = np.pi / 4
+_SCALE_RANGE = (0.8, 1.25)
 
 
 def _random_rotation(dim: int, max_angle: float, rng: np.random.Generator) -> np.ndarray:
@@ -235,38 +220,39 @@ def _random_rotation(dim: int, max_angle: float, rng: np.random.Generator) -> np
 
 
 def feature_shift_partition(
-    data: Dataset,
-    num_clients: int,
-    seed: int,
-    max_angle: float = np.pi / 4,
-    scale_range: tuple[float, float] = (0.8, 1.25),
-) -> tuple[PartitionPlan, list[FeatureTransform]]:
-    """IID index split plus a fixed random affine transform per client.
+    train: Dataset, test: Dataset, num_clients: int, seed: int
+) -> tuple[PartitionPlan, tuple[Dataset, ...], Dataset]:
+    """IID split of ``train`` with a fixed rotation-then-scaling per client.
 
-    Transforms are rotation-then-scaling and are returned so evaluation can
-    apply the matching one.  Shift severity is controlled by ``max_angle``
-    and ``scale_range``; (0, (1, 1)) yields identity transforms.
+    Client c's map is the matrix M_c: its data are its plan rows as
+    ``x @ M_c.T``.  The returned eval set is the mixture of the client
+    domains: ``test`` cut into ``num_clients`` chunks, chunk c mapped
+    through M_c, so its labels are ``test.labels``.
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if num_clients > data.n:
-        raise ValueError(f"cannot split {data.n} samples across {num_clients} clients")
-    if scale_range[0] <= 0 or scale_range[1] < scale_range[0]:
-        raise ValueError(f"bad scale_range {scale_range}")
+    if num_clients > train.n:
+        raise ValueError(f"cannot split {train.n} samples across {num_clients} clients")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(data.n)
+    order = rng.permutation(train.n)
     chunks = np.array_split(order, num_clients)
-    transforms = []
-    for _ in range(num_clients):
-        rot = _random_rotation(data.input_dim, max_angle, rng)
-        scales = rng.uniform(scale_range[0], scale_range[1], size=data.input_dim)
-        transforms.append(FeatureTransform(scales[:, None] * rot))
+    test_chunks = np.array_split(np.arange(test.n), num_clients)
+    clients, eval_feats = [], []
+    for chunk, test_chunk in zip(chunks, test_chunks):
+        rot = _random_rotation(train.input_dim, _MAX_ANGLE, rng)
+        scales = rng.uniform(_SCALE_RANGE[0], _SCALE_RANGE[1], size=train.input_dim)
+        m = scales[:, None] * rot
+        clients.append(
+            Dataset(train.features[chunk] @ m.T, train.labels[chunk], train.num_classes)
+        )
+        eval_feats.append(test.features[test_chunk] @ m.T)
     plan = PartitionPlan(
         tuple(tuple(int(i) for i in chunk) for chunk in chunks),
         FEATURE_SHIFT_MARKER,
         seed,
     )
-    return plan, transforms
+    eval_data = Dataset(np.concatenate(eval_feats), test.labels, test.num_classes)
+    return plan, tuple(clients), eval_data
 
 
 # ---------------------------------------------------------------------------

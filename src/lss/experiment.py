@@ -8,12 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import ConfigError, ExperimentConfig
 from .data import (
     Dataset,
-    FeatureTransform,
     PartitionPlan,
     dirichlet_partition,
     feature_shift_partition,
@@ -42,7 +39,6 @@ class ExperimentResult:
     clients: tuple[ClientState, ...]
     eval_data: Dataset
     plan: PartitionPlan
-    transforms: tuple[FeatureTransform, ...] | None
     last_round_client_models: tuple[ParamVector, ...]
 
 
@@ -100,14 +96,32 @@ def split_experiment_data(
     ):
         if n == 0:
             raise ConfigError(key, f"leaves the {name} split empty ({counts})")
+    if cfg.num_clients > n_train:
+        raise ConfigError("experiment.num_clients", f"exceeds the {n_train} training samples")
     return split_dataset(base, fractions, derive_seed(cfg.master_seed, "split"))
+
+
+def partition_clients(
+    cfg: ExperimentConfig, train: Dataset, test: Dataset
+) -> tuple[PartitionPlan, tuple[ClientState, ...], Dataset]:
+    """The run's partition plan, its clients, and the set each round scores.
+
+    Under label shift that set is ``test`` itself; under feature shift it
+    is ``test`` mapped into the client domains (``feature_shift_partition``).
+    """
+    seed = derive_seed(cfg.master_seed, "partition")
+    if cfg.partition.mode == "dirichlet":
+        plan = dirichlet_partition(train, cfg.num_clients, cfg.partition.alpha, seed)
+        datasets = tuple(train.subset(ids) for ids in plan.client_indices)
+        eval_data = test
+    else:
+        plan, datasets, eval_data = feature_shift_partition(train, test, cfg.num_clients, seed)
+    return plan, tuple(ClientState(cid, d) for cid, d in enumerate(datasets)), eval_data
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     base = build_dataset(cfg)
     train, val, test = split_experiment_data(cfg, base)
-    if cfg.num_clients > train.n:
-        raise ConfigError("experiment.num_clients", f"exceeds the {train.n} training samples")
     spec = build_model_spec(cfg, base)
 
     # Warm-up data: blobs on a disjoint seed (shared geometry, fresh noise) or
@@ -121,36 +135,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         batch_size=cfg.local.batch_size,
     )
 
-    transforms: tuple[FeatureTransform, ...] | None = None
-    if cfg.partition.mode == "dirichlet":
-        plan = dirichlet_partition(
-            train,
-            cfg.num_clients,
-            cfg.partition.alpha,
-            derive_seed(cfg.master_seed, "partition"),
-        )
-        clients = tuple(
-            ClientState(cid, train.subset(ids))
-            for cid, ids in enumerate(plan.client_indices)
-        )
-        eval_data = test
-    else:
-        plan, tf_list = feature_shift_partition(
-            train, cfg.num_clients, derive_seed(cfg.master_seed, "partition")
-        )
-        transforms = tuple(tf_list)
-        clients = tuple(
-            ClientState(cid, transforms[cid].apply_dataset(train.subset(ids)))
-            for cid, ids in enumerate(plan.client_indices)
-        )
-        # Global test distribution is the mixture of client domains: chunk
-        # the test split and push each chunk through one client's transform.
-        chunks = np.array_split(np.arange(test.n), cfg.num_clients)
-        feats = np.concatenate(
-            [transforms[cid].apply(test.features[chunk]) for cid, chunk in enumerate(chunks)]
-        )
-        labels = np.concatenate([test.labels[chunk] for chunk in chunks])
-        eval_data = Dataset(feats, labels, test.num_classes)
+    plan, clients, eval_data = partition_clients(cfg, train, test)
 
     model = anchor
     records: list[RoundRecord] = []
@@ -170,6 +155,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         clients=clients,
         eval_data=eval_data,
         plan=plan,
-        transforms=transforms,
         last_round_client_models=tuple(finals),
     )

@@ -218,6 +218,15 @@ class TestEval:
         assert main(args) == 1
         assert "data.test_fraction" in capsys.readouterr().err
 
+    def test_eval_rejects_more_clients_than_train_samples(self, tmp_path, capsys):
+        cfg = write_smoke(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        ckpt = tmp_path / "run1" / "final.lssw"
+        args = ["eval", str(ckpt), "--config", str(cfg), "--set", "experiment.num_clients=200"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "experiment.num_clients" in err and "training samples" in err
+
     def test_eval_rejects_mismatched_model(self, tmp_path, capsys):
         cfg = write_smoke(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -232,6 +241,20 @@ class TestEval:
             "checkpoint layers [(4, 2), (2, 3)] do not match the config model's "
             "[(4, 2), (2, 1), (1, 3)]"
         ) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "feature_shift"])
+    def test_eval_test_split_scores_the_set_the_run_scored(self, tmp_path, capsys, mode):
+        cfg = write_smoke(tmp_path)
+        sets = ["--set", f"partition.mode={mode}", "--set", "model.hidden_dims=[6]"]
+        assert main(["run", str(cfg), *sets]) == 0
+        last = (tmp_path / "run1" / "rounds.csv").read_text().splitlines()[-1].split(",")
+        capsys.readouterr()
+        ckpt = tmp_path / "run1" / "final.lssw"
+        assert main(["eval", str(ckpt), "--config", str(cfg), *sets]) == 0
+        out = capsys.readouterr().out
+        assert f"accuracy: {float(last[1]):.6f}\n" in out
+        assert f"loss: {float(last[2]):.6f}\n" in out
 
 
 class TestIdxSource:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lss.data import (
     Dataset,
-    FeatureTransform,
     PartitionPlan,
+    _random_rotation,
     class_center,
     dirichlet_partition,
     feature_shift_partition,
@@ -178,27 +178,26 @@ class TestDirichletPartition:
 
 
 class TestFeatureShiftPartition:
-    def test_identity_policy_preserves_data(self):
-        data = gen_blobs(3, 30, 6, 0.5, seed=6)
-        plan, transforms = feature_shift_partition(
-            data, 1, seed=0, max_angle=0.0, scale_range=(1.0, 1.0)
-        )
-        client = transforms[0].apply_dataset(data.subset(plan.client_indices[0]))
-        np.testing.assert_allclose(
-            client.features, data.features[np.array(plan.client_indices[0])], atol=1e-12
-        )
-
-    def test_transforms_are_invertible(self):
-        data = gen_blobs(3, 30, 6, 0.5, seed=6)
-        _, transforms = feature_shift_partition(data, 4, seed=1)
-        x = data.features[:10]
-        for tf in transforms:
-            back = tf.inverse().apply(tf.apply(x))
-            np.testing.assert_allclose(back, x, atol=1e-9)
+    def test_clients_and_eval_set_share_one_map_per_client(self):
+        train = gen_blobs(3, 40, 6, 0.5, seed=6)
+        test = gen_blobs(3, 10, 6, 0.5, seed=9)
+        plan, clients, eval_data = feature_shift_partition(train, test, 4, seed=1)
+        assert len(clients) == plan.num_clients == 4
+        test_chunks = np.array_split(np.arange(test.n), 4)
+        for ids, client, chunk in zip(plan.client_indices, clients, test_chunks):
+            rows = train.features[np.array(ids)]
+            m_t, *_ = np.linalg.lstsq(rows, client.features, rcond=None)
+            np.testing.assert_allclose(rows @ m_t, client.features, atol=1e-10)
+            assert np.linalg.cond(m_t) <= 1.25 / 0.8 * (1 + 1e-9)
+            assert np.array_equal(client.labels, train.labels[np.array(ids)])
+            np.testing.assert_allclose(
+                eval_data.features[chunk], test.features[chunk] @ m_t, atol=1e-10
+            )
+        assert np.array_equal(eval_data.labels, test.labels)
 
     def test_iid_split_label_marginals(self):
         data = gen_blobs(10, 200, 4, 0.5, seed=7)
-        plan, _ = feature_shift_partition(data, 5, seed=2)
+        plan, _, _ = feature_shift_partition(data, data, 5, seed=2)
         global_marginal = data.label_marginal()
         for ids in plan.client_indices:
             marginal = data.subset(ids).label_marginal()
@@ -206,16 +205,12 @@ class TestFeatureShiftPartition:
 
     def test_marker_alpha(self):
         data = gen_blobs(2, 10, 3, 0.5, seed=8)
-        plan, _ = feature_shift_partition(data, 2, seed=3)
+        plan, _, _ = feature_shift_partition(data, data, 2, seed=3)
         assert plan.alpha == "feature-shift"
 
     def test_rotation_is_orthogonal(self):
-        data = gen_blobs(2, 10, 7, 0.5, seed=8)
-        _, transforms = feature_shift_partition(
-            data, 3, seed=4, scale_range=(1.0, 1.0)
-        )
-        for tf in transforms:
-            np.testing.assert_allclose(tf.matrix @ tf.matrix.T, np.eye(7), atol=1e-12)
+        rot = _random_rotation(7, np.pi / 4, np.random.default_rng(4))
+        np.testing.assert_allclose(rot @ rot.T, np.eye(7), atol=1e-12)
 
 
 def _write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, image_magic=0x803, label_magic=0x801, label_count=None):

@@ -268,8 +268,7 @@ class TestRunExperiment:
             **{**cfg.__dict__, "partition": PartitionConfig(mode="feature_shift", alpha=1.0)}
         )
         result = run_experiment(cfg)
-        assert result.transforms is not None
-        assert len(result.transforms) == 2
+        assert len(result.clients) == 2
         assert result.plan.alpha == "feature-shift"
 
     def test_clients_partition_the_train_split(self):
