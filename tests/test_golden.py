@@ -2,23 +2,35 @@
 CSVs byte for byte.  Catches any silent change to the RNG plumbing, seed
 derivation, float formatting, or training order.  One run is label-shift
 LSS on a softmax model; the other is FedProx with one hidden layer on
-feature-shift clients, scored on the mixture of their domains."""
+feature-shift clients, scored on the mixture of their domains.
 
+The same two runs with every diagnostic on reproduce their archived
+``diagnostics.txt`` (less the wall-clock ``round_times_s`` line), which pins
+the zeta, sigma, Hessian and BVCL estimators to the bit.  Like the CSVs,
+these files were written once and are never regenerated: a mismatch is a
+change of behaviour, not a stale file."""
+
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from lss.cli import main
 from lss.config import (
     AnalysisConfig,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
+    serialize_config,
 )
 from lss.experiment import run_experiment
 from lss.federation import write_rounds_csv
 from lss.local_training import LocalConfig
 
-GOLDEN = Path(__file__).parent / "data" / "reference_rounds.csv"
-GOLDEN_FEATURE_SHIFT = Path(__file__).parent / "data" / "reference_rounds_feature_shift.csv"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "reference_rounds.csv"
+GOLDEN_FEATURE_SHIFT = DATA / "reference_rounds_feature_shift.csv"
 
 
 def reference_config():
@@ -60,3 +72,26 @@ def test_feature_shift_experiment_matches_archived_csv(tmp_path):
     out = tmp_path / "rounds.csv"
     write_rounds_csv(result.records, out)
     assert out.read_bytes() == GOLDEN_FEATURE_SHIFT.read_bytes()
+
+
+ALL_DIAGNOSTICS = AnalysisConfig(
+    zeta=True, sigma=True, hessian=True, hessian_iters=20, bvcl=True
+)
+
+
+@pytest.mark.parametrize(
+    "make_config, golden",
+    [
+        (reference_config, DATA / "reference_diagnostics.txt"),
+        (feature_shift_config, DATA / "reference_diagnostics_feature_shift.txt"),
+    ],
+)
+def test_reference_diagnostics_match_archived_file(tmp_path, make_config, golden):
+    out = tmp_path / "run"
+    cfg = replace(make_config(), output_dir=str(out), analysis=ALL_DIAGNOSTICS)
+    config_file = tmp_path / "config.yaml"
+    config_file.write_text(serialize_config(cfg), encoding="utf-8")
+    assert main(["run", str(config_file)]) == 0
+    lines = (out / "diagnostics.txt").read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.startswith(b"round_times_s:"))
+    assert kept == golden.read_bytes()
