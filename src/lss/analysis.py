@@ -5,7 +5,9 @@ local objectives, the matching learning-rate choice, and the ceiling on
 local steps under a fixed gradient-computation budget.  The empirical side
 estimates the constants those formulas consume (gradient noise, local/
 global gradient gap) and probes landscape sharpness via finite-difference
-Hessian-vector products.
+Hessian-vector products.  The sigma and Hessian estimators run the
+training kernel (``model._backprop``) on fixed buffers, checking their
+inputs once per call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,15 @@ import numpy as np
 
 from .data import Dataset
 from .federation import data_proportional_weights
-from .model import MlpSpec, loss_and_grad, predict_proba
+from .model import (
+    MlpSpec,
+    _backprop,
+    _check_data,
+    _check_params,
+    _unpack,
+    loss_and_grad,
+    predict_proba,
+)
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 
@@ -126,6 +136,17 @@ def max_local_steps(p: TheoryParams) -> float:
     )
 
 
+def _check_finite(arr: np.ndarray) -> np.ndarray:
+    # A finite dot product proves every entry finite at a fraction of the
+    # cost of the entrywise scan, which then runs only on an overflow.
+    if not math.isfinite(arr.dot(arr)) and not np.isfinite(arr).all():
+        raise ValueError("diagnostic produced non-finite entries")
+    return arr
+
+
+# Diverged weights overflow in the kernel; its outputs are checked, so
+# numpy's own warnings would only repeat the error raised here.
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_zeta(
     params: ParamVector,
     spec: MlpSpec,
@@ -144,6 +165,7 @@ def estimate_zeta(
     return max(gaps)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_sigma(
     params: ParamVector,
     spec: MlpSpec,
@@ -155,15 +177,24 @@ def estimate_sigma(
     """Root-mean-square minibatch gradient noise around the full gradient."""
     if num_draws < 2:
         raise ValueError(f"num_draws must be >= 2, got {num_draws}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_params(params, spec)
+    _check_data(client_data, spec)
     if batch_size >= client_data.n:
         return 0.0
-    full_grad = loss_and_grad(params, spec, client_data)[1].values
+    weights = _unpack(params.values, spec)
+    full_grad, grad = np.empty(params.dim), np.empty(params.dim)
+    features, labels = client_data.features, client_data.labels
+    _backprop(weights, _unpack(full_grad, spec), spec, features, labels)
+    _check_finite(full_grad)
+    grads = _unpack(grad, spec)
     rng = np.random.default_rng(seed)
     acc = 0.0
     for _ in range(num_draws):
-        batch = client_data.subset(rng.choice(client_data.n, size=batch_size, replace=False))
-        g = loss_and_grad(params, spec, batch)[1].values
-        diff = g - full_grad
+        rows = rng.choice(client_data.n, size=batch_size, replace=False)
+        _backprop(weights, grads, spec, features[rows], labels[rows])
+        diff = np.subtract(_check_finite(grad), full_grad, out=grad)
         acc += float(np.dot(diff, diff))
     return math.sqrt(acc / num_draws)
 
@@ -267,6 +298,7 @@ def top_hessian_eigenvalue_from_grad(
     raise RuntimeError("power iteration degenerate: Hessian-vector product vanished")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hessian_top_eig(
     params: ParamVector,
     spec: MlpSpec,
@@ -278,14 +310,23 @@ def hessian_top_eig(
     """Median over dataset batches of the dominant Hessian eigenvalue."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _check_params(params, spec)
+    _check_data(data, spec)
+    x, grad = np.empty(params.dim), np.empty(params.dim)
+    weights, grads = _unpack(x, spec), _unpack(grad, spec)
     rng = np.random.default_rng(seed)
     n_batches = max(1, math.ceil(data.n / batch_size))
     eigs = []
     for chunk in np.array_split(rng.permutation(data.n), n_batches):
-        batch = data.subset(chunk)
+        features, labels = data.features[chunk], data.labels[chunk]
 
-        def grad_fn(x: np.ndarray) -> np.ndarray:
-            return loss_and_grad(ParamVector(x), spec, batch)[1].values
+        def grad_fn(point: np.ndarray) -> np.ndarray:
+            np.copyto(x, _check_finite(point))
+            _backprop(weights, grads, spec, features, labels)
+            # A copy: ``_fd_hvp`` holds one gradient while taking the next.
+            return _check_finite(grad).copy()
 
         eigs.append(
             top_hessian_eigenvalue_from_grad(grad_fn, params.values, iters, rng)

@@ -133,17 +133,18 @@ def predict_proba(
 
 def _backprop(
     layers: Layers, grads: Layers, spec: MlpSpec, features: np.ndarray, labels: np.ndarray
-) -> float:
-    """Mean cross-entropy at the weights viewed by ``layers``; writes its
-    gradient into the views ``grads``.  Inputs are not checked."""
+) -> np.ndarray:
+    """Writes the gradient of the mean cross-entropy at the weights viewed by
+    ``layers`` into the views ``grads`` and returns the log-probabilities,
+    shape (n, num_classes).  Inputs are not checked."""
     n = labels.shape[0]
     rows = np.arange(n)
     out, acts, pre = _forward(layers, spec, features)
 
-    shifted = out - out.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    loss = float(-log_probs[rows, labels].mean())
+    # Called as ufunc reductions: the ``max``/``sum`` wrappers cost more than
+    # the reduction itself at these sizes, and give the same bits.
+    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
     # dL/dlogits = (softmax - onehot) / n
     dlogits = np.exp(log_probs)
@@ -154,14 +155,14 @@ def _backprop(
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
         np.matmul(acts[idx].T, delta, out=gw)
-        np.sum(delta, axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if idx > 0:
             da = delta @ layers[idx][0].T
             if spec.activation == "relu":
                 delta = da * (pre[idx - 1] > 0.0)
             else:  # acts[idx] is tanh of the pre-activation
                 delta = da * (1.0 - acts[idx] ** 2)
-    return loss
+    return log_probs
 
 
 def loss_and_grad(
@@ -172,7 +173,8 @@ def loss_and_grad(
     _check_data(data, spec)
     flat_grad = np.empty(params.dim, dtype=np.float64)
     layers, grads = _unpack(params.values, spec), _unpack(flat_grad, spec)
-    loss = _backprop(layers, grads, spec, data.features, data.labels)
+    log_probs = _backprop(layers, grads, spec, data.features, data.labels)
+    loss = float(-log_probs[np.arange(data.n), data.labels].mean())
     return loss, ParamVector._wrap(flat_grad)
 
 
