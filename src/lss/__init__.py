@@ -48,7 +48,7 @@ from .local_training import (
     lss_regularized_grad,
     sample_interp_coeffs,
 )
-from .model import MlpSpec, accuracy, init_params, loss_and_grad
+from .model import MlpSpec, accuracy, evaluate, init_params, loss_and_grad
 from .params import (
     ParamVector,
     axpy,

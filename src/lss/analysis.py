@@ -220,9 +220,7 @@ def bvcl_diagnostics(
     n_models = len(models)
     if n_models < 2:
         raise ValueError(f"bvcl_diagnostics needs >= 2 models, got {n_models}")
-    preds = np.stack(
-        [predict_proba(m, spec, test_data.features) for m in models]
-    )  # (N, points, classes)
+    preds = np.stack([predict_proba(m, spec, test_data) for m in models])  # (N, points, classes)
     dev = preds - preds.mean(axis=0, keepdims=True)
     sq = np.sum(dev * dev, axis=0)  # per (point, class)
     variance = float(np.mean(sq / n_models))

@@ -40,7 +40,7 @@ from .experiment import (
     split_experiment_data,
 )
 from .federation import derive_seed, write_rounds_csv
-from .model import accuracy, loss_and_grad
+from .model import evaluate
 from .params import l2_distance, load_checkpoint, save_checkpoint
 
 
@@ -135,21 +135,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = []  # (dotted key, values); every key is checked before any cell runs
+    grid = {}  # dotted key -> values; every key is checked before any cell runs
     for item in args.grid:
         key, sep, values = item.partition("=")
+        key = key.strip()
         if not sep or not values:
             raise ConfigError(item, "grid entry must look like section.key=v1,v2")
-        check_key(key.strip())
-        grid.append((key.strip(), values.split(",")))
+        check_key(key)
+        if key in grid or key == "output.dir":
+            why = "is given twice" if key in grid else "names each cell's directory"
+            raise ConfigError(key, f"cannot be a grid axis: it {why}")
+        grid[key] = values.split(",")
     # The base config must be valid on its own; it also names the sweep root.
     sweep_root = Path(parse_config(args.config, args.set).output_dir)
 
-    keys = [k for k, _ in grid]
+    keys = list(grid)
     rows = []
-    for cell_idx, combo in enumerate(itertools.product(*(v for _, v in grid))):
+    for cell_idx, combo in enumerate(itertools.product(*grid.values())):
         cell_overrides = [f"{k}={v}" for k, v in zip(keys, combo)]
-        label = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo))
+        # one directory per cell: a "/" in a value must not nest it
+        label = "_".join(f"{k.split('.')[-1]}={v.replace('/', '_')}" for k, v in zip(keys, combo))
         cell_name = f"cell_{cell_idx:03d}_{label}"
         status, final_acc = "ok", ""
         try:
@@ -188,11 +193,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         # of the client domains rather than the raw test rows
         _, _, test = partition_clients(cfg, train, test)
     data = {"train": train, "val": val, "test": test}[args.split]
-    acc = accuracy(params, spec, data)
-    loss, _ = loss_and_grad(params, spec, data)
-    print(f"split: {args.split}")
-    print(f"accuracy: {acc:.6f}")
-    print(f"loss: {loss:.6f}")
+    acc, loss = evaluate(params, spec, data)
+    print(f"split: {args.split}\naccuracy: {acc:.6f}\nloss: {loss:.6f}")
     return 0
 
 

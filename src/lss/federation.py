@@ -21,7 +21,7 @@ import numpy as np
 from .config import STRATEGIES, LocalConfig
 from .data import Dataset
 from .local_training import fedprox_local_train, lss_local_train
-from .model import MlpSpec, accuracy, init_params, loss_and_grad
+from .model import MlpSpec, accuracy, evaluate, init_params
 from .params import ParamVector, l2_distance, weighted_average
 
 CSV_HEADER = "round,global_acc,global_loss,client_accs,update_norms,wall_time_s"
@@ -162,8 +162,7 @@ def run_round(
         finals.append(final)
 
     new_global = weighted_average(finals, data_proportional_weights([c.data for c in clients]))
-    global_acc = accuracy(new_global, spec, eval_data)
-    global_loss, _ = loss_and_grad(new_global, spec, eval_data)
+    global_acc, global_loss = evaluate(new_global, spec, eval_data)
     client_accs = tuple(accuracy(f, spec, eval_data) for f in finals)
     norms = tuple(l2_distance(f, global_model) for f in finals)
     record = RoundRecord(

@@ -114,21 +114,28 @@ def _forward(
     return pre[-1], acts, pre
 
 
-def logits(params: ParamVector, spec: MlpSpec, features: np.ndarray) -> np.ndarray:
+def _logits(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
     _check_params(params, spec)
-    features = np.asarray(features, dtype=np.float64)
-    out, _, _ = _forward(_unpack(params.values, spec), spec, features)
-    return out
+    _check_data(data, spec)
+    return _forward(_unpack(params.values, spec), spec, data.features)[0]
 
 
-def predict_proba(
-    params: ParamVector, spec: MlpSpec, features: np.ndarray
-) -> np.ndarray:
+def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
     """Softmax class probabilities, shape (n, num_classes)."""
-    z = logits(params, spec, features)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
+    z = _logits(params, spec, data)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _log_softmax(out: np.ndarray) -> np.ndarray:
+    # Called as ufunc reductions: the ``max``/``sum`` wrappers cost more than
+    # the reduction itself at these sizes, and give the same bits.
+    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+
+def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    return float(-log_probs[np.arange(labels.shape[0]), labels].mean())
 
 
 def _backprop(
@@ -138,17 +145,12 @@ def _backprop(
     ``layers`` into the views ``grads`` and returns the log-probabilities,
     shape (n, num_classes).  Inputs are not checked."""
     n = labels.shape[0]
-    rows = np.arange(n)
     out, acts, pre = _forward(layers, spec, features)
-
-    # Called as ufunc reductions: the ``max``/``sum`` wrappers cost more than
-    # the reduction itself at these sizes, and give the same bits.
-    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    log_probs = _log_softmax(out)
 
     # dL/dlogits = (softmax - onehot) / n
     dlogits = np.exp(log_probs)
-    dlogits[rows, labels] -= 1.0
+    dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
 
     delta = dlogits
@@ -174,14 +176,18 @@ def loss_and_grad(
     flat_grad = np.empty(params.dim, dtype=np.float64)
     layers, grads = _unpack(params.values, spec), _unpack(flat_grad, spec)
     log_probs = _backprop(layers, grads, spec, data.features, data.labels)
-    loss = float(-log_probs[np.arange(data.n), data.labels].mean())
-    return loss, ParamVector._wrap(flat_grad)
+    return _mean_nll(log_probs, data.labels), ParamVector._wrap(flat_grad)
 
 
 def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class index."""
-    _check_params(params, spec)
-    _check_data(data, spec)
-    out, _, _ = _forward(_unpack(params.values, spec), spec, data.features)
-    preds = np.argmax(out, axis=1)  # argmax returns the first (lowest) max index
+    preds = np.argmax(_logits(params, spec, data), axis=1)  # the first max index
     return float(np.mean(preds == data.labels))
+
+
+def evaluate(params: ParamVector, spec: MlpSpec, data: Dataset) -> tuple[float, float]:
+    """``(accuracy, loss)`` from one forward pass, bit for bit the values of
+    ``accuracy`` and of ``loss_and_grad``'s loss, without the backward pass."""
+    out = _logits(params, spec, data)
+    acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
+    return acc, _mean_nll(_log_softmax(out), data.labels)

@@ -324,6 +324,13 @@ class TestBvcl:
         assert perm.covariance == pytest.approx(ref.covariance, abs=1e-12)
         assert perm.locality == pytest.approx(ref.locality, abs=1e-12)
 
+    def test_eval_set_is_checked_against_the_spec(self):
+        spec = MlpSpec(input_dim=4, hidden_dims=(), num_classes=3)
+        models = [init_params(spec, s) for s in (0, 1)]
+        wide = gen_blobs(3, 10, 6, 0.8, seed=4)
+        with pytest.raises(ValueError, match="^dataset has 6 features, spec expects 4$"):
+            bvcl_diagnostics(models, spec, wide)
+
     def test_needs_two_models(self):
         spec, models, data = self._models(1)
         with pytest.raises(ValueError):

@@ -243,6 +243,21 @@ class TestEval:
         ) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "split, accuracy, loss",
+        [("test", "0.733333", "0.727471"), ("val", "0.733333", "0.741201")],
+    )
+    def test_eval_of_the_golden_checkpoint_prints_its_archived_lines(
+        self, tmp_path, capsys, split, accuracy, loss
+    ):
+        cfg = tmp_path / "golden.yaml"
+        cfg.write_text(GOLDEN.replace("OUTDIR", str(tmp_path / "out")))
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "out" / "final.lssw"
+        assert main(["eval", str(ckpt), "--config", str(cfg), "--split", split]) == 0
+        assert capsys.readouterr().out == f"split: {split}\naccuracy: {accuracy}\nloss: {loss}\n"
+
     @pytest.mark.parametrize("mode", ["dirichlet", "feature_shift"])
     def test_eval_test_split_scores_the_set_the_run_scored(self, tmp_path, capsys, mode):
         cfg = write_smoke(tmp_path)
@@ -395,6 +410,38 @@ class TestSweep:
         assert err == run_err and err.count("\n") == 1 and err.startswith("error: ")
         assert out == ""
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["local.tau=1,2", " local.tau =3"], "local.tau: cannot be a grid axis: it is given twice"),
+            (["output.dir=a,b"], "output.dir: cannot be a grid axis: it names each cell's directory"),
+        ],
+        ids=["repeated-key", "output-dir"],
+    )
+    def test_grid_axis_that_cells_would_not_run_exits_before_any_cell(
+        self, tmp_path, capsys, grid, message
+    ):
+        cfg = write_smoke(tmp_path, out_name="never")
+        argv = ["sweep", str(cfg)]
+        for axis in grid:
+            argv += ["-g", axis]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_slash_in_a_value_keeps_each_cell_one_directory(self, tmp_path):
+        # blobs data ignores images_path, so both cells run
+        cfg = write_smoke(tmp_path, out_name="sweep")
+        assert main(["sweep", str(cfg), "-g", "data.images_path=x/a,/x/b"]) == 0
+        root = tmp_path / "sweep"
+        cells = ["cell_000_images_path=x_a", "cell_001_images_path=_x_b"]
+        assert sorted(p.name for p in root.iterdir()) == [*cells, "summary.csv"]
+        for cell, value in zip(cells, ["x/a", "/x/b"]):
+            snapshot = yaml.safe_load((root / cell / "config.yaml").read_text())
+            assert snapshot["data"]["images_path"] == value
+        rows = (root / "summary.csv").read_text().splitlines()
+        assert [r.split(",")[:2] for r in rows[1:]] == [[cells[0], "x/a"], [cells[1], "/x/b"]]
 
     def test_sweep_requires_a_grid(self, tmp_path):
         cfg = write_smoke(tmp_path, out_name="never")

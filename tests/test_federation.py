@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lss.federation as federation
+import lss.model as model
 from lss.config import (
     AnalysisConfig,
     DataConfig,
@@ -25,7 +26,7 @@ from lss.federation import (
     write_rounds_csv,
 )
 from lss.local_training import LocalConfig, fedprox_local_train, lss_local_train
-from lss.model import MlpSpec, accuracy, init_params
+from lss.model import MlpSpec, accuracy, evaluate, init_params
 from lss.params import ParamVector
 
 
@@ -130,6 +131,24 @@ class TestRunRound:
         )
         np.testing.assert_allclose(new_global.values, 2.5, rtol=1e-15)
         assert len(record.per_client_pre_agg_accuracy) == 2
+
+    @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
+    def test_scoring_runs_no_backward_pass(self, fed_setup, monkeypatch, strategy):
+        # Training calls ``_backprop`` by its own imported name, so the
+        # counter sees only calls made through ``lss.model``: the scoring's.
+        spec, anchor, clients, test = fed_setup
+        calls = []
+        backprop = model._backprop
+        monkeypatch.setattr(model, "_backprop", lambda *a: (calls.append(a), backprop(*a))[1])
+        local = LocalConfig(eta=0.05, tau=3, batch_size=32)
+        new_global, record, finals = run_round(anchor, clients, spec, local, strategy, 1, 7, test)
+        assert calls == []
+        assert (record.global_test_accuracy, record.global_test_loss) == evaluate(
+            new_global, spec, test
+        )
+        assert record.per_client_pre_agg_accuracy == tuple(
+            accuracy(f, spec, test) for f in finals
+        )
 
     def test_client_order_invariance(self, fed_setup):
         spec, anchor, clients, test = fed_setup

@@ -8,7 +8,9 @@ The same two runs with every diagnostic on reproduce their archived
 ``diagnostics.txt`` (less the wall-clock ``round_times_s`` line), which pins
 the zeta, sigma, Hessian and BVCL estimators to the bit.  Like the CSVs,
 these files were written once and are never regenerated: a mismatch is a
-change of behaviour, not a stale file."""
+change of behaviour, not a stale file.  They hold on x86-64 with AVX-512
+(OpenBLAS ``SkylakeX``, numpy ``X86_V4``); each failure names the first
+differing line and the numeric stack it ran on (``fingerprint.py``)."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +29,7 @@ from lss.config import (
 from lss.experiment import run_experiment
 from lss.federation import write_rounds_csv
 from lss.local_training import LocalConfig
+from fingerprint import first_difference
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "reference_rounds.csv"
@@ -52,7 +55,8 @@ def test_reference_experiment_matches_archived_csv(tmp_path):
     result = run_experiment(reference_config())
     out = tmp_path / "rounds.csv"
     write_rounds_csv(result.records, out)
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    actual, expected = out.read_bytes(), GOLDEN.read_bytes()
+    assert actual == expected, first_difference(actual, expected)
 
 
 def feature_shift_config():
@@ -71,7 +75,8 @@ def test_feature_shift_experiment_matches_archived_csv(tmp_path):
     result = run_experiment(feature_shift_config())
     out = tmp_path / "rounds.csv"
     write_rounds_csv(result.records, out)
-    assert out.read_bytes() == GOLDEN_FEATURE_SHIFT.read_bytes()
+    actual, expected = out.read_bytes(), GOLDEN_FEATURE_SHIFT.read_bytes()
+    assert actual == expected, first_difference(actual, expected)
 
 
 ALL_DIAGNOSTICS = AnalysisConfig(
@@ -94,4 +99,5 @@ def test_reference_diagnostics_match_archived_file(tmp_path, make_config, golden
     assert main(["run", str(config_file)]) == 0
     lines = (out / "diagnostics.txt").read_bytes().splitlines(keepends=True)
     kept = b"".join(line for line in lines if not line.startswith(b"round_times_s:"))
-    assert kept == golden.read_bytes()
+    expected = golden.read_bytes()
+    assert kept == expected, first_difference(kept, expected)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
-from lss.model import MlpSpec, accuracy, init_params, logits, loss_and_grad
+from lss.model import MlpSpec, accuracy, evaluate, init_params, loss_and_grad, predict_proba
 from lss.params import ParamVector
 
 
@@ -132,7 +132,7 @@ class TestLossAndGrad:
         loss, _ = loss_and_grad(ParamVector(np.zeros(spec.param_count())), spec, data)
         assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
-    @pytest.mark.parametrize("fn", [loss_and_grad, accuracy])
+    @pytest.mark.parametrize("fn", [loss_and_grad, accuracy, evaluate, predict_proba])
     def test_every_entry_point_checks_the_dataset(self, fn):
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=2)
         params = ParamVector(np.zeros(spec.param_count()))
@@ -166,6 +166,34 @@ class TestAccuracy:
         # logits = [2x, -2x]: positive x -> class 0
         params = ParamVector(np.array([2.0, -2.0, 0.0, 0.0]))
         batch = Dataset(np.array([[3.0], [-2.0]]), np.array([0, 1]), 2)
-        out = logits(params, spec, batch.features)
-        np.testing.assert_allclose(out, [[6.0, -6.0], [-4.0, 4.0]])
+        # a two-class softmax is the logistic function of the logit gap
+        gap = np.array([12.0, -8.0])
+        expected = np.column_stack([1.0 / (1.0 + np.exp(-gap)), 1.0 / (1.0 + np.exp(gap))])
+        np.testing.assert_allclose(predict_proba(params, spec, batch), expected, rtol=1e-12)
         assert accuracy(params, spec, batch) == 1.0
+
+
+class TestEvaluate:
+    SPECS = [
+        MlpSpec(input_dim=5, hidden_dims=(), num_classes=4),
+        MlpSpec(input_dim=5, hidden_dims=(6, 3), num_classes=4, activation="relu"),
+        MlpSpec(input_dim=5, hidden_dims=(6,), num_classes=4, activation="tanh"),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["softmax", "relu-mlp", "tanh-mlp"])
+    @pytest.mark.parametrize("zero_output_layer", [False, True], ids=["random", "all-tie"])
+    def test_is_accuracy_and_the_loss_of_loss_and_grad_to_the_bit(self, spec, zero_output_layer):
+        rng = np.random.default_rng(11)
+        flat = perturbed(init_params(spec, 3), rng, 0.5).values.copy()
+        if zero_output_layer:
+            # every logit is exactly 0: every row is an argmax tie, which
+            # goes to class 0, and the loss is log(num_classes)
+            fan_in = (spec.hidden_dims or (spec.input_dim,))[-1]
+            flat[-(fan_in + 1) * spec.num_classes :] = 0.0
+        params = ParamVector(flat)
+        batch = random_batch(rng, spec, 40)
+        acc, loss = evaluate(params, spec, batch)
+        assert (acc, loss) == (accuracy(params, spec, batch), loss_and_grad(params, spec, batch)[0])
+        if zero_output_layer:
+            assert acc == np.mean(batch.labels == 0)
+            assert loss == pytest.approx(np.log(spec.num_classes), abs=1e-12)
