@@ -6,7 +6,7 @@ local steps under a fixed gradient-computation budget.  The empirical side
 estimates the constants those formulas consume (gradient noise, local/
 global gradient gap) and probes landscape sharpness via finite-difference
 Hessian-vector products.  The sigma and Hessian estimators run the
-training kernel (``model._backprop``) on fixed buffers, checking their
+training kernel (``model.Kernel``) on its fixed buffers, checking their
 inputs once per call.
 """
 
@@ -20,15 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .federation import data_proportional_weights
-from .model import (
-    MlpSpec,
-    _backprop,
-    _check_data,
-    _check_params,
-    _unpack,
-    loss_and_grad,
-    predict_proba,
-)
+from .model import Kernel, MlpSpec, loss_and_grad, predict_proba
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 
@@ -179,21 +171,17 @@ def estimate_sigma(
         raise ValueError(f"num_draws must be >= 2, got {num_draws}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    _check_params(params, spec)
-    _check_data(client_data, spec)
+    kernel = Kernel(spec, client_data, params.values)
     if batch_size >= client_data.n:
         return 0.0
-    weights = _unpack(params.values, spec)
-    full_grad, grad = np.empty(params.dim), np.empty(params.dim)
     features, labels = client_data.features, client_data.labels
-    _backprop(weights, _unpack(full_grad, spec), spec, features, labels)
-    _check_finite(full_grad)
-    grads = _unpack(grad, spec)
+    kernel(features, labels)
+    full_grad, grad = _check_finite(kernel.grad).copy(), kernel.grad
     rng = np.random.default_rng(seed)
     acc = 0.0
     for _ in range(num_draws):
         rows = rng.choice(client_data.n, size=batch_size, replace=False)
-        _backprop(weights, grads, spec, features[rows], labels[rows])
+        kernel(features[rows], labels[rows])
         diff = np.subtract(_check_finite(grad), full_grad, out=grad)
         acc += float(np.dot(diff, diff))
     return math.sqrt(acc / num_draws)
@@ -310,10 +298,7 @@ def hessian_top_eig(
         raise ValueError(f"iters must be >= 1, got {iters}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    _check_params(params, spec)
-    _check_data(data, spec)
-    x, grad = np.empty(params.dim), np.empty(params.dim)
-    weights, grads = _unpack(x, spec), _unpack(grad, spec)
+    kernel = Kernel(spec, data, params.values.copy())
     rng = np.random.default_rng(seed)
     n_batches = max(1, math.ceil(data.n / batch_size))
     eigs = []
@@ -321,10 +306,10 @@ def hessian_top_eig(
         features, labels = data.features[chunk], data.labels[chunk]
 
         def grad_fn(point: np.ndarray) -> np.ndarray:
-            np.copyto(x, _check_finite(point))
-            _backprop(weights, grads, spec, features, labels)
+            np.copyto(kernel.x, _check_finite(point))
+            kernel(features, labels)
             # A copy: ``_fd_hvp`` holds one gradient while taking the next.
-            return _check_finite(grad).copy()
+            return _check_finite(kernel.grad).copy()
 
         eigs.append(
             top_hessian_eigenvalue_from_grad(grad_fn, params.values, iters, rng)

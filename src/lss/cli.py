@@ -81,7 +81,7 @@ def _collect_diagnostics(cfg: ExperimentConfig, result: ExperimentResult) -> dic
             derive_seed(cfg.master_seed, "hessian"),
             batch_size=cfg.local.batch_size,
         )
-    if cfg.analysis.bvcl and len(result.last_round_client_models) >= 2:
+    if cfg.analysis.bvcl:
         bvcl = bvcl_diagnostics(
             list(result.last_round_client_models), result.spec, result.eval_data
         )
@@ -91,10 +91,21 @@ def _collect_diagnostics(cfg: ExperimentConfig, result: ExperimentResult) -> dic
     return entries
 
 
+def _check_output_dir(out: Path) -> None:
+    """Reject an output path that is, or lies under, something other than a
+    directory; creates nothing."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                where = "exists" if path == out else f"lies under {path}, which exists"
+                raise ConfigError("output.dir", f"{out} {where} and is not a directory")
+            return
+
+
 def _write_artifacts(cfg: ExperimentConfig, result: ExperimentResult) -> None:
+    # Computed first: a failing or interrupted estimator replaces no file.
+    diagnostics = _collect_diagnostics(cfg, result)
     out = Path(cfg.output_dir)
-    if out.exists() and not out.is_dir():
-        raise ValueError(f"output path {out} exists and is not a directory")
     out.mkdir(parents=True, exist_ok=True)
 
     def staged(name: str, writer) -> None:
@@ -110,13 +121,18 @@ def _write_artifacts(cfg: ExperimentConfig, result: ExperimentResult) -> None:
     )
     staged(
         "diagnostics.txt",
-        lambda p: write_diagnostics(p, _collect_diagnostics(cfg, result)),
+        lambda p: write_diagnostics(p, diagnostics),
     )
     staged("partition.txt", lambda p: write_partition_plan(result.plan, p))
 
 
 def _run(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment and write its artifacts into ``cfg.output_dir``."""
+    """Run one experiment and write its artifacts into ``cfg.output_dir``;
+    what the artifacts need is checked before the run starts."""
+    if cfg.analysis.bvcl and cfg.num_clients < 2:
+        why = f"needs at least 2 clients, experiment.num_clients is {cfg.num_clients}"
+        raise ConfigError("analysis.bvcl", why)
+    _check_output_dir(Path(cfg.output_dir))
     result = run_experiment(cfg)
     _write_artifacts(cfg, result)
     return result
@@ -148,6 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid[key] = values.split(",")
     # The base config must be valid on its own; it also names the sweep root.
     sweep_root = Path(parse_config(args.config, args.set).output_dir)
+    _check_output_dir(sweep_root)
 
     keys = list(grid)
     rows = []

@@ -9,8 +9,8 @@ of ``ExperimentConfig``.  A field's type is the key's type, its default the
 key's default, and its ``check`` metadata the key's range check.  Every
 config object casts and checks its fields when it is constructed and
 raises ``ConfigError`` naming the field; the parser reports the same
-failure by dotted path (e.g. ``partition.alpha``), rejects unknown
-sections and keys, and fills omitted keys with the defaults.  A
+failure by dotted path (e.g. ``partition.alpha``), rejects unknown and
+repeated sections and keys, and fills omitted keys with the defaults.  A
 ``section.key=value`` override replaces one key and is checked the same way.
 ``serialize_config`` emits a canonical snapshot that parses back to an
 identical config, which is what run output directories store for
@@ -346,9 +346,28 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return yaml.safe_dump(config_to_dict(cfg), sort_keys=False)
 
 
+def _check_unique_keys(node: yaml.MappingNode, prefix: str = "") -> None:
+    """Reject a section the root repeats, or a key a section repeats: YAML
+    loaders keep the last one silently."""
+    seen = set()
+    for key, value in node.value:
+        if (key.tag, key.value) in seen:
+            raise ConfigError(prefix + str(key.value), "is given twice")
+        seen.add((key.tag, key.value))
+        if not prefix and isinstance(value, yaml.MappingNode):
+            _check_unique_keys(value, f"{key.value}.")
+
+
 def parse_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Load a YAML config file, apply ``section.key=value`` overrides, and
     validate; the one reader of config files."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        loader = yaml.SafeLoader(fh)
+        try:
+            node = loader.get_single_node()
+            if isinstance(node, yaml.MappingNode):
+                _check_unique_keys(node)
+            raw = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     return parse_config_data(raw, overrides)

@@ -27,9 +27,9 @@ IDX_LABELS_MAGIC = 0x00000801
 @dataclass(frozen=True)
 class Dataset:
     """Labeled samples: a finite 2-D float64 feature matrix and one int64
-    label in ``[0, num_classes)`` per row.  Every model, trainer and
-    estimator reads its data as a ``Dataset``, so these are checked once,
-    here.
+    label in ``[0, num_classes)`` per row (labels given as floats must be
+    whole numbers).  Every model, trainer and estimator reads its data as a
+    ``Dataset``, so these are checked once, here.
 
     A ``Dataset`` does not copy arrays that already have those dtypes: it
     holds read-only views of them.  The caller's arrays stay writable, and
@@ -42,7 +42,14 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64).view()
-        labels = np.asarray(self.labels, dtype=np.int64).view()
+        labels = np.asarray(self.labels)
+        if not np.issubdtype(labels.dtype, np.integer):
+            with np.errstate(invalid="ignore"):  # NaN and Inf cast to garbage
+                cast = labels.astype(np.int64)
+            if not np.array_equal(cast, labels):
+                raise ValueError(f"labels must be integers, got {labels[cast != labels]}")
+            labels = cast
+        labels = np.asarray(labels, dtype=np.int64).view()
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError("features must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(feats)):

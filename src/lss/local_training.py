@@ -10,12 +10,13 @@ affinity pull toward the anchor and a diversity push away from the frozen
 members.  The client's uploaded model is the uniform average of the whole
 pool.
 
-Both trainers run one engine, ``_train``.  It checks its inputs once per
-client, holds the pool in one ``(members + 1, D)`` matrix (row 0 the
-anchor) and writes each step into fixed buffers, in the float order of the
-reference functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
-``axpy``), so results are bit-identical to them.  Finiteness is checked at
-the end of each member phase: no update turns a non-finite entry finite.
+Both trainers run one engine, ``_train``, on the training kernel
+(``model.Kernel``), which checks its inputs once per client.  It holds the
+pool in one ``(members + 1, D)`` matrix (row 0 the anchor) and writes each
+step into fixed buffers, in the float order of the reference functions
+(``lss_regularized_grad``, ``fedprox_loss_and_grad``, ``axpy``), so
+results are bit-identical to them.  Finiteness is checked at the end of
+each member phase: no update turns a non-finite entry finite.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .config import COEFF_MODES, LocalConfig  # COEFF_MODES is re-exported
 from .data import Dataset
-from .model import MlpSpec, _backprop, _check_data, _check_params, _unpack, loss_and_grad
+from .model import Kernel, MlpSpec, loss_and_grad
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 
@@ -185,19 +186,17 @@ def _train(
     With ``soup`` it trains ``num_pool_models`` members on the regularized
     interpolation objective, otherwise one member by proximal SGD.
     """
-    _check_params(anchor, spec)
-    _check_data(client_data, spec)
-    rng_batch, rng_coeff = _spawn_rngs(seed)
-    batches = _batches(client_data, config.batch_size, rng_batch)
     members = config.num_pool_models if soup else 1
     rows = np.empty((members + 1, anchor.dim))
+    # The kernel reads the interpolation or the one member, both anchor-sized.
+    kernel = Kernel(spec, client_data, np.empty(anchor.dim) if soup else rows[1])
+    x, grad = kernel.x, kernel.grad
     rows[0] = anchor.values
     # One allocation per D-sized buffer: (k, D) blocks raised the peak RSS
     # of a run with D = 101k by about 1 MB.
-    grad, tmp = np.empty(anchor.dim), np.empty(anchor.dim)
-    # The weights backprop reads: the interpolation, or the one member.
-    x, push = (np.empty(anchor.dim), np.empty(anchor.dim)) if soup else (rows[1], None)
-    weights, grads = _unpack(x, spec), _unpack(grad, spec)
+    tmp, push = np.empty(anchor.dim), (np.empty(anchor.dim) if soup else None)
+    rng_batch, rng_coeff = _spawn_rngs(seed)
+    batches = _batches(client_data, config.batch_size, rng_batch)
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
     pool = [anchor]
     for m in range(1, members + 1):
@@ -210,7 +209,7 @@ def _train(
                 np.multiply(rows[0], coeffs[0], out=x)
                 for row, c in zip(rows[1 : m + 1], coeffs[1:]):
                     x += np.multiply(row, c, out=tmp)
-            _backprop(weights, grads, spec, features, labels)
+            kernel(features, labels)
             if soup:
                 grad *= coeffs[-1]
                 if lam_a != 0.0 or lam_d != 0.0:

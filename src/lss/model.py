@@ -65,10 +65,10 @@ def _unpack(flat: np.ndarray, spec: MlpSpec) -> Layers:
     return layers
 
 
-def _check_params(params: ParamVector, spec: MlpSpec) -> None:
-    if params.dim != spec.param_count():
+def _check_params(flat: np.ndarray, spec: MlpSpec) -> None:
+    if flat.size != spec.param_count():
         raise ValueError(
-            f"parameter vector has dim {params.dim}, spec needs {spec.param_count()}"
+            f"parameter vector has dim {flat.size}, spec needs {spec.param_count()}"
         )
 
 
@@ -115,7 +115,7 @@ def _forward(
 
 
 def _logits(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
-    _check_params(params, spec)
+    _check_params(params.values, spec)
     _check_data(data, spec)
     return _forward(_unpack(params.values, spec), spec, data.features)[0]
 
@@ -167,16 +167,31 @@ def _backprop(
     return log_probs
 
 
+class Kernel:
+    """The training kernel on the caller's flat weights ``x``, checked with
+    ``data`` against the spec once.  ``kernel(features, labels)`` writes the
+    gradient of the mean cross-entropy at ``x`` into ``grad`` and returns the
+    log-probabilities; the batch is unchecked, so it must be rows of ``data``."""
+
+    __slots__ = ("x", "grad", "_spec", "_weights", "_grads")
+
+    def __init__(self, spec: MlpSpec, data: Dataset, x: np.ndarray):
+        _check_params(x, spec)
+        _check_data(data, spec)
+        self.x, self.grad, self._spec = x, np.empty(x.size), spec
+        self._weights, self._grads = _unpack(x, spec), _unpack(self.grad, spec)
+
+    def __call__(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return _backprop(self._weights, self._grads, self._spec, features, labels)
+
+
 def loss_and_grad(
     params: ParamVector, spec: MlpSpec, data: Dataset
 ) -> tuple[float, ParamVector]:
     """Mean cross-entropy over the dataset and its exact gradient."""
-    _check_params(params, spec)
-    _check_data(data, spec)
-    flat_grad = np.empty(params.dim, dtype=np.float64)
-    layers, grads = _unpack(params.values, spec), _unpack(flat_grad, spec)
-    log_probs = _backprop(layers, grads, spec, data.features, data.labels)
-    return _mean_nll(log_probs, data.labels), ParamVector._wrap(flat_grad)
+    kernel = Kernel(spec, data, params.values)
+    log_probs = kernel(data.features, data.labels)
+    return _mean_nll(log_probs, data.labels), ParamVector._wrap(kernel.grad)
 
 
 def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:

@@ -72,7 +72,9 @@ class TestRun:
         assert (tmp_path / "run1" / "rounds.csv").read_bytes() == first_csv
         assert (tmp_path / "run1" / "final.lssw").read_bytes() == first_ckpt
 
-    def test_invalid_output_dir_leaves_nothing_behind(self, tmp_path, capsys):
+    def test_invalid_output_dir_leaves_nothing_behind(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", started.append)
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         cfg = tmp_path / "cfg.yaml"
@@ -81,6 +83,59 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert blocker.read_text() == "a file, not a directory"
         assert not (tmp_path / "blocked.tmp").exists()
+        assert started == []
+
+    def test_output_dir_under_a_file_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", started.append)
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        cfg = write_smoke(tmp_path)
+        assert main(["run", str(cfg), "-s", f"output.dir={blocker / 'run'}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output.dir: {blocker / 'run'} lies under {blocker}, "
+            "which exists and is not a directory\n"
+        )
+        assert started == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "smoke.yaml"]
+
+    def test_bvcl_with_one_client_rejected_before_warmup(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(experiment, "warmup_pretrain", lambda *a, **k: started.append(a))
+        cfg = write_smoke(tmp_path)
+        argv = ["run", str(cfg), "-s", "analysis.bvcl=true", "-s", "experiment.num_clients=1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: analysis.bvcl: needs at least 2 clients, experiment.num_clients is 1\n"
+        )
+        assert started == []
+        assert not (tmp_path / "run1").exists()
+
+    def test_repeated_config_key_is_an_error(self, tmp_path, capsys):
+        cfg = write_smoke(tmp_path)
+        cfg.write_text(cfg.read_text().replace("  eta: 0.05\n", "  eta: 0.05\n  eta: 0.5\n"))
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: local.eta: is given twice\n"
+        assert not (tmp_path / "run1").exists()
+
+    def test_failed_diagnostics_replace_no_artifact(self, tmp_path, monkeypatch):
+        cfg = write_smoke(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        out = tmp_path / "run1"
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(first) == {
+            "config.yaml", "rounds.csv", "final.lssw", "diagnostics.txt", "partition.txt"
+        }
+
+        def failing(*args, **kwargs):
+            raise ValueError("diagnostic produced non-finite entries")
+
+        monkeypatch.setattr(cli, "estimate_sigma", failing)
+        # A different step size: every artifact of the rerun would differ.
+        assert main(["run", str(cfg), "-s", "local.eta=0.07"]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_overrides_change_resolved_snapshot(self, tmp_path):
         cfg = write_smoke(tmp_path)
@@ -378,6 +433,29 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--grid", "local.eta=0.05,0.1"]) == 1
         assert capsys.readouterr().err == "error: local.eta: must be > 0, got -1.0\n"
         assert not (tmp_path / "bad").exists()
+
+    def test_cell_with_unusable_output_dir_never_trains(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", started.append)
+        cfg = write_smoke(tmp_path, out_name="sweep")
+        blocker = tmp_path / "sweep" / "cell_000_tau=1"
+        blocker.parent.mkdir()
+        blocker.write_text("a file, not a directory")
+        assert main(["sweep", str(cfg), "-g", "local.tau=1"]) == 1
+        assert capsys.readouterr().out.startswith(
+            f"cell_000_tau=1: error: output.dir: {blocker} exists and is not a directory\n"
+        )
+        assert started == []
+        assert blocker.read_text() == "a file, not a directory"
+
+    def test_root_that_is_a_file_exits_before_any_cell(self, tmp_path, capsys):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("a file, not a directory")
+        cfg = write_smoke(tmp_path)
+        assert main(["sweep", str(cfg), "-g", "local.tau=1,2", "-s", f"output.dir={blocker}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: output.dir: {blocker} exists and is not a directory\n"
 
     def test_set_output_dir_moves_the_whole_sweep(self, tmp_path):
         cfg = write_smoke(tmp_path, out_name="unused")

@@ -102,6 +102,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="local"):
             parse_text(MINIMAL + "\nlocal:\n  eta: 0\n")
 
+    @pytest.mark.parametrize(
+        "tail, path",
+        [
+            ("local:\n  eta: 0.1\n  tau: 3\n  eta: 0.5\n", "local.eta"),
+            ("local:\n  eta: 0.1\nlocal:\n  eta: 0.5\n", "local"),
+            ("experiment:\n  rounds: 2\n", "experiment"),
+        ],
+        ids=["key", "section", "section-in-minimal"],
+    )
+    def test_file_rejects_a_repeated_key_or_section(self, tmp_path, tail, path):
+        # A YAML loader alone keeps the last value: local.eta would read 0.5.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL + tail)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: is given twice$"):
+            parse_config(cfg)
+
 
 SECTIONS = {
     "data": DataConfig,

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -83,6 +84,18 @@ class TestDataset:
         assert np.shares_memory(data.labels, labels)
         with pytest.raises(ValueError, match="read-only"):
             data.features[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "labels, shown",
+        [([0.5, 1.7, 2.9], "[0.5 1.7 2.9]"), ([0.0, 1.0, 2.5], "[2.5]"), ([np.nan, 1, 2], "[nan]")],
+    )
+    def test_rejects_labels_the_integer_cast_would_change(self, labels, shown):
+        with pytest.raises(ValueError, match=re.escape(f"labels must be integers, got {shown}")):
+            Dataset(np.zeros((3, 2)), labels, 3)
+
+    def test_whole_float_labels_are_kept(self):
+        data = Dataset(np.zeros((3, 2)), [0.0, 1.0, 2.0], 3)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 2]
 
 
 class TestSplitDataset:

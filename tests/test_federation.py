@@ -134,13 +134,22 @@ class TestRunRound:
 
     @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
     def test_scoring_runs_no_backward_pass(self, fed_setup, monkeypatch, strategy):
-        # Training calls ``_backprop`` by its own imported name, so the
-        # counter sees only calls made through ``lss.model``: the scoring's.
+        # The uploads are trained first and then replayed, so the counter
+        # sees only the backprops of the round's scoring.
         spec, anchor, clients, test = fed_setup
+        local = LocalConfig(eta=0.05, tau=3, batch_size=32)
+        uploads = {
+            id(c.data): train_client(
+                strategy, anchor, spec, c.data, local, derive_seed(7, c.client_id)
+            )
+            for c in clients
+        }
+        monkeypatch.setattr(
+            federation, "train_client", lambda s, a, sp, data, lc, seed: uploads[id(data)]
+        )
         calls = []
         backprop = model._backprop
         monkeypatch.setattr(model, "_backprop", lambda *a: (calls.append(a), backprop(*a))[1])
-        local = LocalConfig(eta=0.05, tau=3, batch_size=32)
         new_global, record, finals = run_round(anchor, clients, spec, local, strategy, 1, 7, test)
         assert calls == []
         assert (record.global_test_accuracy, record.global_test_loss) == evaluate(

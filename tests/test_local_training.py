@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import lss.local_training as local_training
+import lss.model as model
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
 from lss.local_training import (
@@ -495,7 +495,7 @@ class TestEngineMatchesReference:
 
     def test_bad_inputs_rejected_before_any_step(self, monkeypatch):
         steps = []
-        monkeypatch.setattr(local_training, "_backprop", lambda *a: steps.append(a))
+        monkeypatch.setattr(model, "_backprop", lambda *a: steps.append(a))
         spec, anchor, _ = engine_case((), "relu", 7)
         wide = Dataset(np.zeros((4, 4)), [0, 1, 2, 4], 5)  # label 4, spec has 3 classes
         cfg = LocalConfig(eta=0.1, tau=3, batch_size=16, num_pool_models=2)

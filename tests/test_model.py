@@ -1,9 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
-from lss.model import MlpSpec, accuracy, evaluate, init_params, loss_and_grad, predict_proba
+from lss.model import (
+    Kernel,
+    MlpSpec,
+    accuracy,
+    evaluate,
+    init_params,
+    loss_and_grad,
+    predict_proba,
+)
 from lss.params import ParamVector
 
 
@@ -197,3 +208,42 @@ class TestEvaluate:
         if zero_output_layer:
             assert acc == np.mean(batch.labels == 0)
             assert loss == pytest.approx(np.log(spec.num_classes), abs=1e-12)
+
+
+class TestKernel:
+    def test_checks_once_and_writes_the_gradient_of_loss_and_grad(self):
+        spec = MlpSpec(input_dim=5, hidden_dims=(6,), num_classes=4, activation="tanh")
+        rng = np.random.default_rng(5)
+        params = perturbed(init_params(spec, 3), rng, 0.5)
+        data = random_batch(rng, spec, 30)
+        with pytest.raises(ValueError, match="parameter vector has dim 5, spec needs"):
+            Kernel(spec, data, np.zeros(5))
+        with pytest.raises(ValueError, match="dataset has 4 features, spec expects 5"):
+            Kernel(spec, Dataset(np.zeros((2, 4)), [0, 1], 2), params.values)
+        kernel = Kernel(spec, data, params.values.copy())
+        loss, grad = loss_and_grad(params, spec, data)
+        log_probs = kernel(data.features, data.labels)
+        assert np.array_equal(kernel.grad, grad.values)
+        assert -log_probs[np.arange(data.n), data.labels].mean() == loss
+        # The weights are read from ``x`` at each call.
+        kernel.x[:] = 0.0
+        kernel(data.features, data.labels)
+        zero = ParamVector(np.zeros(spec.param_count()))
+        assert np.array_equal(kernel.grad, loss_and_grad(zero, spec, data)[1].values)
+
+
+def test_no_module_but_model_imports_its_private_names():
+    src = Path(__file__).resolve().parents[1] / "src" / "lss"
+    modules = sorted(src.glob("*.py"))
+    assert {"analysis.py", "local_training.py", "model.py"} <= {p.name for p in modules}
+    offenders = []
+    for path in modules:
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, "model"),
+                (0, "lss.model"),
+            ):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
