@@ -162,9 +162,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             why = "is given twice" if key in grid else "names each cell's directory"
             raise ConfigError(key, f"cannot be a grid axis: it {why}")
         grid[key] = values.split(",")
+    set_keys = [item.partition("=")[0].strip() for item in args.set]
+    for key in grid:
+        if key in set_keys:
+            raise ConfigError(key, "cannot be a grid axis: it is also given with -s")
     # The base config must be valid on its own; it also names the sweep root.
     sweep_root = Path(parse_config(args.config, args.set).output_dir)
     _check_output_dir(sweep_root)
+    # Each cell's directory replaces the base's output.dir, if -s gives one.
+    base = [item for item, key in zip(args.set, set_keys) if key != "output.dir"]
 
     keys = list(grid)
     rows = []
@@ -176,7 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         status, final_acc = "ok", ""
         try:
             out = f"output.dir={sweep_root / cell_name}"
-            result = _run(parse_config(args.config, [*args.set, *cell_overrides, out]))
+            result = _run(parse_config(args.config, [*base, *cell_overrides, out]))
             final_acc = format(result.records[-1].global_test_accuracy, ".17g")
         except Exception as exc:
             status = f"error: {exc}"

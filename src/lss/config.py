@@ -308,12 +308,15 @@ def check_key(key: str) -> None:
 
 def parse_config_data(raw: Any, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Validate a raw mapping (already loaded from YAML) into a config; each
-    ``section.key=value`` override replaces one key and is checked like it."""
+    ``section.key=value`` override replaces one key and is checked like it.
+    A key may be overridden once, as a config file may give it once."""
     raw = _mapping(raw, "<root>")
     layout = _layout()
     texts: dict[str, dict[str, str]] = {section: {} for section in layout}
     for item in overrides:
         section, key, text = _override(item, layout)
+        if key in texts[section]:
+            raise ConfigError(f"{section}.{key}", "is given twice")
         texts[section][key] = text
     for section in raw:
         if section not in layout:

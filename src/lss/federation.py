@@ -3,9 +3,12 @@
 Each round every client trains from a copy of the current global model
 using the chosen strategy, and the server forms the new global model as
 the average of the uploads weighted by each client's sample count, as in
-FedAvg.  Clients train and are aggregated in client-id order, and
-per-client seeds are a stable hash of (round seed, client id), so results
-do not depend on the order the clients are given in.
+FedAvg.  The round's clients train through one call
+(``train_clients``), which lets clients that fit in one batch train in
+lockstep groups; each upload is still the one the client gets alone.
+Uploads are aggregated and scored in client-id order, and per-client
+seeds are a stable hash of (round seed, client id), so results do not
+depend on the order the clients are given in.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 
 from .config import STRATEGIES, LocalConfig
 from .data import Dataset
-from .local_training import fedprox_local_train, lss_local_train
+from .local_training import fedprox_local_train, train_pools
 from .model import MlpSpec, accuracy, evaluate, init_params
-from .params import ParamVector, l2_distance, weighted_average
+from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
 CSV_HEADER = "round,global_acc,global_loss,client_accs,update_norms,wall_time_s"
 
@@ -112,22 +115,28 @@ def warmup_pretrain(
     return fedprox_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
 
 
-def train_client(
+def train_clients(
     strategy: str,
     anchor: ParamVector,
     spec: MlpSpec,
-    data: Dataset,
+    datasets: Sequence[Dataset],
     local_cfg: LocalConfig,
-    seed: int,
-) -> ParamVector:
-    """One client's upload; ``run_round`` has checked ``strategy``."""
-    if strategy == "lss":
-        return lss_local_train(anchor, spec, data, local_cfg, seed)[0]
+    seeds: Sequence[int],
+) -> list[ParamVector]:
+    """The uploads of clients training from ``anchor`` with their seeds, in
+    the order given; ``run_round`` has checked ``strategy``.  Each upload is
+    the one the client's ``lss_local_train`` or ``fedprox_local_train``
+    returns alone, though clients that fit in one batch train in lockstep
+    groups (``local_training.train_pools``)."""
     if strategy == "fedavg":
         # FedAvg is plain SGD: proximal SGD with the pull switched off,
         # whatever ``mu_prox`` the config carries.
         local_cfg = replace(local_cfg, mu_prox=0.0)
-    return fedprox_local_train(anchor, spec, data, local_cfg, seed)
+    soup = strategy == "lss"
+    uploads: list[ParamVector] = [anchor] * len(datasets)
+    for i, pool in train_pools(anchor, spec, datasets, local_cfg, seeds, soup):
+        uploads[i] = uniform_average(pool) if soup else pool[-1]
+    return uploads
 
 
 def run_round(
@@ -148,18 +157,22 @@ def run_round(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     clients = sorted(clients, key=lambda c: c.client_id)
     t0 = time.perf_counter()
-    finals = []
-    for client in clients:
-        seed = derive_seed(round_seed, client.client_id)
-        try:
-            final = train_client(
-                strategy, global_model, spec, client.data, local_cfg, seed
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                f"client {client.client_id} failed during round {round_index}: {exc}"
-            ) from exc
-        finals.append(final)
+    seeds = [derive_seed(round_seed, c.client_id) for c in clients]
+    try:
+        finals = train_clients(
+            strategy, global_model, spec, [c.data for c in clients], local_cfg, seeds
+        )
+    except Exception:
+        # A lockstep group fails as a whole: replay the clients one at a
+        # time, in id order, to name the first that fails.
+        for client, seed in zip(clients, seeds):
+            try:
+                train_clients(strategy, global_model, spec, [client.data], local_cfg, [seed])
+            except Exception as exc:
+                raise RuntimeError(
+                    f"client {client.client_id} failed during round {round_index}: {exc}"
+                ) from exc
+        raise
 
     new_global = weighted_average(finals, data_proportional_weights([c.data for c in clients]))
     global_acc, global_loss = evaluate(new_global, spec, eval_data)

@@ -11,19 +11,24 @@ members.  The client's uploaded model is the uniform average of the whole
 pool.
 
 Both trainers run one engine, ``_train``, on the training kernel
-(``model.Kernel``), which checks its inputs once per client.  It holds the
-pool in one ``(members + 1, D)`` matrix (row 0 the anchor) and writes each
-step into fixed buffers, in the float order of the reference functions
-(``lss_regularized_grad``, ``fedprox_loss_and_grad``, ``axpy``), so
-results are bit-identical to them.  Finiteness is checked at the end of
-each member phase: no update turns a non-finite entry finite.
+(``model.Kernel``), which checks its inputs once per client.  It trains a
+group of G clients at once: it holds the pools in one
+``(members + 1, G, D)`` array (row 0 the anchor) and writes each step
+into fixed ``(G, D)`` buffers, in the float order of the reference
+functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
+``axpy``), so results are bit-identical to them whatever the group.
+``train_pools`` forms the groups: clients of equal size that hold at most
+one batch, which take their whole dataset every step; every other client
+is a group of one.  Each client draws from its own random streams, and
+its pool distances are checked one by one.  Finiteness is checked at the
+end of each member phase: no update turns a non-finite entry finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -43,18 +48,27 @@ def sample_interp_coeffs(
     ``active_only`` puts all weight on the last (trainable) member and
     consumes no randomness.
     """
+    return _coeff_rows(pool_size, 1, mode, rng)[0]
+
+
+def _coeff_rows(pool_size: int, steps: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """``steps`` rows of coefficients from one call to ``rng``, shape
+    (steps, pool_size).  Row t is bit for bit the t-th of ``steps``
+    one-row draws, so a member phase may draw its block at once."""
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     if mode == "active_only":
-        coeffs = np.zeros(pool_size)
-        coeffs[-1] = 1.0
+        coeffs = np.zeros((steps, pool_size))
+        coeffs[:, -1] = 1.0
         return coeffs
     if mode != "uniform_random":
         raise ValueError(f"unknown coeff mode {mode!r}")
-    u = rng.uniform(0.0, 1.0, size=pool_size)
-    total = u.sum()
-    if total == 0.0:  # astronomically unlikely; keep the simplex guarantee
-        return np.full(pool_size, 1.0 / pool_size)
+    u = rng.uniform(0.0, 1.0, size=(steps, pool_size))
+    total = np.add.reduce(u, axis=1, keepdims=True)
+    if np.minimum.reduce(total, axis=None, initial=1.0) == 0.0:
+        # astronomically unlikely; keep the simplex guarantee
+        zero = total[:, 0] == 0.0
+        u[zero], total[zero] = 1.0, pool_size
     return u / total
 
 
@@ -151,11 +165,13 @@ def _batches(
             yield data.features[chunk], data.labels[chunk]
 
 
-def _spawn_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    # Independent streams for batching and coefficient sampling so that the
-    # batch sequence is identical across strategies sharing a seed.
-    batch_ss, coeff_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(batch_ss), np.random.default_rng(coeff_ss)
+def _stream(seed: int, child: int) -> np.random.Generator:
+    """A client's batch (``child`` 0) or coefficient (1) stream: child
+    ``child`` of ``SeedSequence(seed).spawn(2)``, built alone, since a
+    client that draws no batches needs only its coefficient stream.  The
+    streams are independent so that the batch sequence is identical across
+    strategies sharing a seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
 
 
 @dataclass(frozen=True)
@@ -174,56 +190,112 @@ class LocalTrace:
         return mean_pairwise_distance(self.pool_members)
 
 
+# Lockstep groups stop growing at this many floats per (G, D) buffer (1 MB):
+# lockstep saves per-call overhead, which large models do not pay in
+# proportion, while every stacked buffer grows with G.
+_GROUP_FLOATS = 1 << 17
+
+
+def train_pools(
+    anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
+    seeds: Sequence[int], soup: bool,
+) -> Iterator[tuple[int, list[ParamVector]]]:
+    """Yields each client's index and pool, anchor first, group by group;
+    client ``i`` trains from ``seeds[i]`` and gets the pool it gets alone,
+    bit for bit.  A caller that keeps only what it needs of each pool holds
+    one group's pools at a time.
+
+    Clients of equal size that hold at most one batch take their whole
+    dataset every step, so they train in lockstep groups on stacked
+    buffers (at most ``_GROUP_FLOATS`` weights per buffer); every other
+    client is a group of one.
+    """
+    if len(seeds) != len(datasets):
+        raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
+    groups: dict[int, list[int]] = {}  # by size; a client over one batch keys alone
+    for i, data in enumerate(datasets):
+        groups.setdefault(data.n if data.n <= config.batch_size else -1 - i, []).append(i)
+    most = max(1, _GROUP_FLOATS // anchor.dim)
+    for ids in groups.values():
+        for lo in range(0, len(ids), most):
+            group = ids[lo : lo + most]
+            pools = _train(
+                anchor, spec, [datasets[i] for i in group], config,
+                [seeds[i] for i in group], soup,
+            )
+            yield from zip(group, pools)
+
+
 # A diverging member overflows in the loop; its distances and its final
 # weights are checked, so numpy's own warnings would only repeat that.
 @np.errstate(over="ignore", invalid="ignore")
 def _train(
-    anchor: ParamVector, spec: MlpSpec, client_data: Dataset, config: LocalConfig,
-    seed: int, soup: bool,
-) -> list[ParamVector]:
-    """The local-training engine; returns the pool, anchor first.
+    anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
+    seeds: Sequence[int], soup: bool,
+) -> list[list[ParamVector]]:
+    """The local-training engine; returns each client's pool, anchor first.
 
     With ``soup`` it trains ``num_pool_models`` members on the regularized
-    interpolation objective, otherwise one member by proximal SGD.
+    interpolation objective, otherwise one member by proximal SGD.  The
+    clients train in lockstep: row ``g`` of every ``(G, D)`` buffer is
+    client ``g``'s, each client keeps its own random streams, and its
+    distances are checked one by one.  A group of more than one must hold
+    equal-size clients of at most one batch each (see ``train_pools``).
     """
     members = config.num_pool_models if soup else 1
-    rows = np.empty((members + 1, anchor.dim))
-    # The kernel reads the interpolation or the one member, both anchor-sized.
-    kernel = Kernel(spec, client_data, np.empty(anchor.dim) if soup else rows[1])
+    size, dim = len(datasets), anchor.dim
+    rows = np.empty((members + 1, size, dim))  # rows[k, g]: member k of client g
+    # The kernel reads the interpolations or the members, both (G, D).
+    kernel = Kernel(spec, datasets, np.empty((size, dim)) if soup else rows[1])
     x, grad = kernel.x, kernel.grad
     rows[0] = anchor.values
-    # One allocation per D-sized buffer: (k, D) blocks raised the peak RSS
-    # of a run with D = 101k by about 1 MB.
-    tmp, push = np.empty(anchor.dim), (np.empty(anchor.dim) if soup else None)
-    rng_batch, rng_coeff = _spawn_rngs(seed)
-    batches = _batches(client_data, config.batch_size, rng_batch)
+    # One allocation per buffer: one (2, D) block for tmp and push raised
+    # the peak RSS of a run with D = 101k by about 1 MB.
+    tmp, push = np.empty((size, dim)), (np.empty((size, dim)) if soup else None)
+    coeff_rngs = [_stream(seed, 1) for seed in seeds]
+    if size == 1:
+        one = _batches(datasets[0], config.batch_size, _stream(seeds[0], 0))
+        batches = ((features[None], labels[None]) for features, labels in one)
+    else:
+        stacked = np.stack([d.features for d in datasets]), np.stack([d.labels for d in datasets])
+        batches = repeat(stacked)
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
-    pool = [anchor]
+    pools = [[anchor] for _ in datasets]
     for m in range(1, members + 1):
         active = rows[m]
-        active[:] = uniform_average(pool).values
-        for _ in range(config.tau):
+        # The uniform average of the pool so far, in ``uniform_average``'s order.
+        np.multiply(rows[0], 1.0 / m, out=active)
+        for k in range(1, m):
+            active += np.multiply(rows[k], 1.0 / m, out=tmp)
+        if soup:
+            # coeffs[t, k]: member k's coefficient at step t, a (G, 1) column,
+            # or one scalar for a group of one, which multiplies faster.
+            blocks = [_coeff_rows(m + 1, config.tau, config.coeff_mode, rng) for rng in coeff_rngs]
+            coeffs = blocks[0] if size == 1 else np.stack(blocks, axis=2)[..., None]
+        for t in range(config.tau):
             features, labels = next(batches)
             if soup:
-                coeffs = sample_interp_coeffs(m + 1, config.coeff_mode, rng_coeff)
-                np.multiply(rows[0], coeffs[0], out=x)
-                for row, c in zip(rows[1 : m + 1], coeffs[1:]):
-                    x += np.multiply(row, c, out=tmp)
+                step = coeffs[t]
+                np.multiply(rows[0], step[0], out=x)
+                for k in range(1, m + 1):
+                    x += np.multiply(rows[k], step[k], out=tmp)
             kernel(features, labels)
             if soup:
-                grad *= coeffs[-1]
+                grad *= step[m]
                 if lam_a != 0.0 or lam_d != 0.0:
                     # Unit vectors from the frozen members (row 0 the
                     # anchor) to the active one, summed from zeros.
                     push.fill(0.0)
                     for k in range(m if lam_d != 0.0 else 1):
                         np.subtract(active, rows[k], out=tmp)
-                        dist = float(np.sqrt(np.dot(tmp, tmp)))
-                        if not math.isfinite(dist):
-                            raise ValueError(
-                                f"soup member {m} diverged: its distance to member {k} is {dist}"
-                            )
-                        tmp /= max(dist, config.dist_epsilon)
+                        for row in tmp:  # each client's own distance and check
+                            dist = math.sqrt(np.dot(row, row))
+                            if not math.isfinite(dist):
+                                raise ValueError(
+                                    f"soup member {m} diverged: "
+                                    f"its distance to member {k} is {dist}"
+                                )
+                            row /= max(dist, config.dist_epsilon)
                         push += tmp
                         if k == 0 and lam_a != 0.0:
                             grad += np.multiply(tmp, lam_a, out=tmp)
@@ -234,8 +306,9 @@ def _train(
                 grad += np.multiply(tmp, mu, out=tmp)
             grad *= -config.eta
             active += grad
-        pool.append(ParamVector._wrap(active.copy()))
-    return pool
+        for pool, member in zip(pools, active):
+            pool.append(ParamVector._wrap(member.copy()))
+    return pools
 
 
 def lss_local_train(
@@ -252,7 +325,7 @@ def lss_local_train(
     of the regularized interpolation objective.  Fresh interpolation
     coefficients are sampled every step.  Deterministic given ``seed``.
     """
-    pool = _train(anchor, spec, client_data, config, seed, soup=True)
+    pool = _train(anchor, spec, [client_data], config, [seed], soup=True)[0]
     return uniform_average(pool), LocalTrace(tuple(pool))
 
 
@@ -280,4 +353,4 @@ def fedprox_local_train(
     seed: int,
 ) -> ParamVector:
     """SGD on the proximal objective; plain minibatch SGD when ``mu_prox`` is 0."""
-    return _train(anchor, spec, client_data, config, seed, soup=False)[-1]
+    return _train(anchor, spec, [client_data], config, [seed], soup=False)[0][-1]

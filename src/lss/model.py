@@ -9,6 +9,7 @@ easy to verify against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,22 +54,25 @@ Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
 def _unpack(flat: np.ndarray, spec: MlpSpec) -> Layers:
-    """Split a flat vector into (W, b) views, W laid out (fan_in, fan_out)."""
+    """Split a flat vector into (W, b) views, W laid out (fan_in, fan_out)
+    and b as one (1, fan_out) row.  A stacked ``(G, D)`` matrix gives views
+    with the same leading client axis."""
+    lead = flat.shape[:-1]
     layers = []
     off = 0
     for fi, fo in spec.layer_shapes():
-        w = flat[off : off + fi * fo].reshape(fi, fo)
+        w = flat[..., off : off + fi * fo].reshape(*lead, fi, fo)
         off += fi * fo
-        b = flat[off : off + fo]
+        b = flat[..., None, off : off + fo]
         off += fo
         layers.append((w, b))
     return layers
 
 
 def _check_params(flat: np.ndarray, spec: MlpSpec) -> None:
-    if flat.size != spec.param_count():
+    if flat.shape[-1] != spec.param_count():
         raise ValueError(
-            f"parameter vector has dim {flat.size}, spec needs {spec.param_count()}"
+            f"parameter vector has dim {flat.shape[-1]}, spec needs {spec.param_count()}"
         )
 
 
@@ -106,7 +110,11 @@ def _forward(
     acts = [a]  # inputs to each layer
     pre = []
     for idx, (w, b) in enumerate(layers):
-        z = a @ w + b
+        # In place where a result is fresh: each temporary of a wide layer
+        # is a large block the allocator may return to the system and
+        # fault in again on the next call.
+        z = a @ w
+        z += b
         pre.append(z)
         if idx < len(layers) - 1:
             a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
@@ -130,8 +138,8 @@ def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarr
 def _log_softmax(out: np.ndarray) -> np.ndarray:
     # Called as ufunc reductions: the ``max``/``sum`` wrappers cost more than
     # the reduction itself at these sizes, and give the same bits.
-    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    shifted = out - np.maximum.reduce(out, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
@@ -143,27 +151,32 @@ def _backprop(
 ) -> np.ndarray:
     """Writes the gradient of the mean cross-entropy at the weights viewed by
     ``layers`` into the views ``grads`` and returns the log-probabilities,
-    shape (n, num_classes).  Inputs are not checked."""
-    n = labels.shape[0]
+    shape (n, num_classes).  Inputs are not checked.
+
+    With a leading client axis (weights from a ``(G, D)`` matrix, features
+    ``(G, n, input_dim)``, labels ``(G, n)``) each client's slice gets the
+    bits it gets alone: the matmuls run slice by slice, and the reductions
+    run along the same contiguous axes."""
+    n = labels.shape[-1]
     out, acts, pre = _forward(layers, spec, features)
     log_probs = _log_softmax(out)
 
     # dL/dlogits = (softmax - onehot) / n
     dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits.reshape(-1, dlogits.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
     dlogits /= n
 
     delta = dlogits
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
-        np.matmul(acts[idx].T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)
+        np.matmul(acts[idx].swapaxes(-1, -2), delta, out=gw)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
         if idx > 0:
-            da = delta @ layers[idx][0].T
+            delta = delta @ layers[idx][0].swapaxes(-1, -2)
             if spec.activation == "relu":
-                delta = da * (pre[idx - 1] > 0.0)
+                delta *= pre[idx - 1] > 0.0
             else:  # acts[idx] is tanh of the pre-activation
-                delta = da * (1.0 - acts[idx] ** 2)
+                delta *= 1.0 - acts[idx] ** 2
     return log_probs
 
 
@@ -171,14 +184,19 @@ class Kernel:
     """The training kernel on the caller's flat weights ``x``, checked with
     ``data`` against the spec once.  ``kernel(features, labels)`` writes the
     gradient of the mean cross-entropy at ``x`` into ``grad`` and returns the
-    log-probabilities; the batch is unchecked, so it must be rows of ``data``."""
+    log-probabilities; the batch is unchecked, so it must be rows of ``data``.
+
+    A ``(G, D)`` matrix ``x`` holds the weights of G clients, and ``data`` is
+    then one dataset per client; each call takes a ``(G, n, input_dim)``
+    batch, n rows of every client's data."""
 
     __slots__ = ("x", "grad", "_spec", "_weights", "_grads")
 
-    def __init__(self, spec: MlpSpec, data: Dataset, x: np.ndarray):
+    def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
         _check_params(x, spec)
-        _check_data(data, spec)
-        self.x, self.grad, self._spec = x, np.empty(x.size), spec
+        for d in [data] if isinstance(data, Dataset) else data:
+            _check_data(d, spec)
+        self.x, self.grad, self._spec = x, np.empty(x.shape), spec
         self._weights, self._grads = _unpack(x, spec), _unpack(self.grad, spec)
 
     def __call__(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:

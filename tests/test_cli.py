@@ -463,6 +463,41 @@ class TestSweep:
         self.check_sweep_root(cfg, moved, ["-s", f"output.dir={moved}"])
         assert not (tmp_path / "unused").exists()
 
+    def test_set_output_dir_is_replaced_not_repeated_in_each_cell(self, tmp_path, monkeypatch):
+        seen = []
+        parse = cli.parse_config
+        monkeypatch.setattr(cli, "parse_config", lambda p, o=(): (seen.append(list(o)), parse(p, o))[1])
+        cfg = write_smoke(tmp_path, out_name="unused")
+        moved = tmp_path / "moved"
+        argv = ["sweep", str(cfg), "-g", "local.tau=1", "-s", f"output.dir={moved}"]
+        argv += ["-s", "local.eta=0.1"]
+        assert main(argv) == 0
+        cell = moved / "cell_000_tau=1"
+        assert seen[-1] == ["local.eta=0.1", "local.tau=1", f"output.dir={cell}"]
+        assert yaml.safe_load((cell / "config.yaml").read_text())["local"]["eta"] == 0.1
+
+    def test_set_key_given_twice_exits_before_any_cell(self, tmp_path, capsys):
+        cfg = write_smoke(tmp_path, out_name="never")
+        argv = ["sweep", str(cfg), "-g", "local.tau=1,2", "-s", "local.eta=0.1", "-s", "local.eta=0.5"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: local.eta: is given twice\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("set_key", ["local.tau", " local.tau "])
+    def test_key_given_as_set_and_grid_axis_exits_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, set_key
+    ):
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", started.append)
+        cfg = write_smoke(tmp_path, out_name="never")
+        argv = ["sweep", str(cfg), "-g", "local.tau=1,2", "-s", f"{set_key}=3"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: local.tau: cannot be a grid axis: it is also given with -s\n"
+        )
+        assert started == []
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_cells_keep_a_root_that_yaml_would_cut(self, tmp_path):
         # Unquoted, "a #1" reads as "a" plus a comment in YAML.
         root = tmp_path / "a #1"

@@ -446,9 +446,23 @@ class TestOverrides:
         cfg = parse_config_data(raw, ["experiment.rounds=4", "output.dir=runs/x"])
         assert (cfg.rounds, cfg.output_dir) == (4, "runs/x")
 
-    def test_later_override_of_a_key_wins(self):
-        cfg = parse_config_data(yaml.safe_load(MINIMAL), ["local.tau=2", "local.tau=5"])
-        assert cfg.local.tau == 5
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            (["local.eta=0.1", "local.eta=0.5"], "local.eta"),
+            (["local.tau=2", " local.tau =2"], "local.tau"),
+            (["output.dir=a", "local.tau=2", "output.dir=b"], "output.dir"),
+        ],
+        ids=["different-values", "same-value-spaced", "apart"],
+    )
+    def test_override_given_twice_is_rejected(self, tmp_path, overrides, path):
+        # Keeping the last one would silently drop the first.
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: is given twice$"):
+            parse_config_data(yaml.safe_load(MINIMAL), overrides)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(MINIMAL)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: is given twice$"):
+            parse_config(cfg, overrides)
 
     def test_empty_output_dir_in_a_file_is_rejected(self):
         with pytest.raises(ConfigError, match="output.dir: must not be empty"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lss.federation as federation
+import lss.local_training as local_training
 import lss.model as model
 from lss.config import (
     AnalysisConfig,
@@ -12,7 +13,7 @@ from lss.config import (
     ModelConfig,
     PartitionConfig,
 )
-from lss.data import gen_blobs, split_dataset
+from lss.data import Dataset, gen_blobs, split_dataset
 from lss.experiment import run_experiment
 from lss.federation import (
     CSV_HEADER,
@@ -21,7 +22,7 @@ from lss.federation import (
     data_proportional_weights,
     derive_seed,
     run_round,
-    train_client,
+    train_clients,
     warmup_pretrain,
     write_rounds_csv,
 )
@@ -121,11 +122,10 @@ class TestRunRound:
             1: ParamVector(np.full(anchor.dim, 3.0)),
         }
 
-        def fake_train(strategy, a, s, data, local, seed):
-            cid = next(c.client_id for c in clients if c.data is data)
-            return fixed[cid]
+        def fake_train(strategy, a, s, datasets, local, seeds):
+            return [fixed[next(c.client_id for c in clients if c.data is d)] for d in datasets]
 
-        monkeypatch.setattr(federation, "train_client", fake_train)
+        monkeypatch.setattr(federation, "train_clients", fake_train)
         new_global, record, _ = run_round(
             anchor, clients, spec, LocalConfig(), "fedavg", 1, 0, test
         )
@@ -138,14 +138,12 @@ class TestRunRound:
         # sees only the backprops of the round's scoring.
         spec, anchor, clients, test = fed_setup
         local = LocalConfig(eta=0.05, tau=3, batch_size=32)
-        uploads = {
-            id(c.data): train_client(
-                strategy, anchor, spec, c.data, local, derive_seed(7, c.client_id)
-            )
-            for c in clients
-        }
+        seeds = [derive_seed(7, c.client_id) for c in clients]
+        trained = train_clients(strategy, anchor, spec, [c.data for c in clients], local, seeds)
+        uploads = {id(c.data): u for c, u in zip(clients, trained)}
         monkeypatch.setattr(
-            federation, "train_client", lambda s, a, sp, data, lc, seed: uploads[id(data)]
+            federation, "train_clients",
+            lambda s, a, sp, datasets, lc, seeds: [uploads[id(d)] for d in datasets],
         )
         calls = []
         backprop = model._backprop
@@ -184,34 +182,74 @@ class TestRunRound:
         spec, anchor, clients, test = fed_setup
         calls = []
 
-        def counting(strategy, a, s, data, local, seed):
-            calls.append(seed)
-            return a
+        def counting(strategy, a, s, datasets, local, seeds):
+            calls.append(seeds)
+            return [a for _ in datasets]
 
-        monkeypatch.setattr(federation, "train_client", counting)
+        monkeypatch.setattr(federation, "train_clients", counting)
         with pytest.raises(ValueError, match="strategy"):
             run_round(anchor, clients, spec, LocalConfig(), "sgd", 1, 0, test)
         assert calls == []
 
     @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "lss"])
-    def test_train_client_returns_the_upload_alone(self, fed_setup, strategy):
+    def test_train_clients_returns_the_uploads_alone(self, fed_setup, strategy):
         spec, anchor, clients, _ = fed_setup
-        local = LocalConfig(eta=0.05, tau=2, batch_size=16, num_pool_models=2)
-        upload = train_client(strategy, anchor, spec, clients[0].data, local, 3)
-        assert isinstance(upload, ParamVector)
-        if strategy == "lss":
-            final, _ = lss_local_train(anchor, spec, clients[0].data, local, 3)
-            assert np.array_equal(upload.values, final.values)
+        local = LocalConfig(eta=0.05, tau=2, batch_size=16, num_pool_models=2, mu_prox=0.1)
+        uploads = train_clients(strategy, anchor, spec, [c.data for c in clients], local, [3, 4, 5])
+        assert len(uploads) == 3 and all(isinstance(u, ParamVector) for u in uploads)
+        for client, seed, upload in zip(clients, [3, 4, 5], uploads):
+            if strategy == "lss":
+                want, _ = lss_local_train(anchor, spec, client.data, local, seed)
+            else:
+                mu = 0.0 if strategy == "fedavg" else local.mu_prox
+                cfg = dataclasses.replace(local, mu_prox=mu)
+                want = fedprox_local_train(anchor, spec, client.data, cfg, seed)
+            assert np.array_equal(upload.values, want.values)
 
     def test_client_failure_is_attributed(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
 
-        def exploding(strategy, a, s, data, local, seed):
+        def exploding(strategy, a, s, datasets, local, seeds):
             raise ArithmeticError("boom")
 
-        monkeypatch.setattr(federation, "train_client", exploding)
+        monkeypatch.setattr(federation, "train_clients", exploding)
         with pytest.raises(RuntimeError, match="client 0"):
             run_round(anchor, clients, spec, LocalConfig(), "fedavg", 1, 0, test)
+
+    @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
+    def test_lockstep_failure_names_the_client_that_fails_first_alone(
+        self, fed_setup, monkeypatch, strategy
+    ):
+        # Clients 0 and 3 (7 samples) and 1 and 2 (5 samples) form two
+        # lockstep groups; the group of 0 and 3 trains first and fails on
+        # client 3, but client 1 is the first to fail in id order.
+        spec, anchor, _, test = fed_setup
+        rng = np.random.default_rng(8)
+        clients = []
+        for cid, n in enumerate([7, 5, 5, 7]):
+            scale = 1e160 if cid in (1, 3) else 1.0
+            features = scale * rng.standard_normal((n, spec.input_dim))
+            clients.append(ClientState(cid, Dataset(features, rng.integers(0, 6, n), 6)))
+        local = LocalConfig(eta=0.5, tau=3, batch_size=16, num_pool_models=2, mu_prox=0.1)
+        expected = None
+        for client in clients:
+            try:
+                seed = derive_seed(9, client.client_id)
+                train_clients(strategy, anchor, spec, [client.data], local, [seed])
+            except ValueError as exc:
+                expected = f"client {client.client_id} failed during round 2: {exc}"
+                break
+        assert expected is not None and expected.startswith("client 1 failed")
+        first_groups = []
+        train = local_training._train
+        monkeypatch.setattr(
+            local_training, "_train",
+            lambda *a, **k: (first_groups.append(a[2]), train(*a, **k))[1],
+        )
+        with pytest.raises(RuntimeError) as err:
+            run_round(anchor, clients[::-1], spec, local, strategy, 2, 9, test)
+        assert str(err.value) == expected
+        assert [d.n for d in first_groups[0]] == [7, 7] and first_groups[0][1] is clients[3].data
 
     def test_single_client_fedavg_equals_centralized_sgd(self, fed_setup):
         spec, anchor, clients, test = fed_setup

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lss.local_training as local_training
 import lss.model as model
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
@@ -13,7 +15,6 @@ from lss.local_training import (
     COEFF_MODES,
     LocalConfig,
     _batches,
-    _spawn_rngs,
     affinity_loss,
     diversity_loss,
     fedprox_local_train,
@@ -23,13 +24,21 @@ from lss.local_training import (
     lss_regularized_grad,
     mean_pairwise_distance,
     sample_interp_coeffs,
+    train_pools,
 )
+from lss.federation import train_clients
 from lss.model import MlpSpec, init_params, loss_and_grad
 from lss.params import ParamVector, axpy, l2_distance, uniform_average
 
 
 def pv(*values):
     return ParamVector(np.array(values, dtype=np.float64))
+
+
+def spawn_rngs(seed):
+    """A client's batch and coefficient streams, as ``SeedSequence.spawn`` makes them."""
+    batch_ss, coeff_ss = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(batch_ss), np.random.default_rng(coeff_ss)
 
 
 class TestLocalConfig:
@@ -370,7 +379,7 @@ class TestFedproxLocalTrain:
         cfg = LocalConfig(eta=0.05, tau=8, batch_size=32, mu_prox=0.0)
         prox = fedprox_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=5)
         # reference: minibatch SGD written out step by step
-        rng_batch, _ = _spawn_rngs(5)
+        rng_batch, _ = spawn_rngs(5)
         batches = _batches(small_blobs, 32, rng_batch)
         sgd = softmax_anchor
         for _ in range(8):
@@ -410,7 +419,7 @@ class TestFedproxLocalTrain:
 def reference_lss(anchor, spec, data, cfg, seed):
     """Soup training written out from the public reference functions
     (``lss_regularized_grad`` interpolates with ``interpolate``)."""
-    rng_batch, rng_coeff = _spawn_rngs(seed)
+    rng_batch, rng_coeff = spawn_rngs(seed)
     batches = _batches(data, cfg.batch_size, rng_batch)
     pool = [anchor]
     for _ in range(cfg.num_pool_models):
@@ -424,7 +433,7 @@ def reference_lss(anchor, spec, data, cfg, seed):
 
 
 def reference_fedprox(anchor, spec, data, cfg, seed):
-    rng_batch, _ = _spawn_rngs(seed)
+    rng_batch, _ = spawn_rngs(seed)
     batches = _batches(data, cfg.batch_size, rng_batch)
     f = anchor
     for _ in range(cfg.tau):
@@ -505,3 +514,134 @@ class TestEngineMatchesReference:
             with pytest.raises(ValueError, match="spec needs"):
                 train(pv(1.0, 2.0), spec, wide, cfg, seed=0)
         assert steps == []
+
+
+# (strategy, lambda_a, lambda_d, coeff_mode); mu_prox is 0.3 except for fedavg.
+LOCKSTEP_STRATEGIES = [
+    ("lss", 0.0, 0.0, "uniform_random"),
+    ("lss", 0.0, 0.0, "active_only"),
+    ("lss", 0.7, 0.4, "uniform_random"),
+    ("lss", 0.7, 0.4, "active_only"),
+    ("fedprox", 0.0, 0.0, "uniform_random"),
+    ("fedavg", 0.0, 0.0, "uniform_random"),
+]
+
+
+def lockstep_clients(spec, sizes, seed=5):
+    rng = np.random.default_rng(seed)
+    return [
+        Dataset(rng.standard_normal((n, spec.input_dim)), rng.integers(0, spec.num_classes, n),
+                spec.num_classes)
+        for n in sizes
+    ]
+
+
+def by_client(indexed_pools):
+    """``train_pools``'s output as a list in client order."""
+    pools = dict(indexed_pools)
+    return [pools[i] for i in range(len(pools))]
+
+
+def alone(strategy, anchor, spec, data, cfg, seed):
+    """A client's pool and upload when it trains by itself."""
+    if strategy == "lss":
+        final, trace = lss_local_train(anchor, spec, data, cfg, seed)
+        return list(trace.pool_members), final
+    mu = 0.0 if strategy == "fedavg" else cfg.mu_prox
+    final = fedprox_local_train(anchor, spec, data, dataclasses.replace(cfg, mu_prox=mu), seed)
+    return [anchor, final], final
+
+
+class TestLockstep:
+    """Clients of equal size that fit in one batch train in one group, and
+    each gets the pool and upload it gets alone, bit for bit."""
+
+    @staticmethod
+    def spy_groups(monkeypatch):
+        sizes = []
+        train = local_training._train
+        monkeypatch.setattr(
+            local_training, "_train",
+            lambda *a, **k: (sizes.append(len(a[2])), train(*a, **k))[1],
+        )
+        return sizes
+
+    @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((5,), "relu"), ((4, 3), "tanh")])
+    @pytest.mark.parametrize("n, count", [(1, 3), (5, 4), (16, 2)])  # 16 is the batch size
+    @pytest.mark.parametrize("strategy, lambda_a, lambda_d, coeff_mode", LOCKSTEP_STRATEGIES)
+    def test_group_equals_clients_one_at_a_time(
+        self, monkeypatch, hidden, activation, n, count, strategy, lambda_a, lambda_d, coeff_mode
+    ):
+        spec, anchor, _ = engine_case(hidden, activation, n)
+        cfg = LocalConfig(
+            eta=0.2, tau=5, batch_size=16, lambda_a=lambda_a, lambda_d=lambda_d,
+            num_pool_models=3, coeff_mode=coeff_mode, mu_prox=0.3,
+        )
+        datasets = lockstep_clients(spec, [n] * count)
+        seeds = [11 + i for i in range(count)]
+        groups = self.spy_groups(monkeypatch)
+        uploads = train_clients(strategy, anchor, spec, datasets, cfg, seeds)
+        assert groups == [count]
+        soup = strategy == "lss"
+        pool_cfg = cfg if strategy != "fedavg" else dataclasses.replace(cfg, mu_prox=0.0)
+        pools = by_client(train_pools(anchor, spec, datasets, pool_cfg, seeds, soup))
+        assert groups == [count, count]
+        for data, seed, pool, upload in zip(datasets, seeds, pools, uploads):
+            want_pool, want_upload = alone(strategy, anchor, spec, data, cfg, seed)
+            assert len(pool) == len(want_pool) == (4 if soup else 2)
+            for got, want in zip(pool, want_pool):
+                assert np.array_equal(got.values, want.values)
+            assert np.array_equal(upload.values, want_upload.values)
+            if soup:
+                assert np.array_equal(upload.values, uniform_average(pool).values)
+            assert not np.array_equal(upload.values, anchor.values)
+
+    def test_only_equal_sizes_within_one_batch_share_a_group(self, monkeypatch):
+        spec, anchor, _ = engine_case((5,), "relu", 5)
+        cfg = LocalConfig(eta=0.2, tau=4, batch_size=16, num_pool_models=2)
+        sizes = [5, 40, 5, 1, 16, 17, 16]
+        datasets = lockstep_clients(spec, sizes)
+        seeds = list(range(3, 3 + len(sizes)))
+        groups = self.spy_groups(monkeypatch)
+        pools = by_client(train_pools(anchor, spec, datasets, cfg, seeds, soup=True))
+        # 5 (twice), 40, 1, 16 (twice), 17: the clients over one batch alone
+        assert groups == [2, 1, 1, 2, 1]
+        for data, seed, pool in zip(datasets, seeds, pools):
+            for got, want in zip(pool, alone("lss", anchor, spec, data, cfg, seed)[0]):
+                assert np.array_equal(got.values, want.values)
+
+    def test_a_group_splits_at_its_buffer_limit(self, monkeypatch):
+        spec, anchor, _ = engine_case((), "relu", 3)
+        cfg = LocalConfig(eta=0.2, tau=3, batch_size=16, num_pool_models=2)
+        datasets = lockstep_clients(spec, [3] * 5)
+        monkeypatch.setattr(local_training, "_GROUP_FLOATS", 2 * anchor.dim + 1)
+        groups = self.spy_groups(monkeypatch)
+        pools = by_client(train_pools(anchor, spec, datasets, cfg, [1, 2, 3, 4, 5], soup=True))
+        assert groups == [2, 2, 1]
+        for data, seed, pool in zip(datasets, [1, 2, 3, 4, 5], pools):
+            for got, want in zip(pool, alone("lss", anchor, spec, data, cfg, seed)[0]):
+                assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 5, 9, 13])
+    def test_a_phase_coefficient_block_equals_one_draw_per_step(self, pool_size):
+        block = local_training._coeff_rows(
+            pool_size, 7, "uniform_random", np.random.default_rng(3)
+        )
+        rng = np.random.default_rng(3)
+        for row in block:
+            u = rng.uniform(0.0, 1.0, size=pool_size)
+            assert np.array_equal(row, u / u.sum())
+
+    def test_an_all_zero_draw_falls_back_to_equal_weights(self):
+        class Draws:
+            def uniform(self, low, high, size):
+                return np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+
+        block = local_training._coeff_rows(4, 2, "uniform_random", Draws())
+        assert np.array_equal(block, [[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+
+    def test_one_seed_per_client(self):
+        spec, anchor, _ = engine_case((), "relu", 3)
+        datasets = lockstep_clients(spec, [3, 3])
+        with pytest.raises(ValueError, match="1 seeds for 2 clients"):
+            next(train_pools(anchor, spec, datasets, LocalConfig(), [1], soup=True))
