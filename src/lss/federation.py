@@ -4,8 +4,10 @@ Each round every client trains from a copy of the current global model
 using the chosen strategy, and the server forms the new global model as
 the average of the uploads weighted by each client's sample count, as in
 FedAvg.  The round's clients train through one call
-(``train_clients``), which lets clients that fit in one batch train in
-lockstep groups; each upload is still the one the client gets alone.
+(``train_clients``): clients of equal size that fit in one batch train
+in lockstep groups, every other client through its strategy's trainer
+(``lss_local_train``, ``fedprox_local_train``); each upload is the one
+the client gets alone.
 Uploads are aggregated and scored in client-id order, and per-client
 seeds are a stable hash of (round seed, client id), so results do not
 depend on the order the clients are given in.
@@ -23,7 +25,12 @@ import numpy as np
 
 from .config import STRATEGIES, LocalConfig
 from .data import Dataset
-from .local_training import fedprox_local_train, train_pools
+from .local_training import (
+    fedprox_local_train,
+    lockstep_groups,
+    lss_local_train,
+    train_group,
+)
 from .model import MlpSpec, accuracy, evaluate, init_params
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
@@ -126,16 +133,30 @@ def train_clients(
     """The uploads of clients training from ``anchor`` with their seeds, in
     the order given; ``run_round`` has checked ``strategy``.  Each upload is
     the one the client's ``lss_local_train`` or ``fedprox_local_train``
-    returns alone, though clients that fit in one batch train in lockstep
-    groups (``local_training.train_pools``)."""
+    returns alone: a client that trains alone calls it, and clients of
+    equal size that fit in one batch train in lockstep groups
+    (``local_training.lockstep_groups``)."""
     if strategy == "fedavg":
         # FedAvg is plain SGD: proximal SGD with the pull switched off,
         # whatever ``mu_prox`` the config carries.
         local_cfg = replace(local_cfg, mu_prox=0.0)
     soup = strategy == "lss"
     uploads: list[ParamVector] = [anchor] * len(datasets)
-    for i, pool in train_pools(anchor, spec, datasets, local_cfg, seeds, soup):
-        uploads[i] = uniform_average(pool) if soup else pool[-1]
+    for group in lockstep_groups(datasets, local_cfg.batch_size):
+        if len(group) == 1:
+            # Through the public trainers, which perfbench's traced runs
+            # wrap to check each LSS upload against its pool.
+            (i,) = group
+            if soup:
+                uploads[i], _ = lss_local_train(anchor, spec, datasets[i], local_cfg, seeds[i])
+            else:
+                uploads[i] = fedprox_local_train(anchor, spec, datasets[i], local_cfg, seeds[i])
+            continue
+        pools = train_group(
+            anchor, spec, [datasets[i] for i in group], local_cfg, [seeds[i] for i in group], soup
+        )
+        for i, pool in zip(group, pools):
+            uploads[i] = uniform_average(pool) if soup else pool[-1]
     return uploads
 
 
@@ -162,7 +183,7 @@ def run_round(
         finals = train_clients(
             strategy, global_model, spec, [c.data for c in clients], local_cfg, seeds
         )
-    except Exception:
+    except Exception as group_exc:
         # A lockstep group fails as a whole: replay the clients one at a
         # time, in id order, to name the first that fails.
         for client, seed in zip(clients, seeds):
@@ -172,7 +193,10 @@ def run_round(
                 raise RuntimeError(
                     f"client {client.client_id} failed during round {round_index}: {exc}"
                 ) from exc
-        raise
+        # Every client trained alone without failing: the group failed.
+        raise RuntimeError(
+            f"lockstep training failed during round {round_index}: {group_exc}"
+        ) from group_exc
 
     new_global = weighted_average(finals, data_proportional_weights([c.data for c in clients]))
     global_acc, global_loss = evaluate(new_global, spec, eval_data)

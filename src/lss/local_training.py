@@ -17,10 +17,11 @@ group of G clients at once: it holds the pools in one
 into fixed ``(G, D)`` buffers, in the float order of the reference
 functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
 ``axpy``), so results are bit-identical to them whatever the group.
-``train_pools`` forms the groups: clients of equal size that hold at most
-one batch, which take their whole dataset every step; every other client
-is a group of one.  Each client draws from its own random streams, and
-its pool distances are checked one by one.  Finiteness is checked at the
+``lockstep_groups`` forms the groups: clients of equal size that hold at
+most one batch, which take their whole dataset every step; every other
+client is a group of one.  ``train_group`` trains one group.  Each client
+draws from its own random streams, and its pool distances are checked
+one by one.  Finiteness is checked at the
 end of each member phase: no update turns a non-finite entry finite.
 """
 
@@ -190,40 +191,29 @@ class LocalTrace:
         return mean_pairwise_distance(self.pool_members)
 
 
-# Lockstep groups stop growing at this many floats per (G, D) buffer (1 MB):
-# lockstep saves per-call overhead, which large models do not pay in
-# proportion, while every stacked buffer grows with G.
-_GROUP_FLOATS = 1 << 17
-
-
-def train_pools(
-    anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
-    seeds: Sequence[int], soup: bool,
-) -> Iterator[tuple[int, list[ParamVector]]]:
-    """Yields each client's index and pool, anchor first, group by group;
-    client ``i`` trains from ``seeds[i]`` and gets the pool it gets alone,
-    bit for bit.  A caller that keeps only what it needs of each pool holds
-    one group's pools at a time.
-
-    Clients of equal size that hold at most one batch take their whole
-    dataset every step, so they train in lockstep groups on stacked
-    buffers (at most ``_GROUP_FLOATS`` weights per buffer); every other
-    client is a group of one.
-    """
-    if len(seeds) != len(datasets):
-        raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
+def lockstep_groups(datasets: Sequence[Dataset], batch_size: int) -> list[list[int]]:
+    """The clients' indices in training groups, each group in the order of
+    its first client.  Clients of equal size that hold at most one batch
+    take their whole dataset every step, so they train in lockstep; every
+    other client trains alone."""
     groups: dict[int, list[int]] = {}  # by size; a client over one batch keys alone
     for i, data in enumerate(datasets):
-        groups.setdefault(data.n if data.n <= config.batch_size else -1 - i, []).append(i)
-    most = max(1, _GROUP_FLOATS // anchor.dim)
-    for ids in groups.values():
-        for lo in range(0, len(ids), most):
-            group = ids[lo : lo + most]
-            pools = _train(
-                anchor, spec, [datasets[i] for i in group], config,
-                [seeds[i] for i in group], soup,
-            )
-            yield from zip(group, pools)
+        groups.setdefault(data.n if data.n <= batch_size else -1 - i, []).append(i)
+    return list(groups.values())
+
+
+def train_group(
+    anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
+    seeds: Sequence[int], soup: bool,
+) -> list[list[ParamVector]]:
+    """Each client's pool, anchor first, from one lockstep group (one of
+    ``lockstep_groups``); client ``g`` trains from ``seeds[g]`` and gets
+    the pool it gets alone, bit for bit."""
+    if len(seeds) != len(datasets):
+        raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
+    if len(lockstep_groups(datasets, config.batch_size)) > 1:
+        raise ValueError("a lockstep group holds clients of equal size within one batch")
+    return _train(anchor, spec, datasets, config, seeds, soup)
 
 
 # A diverging member overflows in the loop; its distances and its final
@@ -240,7 +230,7 @@ def _train(
     clients train in lockstep: row ``g`` of every ``(G, D)`` buffer is
     client ``g``'s, each client keeps its own random streams, and its
     distances are checked one by one.  A group of more than one must hold
-    equal-size clients of at most one batch each (see ``train_pools``).
+    equal-size clients of at most one batch each (see ``lockstep_groups``).
     """
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
@@ -268,10 +258,9 @@ def _train(
         for k in range(1, m):
             active += np.multiply(rows[k], 1.0 / m, out=tmp)
         if soup:
-            # coeffs[t, k]: member k's coefficient at step t, a (G, 1) column,
-            # or one scalar for a group of one, which multiplies faster.
+            # coeffs[t, k]: member k's coefficient at step t, a (G, 1) column.
             blocks = [_coeff_rows(m + 1, config.tau, config.coeff_mode, rng) for rng in coeff_rngs]
-            coeffs = blocks[0] if size == 1 else np.stack(blocks, axis=2)[..., None]
+            coeffs = np.stack(blocks, axis=2)[..., None]
         for t in range(config.tau):
             features, labels = next(batches)
             if soup:

@@ -216,6 +216,27 @@ class TestRunRound:
         with pytest.raises(RuntimeError, match="client 0"):
             run_round(anchor, clients, spec, LocalConfig(), "fedavg", 1, 0, test)
 
+    def test_a_group_failure_that_no_client_repeats_alone_names_the_round(
+        self, fed_setup, monkeypatch
+    ):
+        spec, anchor, clients, test = fed_setup
+        calls = []
+
+        def fails_in_a_group(strategy, a, s, datasets, local, seeds):
+            calls.append(len(datasets))
+            if len(datasets) > 1:
+                raise MemoryError("no room for the stacked buffers")
+            return [a for _ in datasets]
+
+        monkeypatch.setattr(federation, "train_clients", fails_in_a_group)
+        with pytest.raises(RuntimeError) as err:
+            run_round(anchor, clients, spec, LocalConfig(), "fedavg", 4, 0, test)
+        assert str(err.value) == (
+            "lockstep training failed during round 4: no room for the stacked buffers"
+        )
+        assert isinstance(err.value.__cause__, MemoryError)
+        assert calls == [len(clients)] + [1] * len(clients)
+
     @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
     def test_lockstep_failure_names_the_client_that_fails_first_alone(
         self, fed_setup, monkeypatch, strategy

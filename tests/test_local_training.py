@@ -20,11 +20,12 @@ from lss.local_training import (
     fedprox_local_train,
     fedprox_loss_and_grad,
     interpolate,
+    lockstep_groups,
     lss_local_train,
     lss_regularized_grad,
     mean_pairwise_distance,
     sample_interp_coeffs,
-    train_pools,
+    train_group,
 )
 from lss.federation import train_clients
 from lss.model import MlpSpec, init_params, loss_and_grad
@@ -536,12 +537,6 @@ def lockstep_clients(spec, sizes, seed=5):
     ]
 
 
-def by_client(indexed_pools):
-    """``train_pools``'s output as a list in client order."""
-    pools = dict(indexed_pools)
-    return [pools[i] for i in range(len(pools))]
-
-
 def alone(strategy, anchor, spec, data, cfg, seed):
     """A client's pool and upload when it trains by itself."""
     if strategy == "lss":
@@ -584,7 +579,7 @@ class TestLockstep:
         assert groups == [count]
         soup = strategy == "lss"
         pool_cfg = cfg if strategy != "fedavg" else dataclasses.replace(cfg, mu_prox=0.0)
-        pools = by_client(train_pools(anchor, spec, datasets, pool_cfg, seeds, soup))
+        pools = train_group(anchor, spec, datasets, pool_cfg, seeds, soup)
         assert groups == [count, count]
         for data, seed, pool, upload in zip(datasets, seeds, pools, uploads):
             want_pool, want_upload = alone(strategy, anchor, spec, data, cfg, seed)
@@ -602,25 +597,14 @@ class TestLockstep:
         sizes = [5, 40, 5, 1, 16, 17, 16]
         datasets = lockstep_clients(spec, sizes)
         seeds = list(range(3, 3 + len(sizes)))
-        groups = self.spy_groups(monkeypatch)
-        pools = by_client(train_pools(anchor, spec, datasets, cfg, seeds, soup=True))
         # 5 (twice), 40, 1, 16 (twice), 17: the clients over one batch alone
-        assert groups == [2, 1, 1, 2, 1]
-        for data, seed, pool in zip(datasets, seeds, pools):
-            for got, want in zip(pool, alone("lss", anchor, spec, data, cfg, seed)[0]):
-                assert np.array_equal(got.values, want.values)
-
-    def test_a_group_splits_at_its_buffer_limit(self, monkeypatch):
-        spec, anchor, _ = engine_case((), "relu", 3)
-        cfg = LocalConfig(eta=0.2, tau=3, batch_size=16, num_pool_models=2)
-        datasets = lockstep_clients(spec, [3] * 5)
-        monkeypatch.setattr(local_training, "_GROUP_FLOATS", 2 * anchor.dim + 1)
+        assert lockstep_groups(datasets, 16) == [[0, 2], [1], [3], [4, 6], [5]]
         groups = self.spy_groups(monkeypatch)
-        pools = by_client(train_pools(anchor, spec, datasets, cfg, [1, 2, 3, 4, 5], soup=True))
-        assert groups == [2, 2, 1]
-        for data, seed, pool in zip(datasets, [1, 2, 3, 4, 5], pools):
-            for got, want in zip(pool, alone("lss", anchor, spec, data, cfg, seed)[0]):
-                assert np.array_equal(got.values, want.values)
+        uploads = train_clients("lss", anchor, spec, datasets, cfg, seeds)
+        assert groups == [2, 1, 1, 2, 1]
+        for data, seed, upload in zip(datasets, seeds, uploads):
+            _, want = alone("lss", anchor, spec, data, cfg, seed)
+            assert np.array_equal(upload.values, want.values)
 
     @pytest.mark.parametrize("pool_size", [1, 2, 5, 9, 13])
     def test_a_phase_coefficient_block_equals_one_draw_per_step(self, pool_size):
@@ -644,4 +628,12 @@ class TestLockstep:
         spec, anchor, _ = engine_case((), "relu", 3)
         datasets = lockstep_clients(spec, [3, 3])
         with pytest.raises(ValueError, match="1 seeds for 2 clients"):
-            next(train_pools(anchor, spec, datasets, LocalConfig(), [1], soup=True))
+            train_group(anchor, spec, datasets, LocalConfig(), [1], soup=True)
+
+    @pytest.mark.parametrize("sizes", [[3, 4], [17, 17]])  # 16 is the batch size
+    def test_a_group_that_is_not_lockstep_is_rejected(self, sizes):
+        spec, anchor, _ = engine_case((), "relu", 3)
+        datasets = lockstep_clients(spec, sizes)
+        cfg = LocalConfig(batch_size=16)
+        with pytest.raises(ValueError, match="equal size within one batch"):
+            train_group(anchor, spec, datasets, cfg, [1, 2], soup=False)
