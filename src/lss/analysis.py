@@ -7,7 +7,8 @@ estimates the constants those formulas consume (gradient noise, local/
 global gradient gap) and probes landscape sharpness via finite-difference
 Hessian-vector products.  The sigma and Hessian estimators run the
 training kernel (``model.Kernel``) on its fixed buffers, checking their
-inputs once per call.
+inputs once per call; the Hessian runs the power iterations of its
+batches in lockstep, one stacked kernel call per iteration.
 """
 
 from __future__ import annotations
@@ -128,11 +129,14 @@ def max_local_steps(p: TheoryParams) -> float:
     )
 
 
+_NON_FINITE = "diagnostic produced non-finite entries"
+
+
 def _check_finite(arr: np.ndarray) -> np.ndarray:
     # A finite dot product proves every entry finite at a fraction of the
     # cost of the entrywise scan, which then runs only on an overflow.
     if not math.isfinite(arr.dot(arr)) and not np.isfinite(arr).all():
-        raise ValueError("diagnostic produced non-finite entries")
+        raise ValueError(_NON_FINITE)
     return arr
 
 
@@ -244,12 +248,102 @@ def ensemble_variance_split(preds: np.ndarray) -> tuple[float, float, float]:
 # finite-difference Hessian-vector products.
 # ---------------------------------------------------------------------------
 
+# The floats (8 bytes each, so 2 MiB) that one wave of lockstep Hessian
+# probes may hold in its points, gradients and kernel temporaries.  The
+# wave size follows from the model and the batch (``_probes_per_wave``); a
+# wave holds at least one batch, so a wide MLP such as a 256-256 one on 128
+# features probes one batch at a time.
+HESSIAN_WAVE_FLOATS = 1 << 18
 
-def _fd_hvp(
-    grad_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    eps = 1e-4 * (1.0 + float(np.linalg.norm(x))) / float(np.linalg.norm(v))
-    return (grad_fn(x + eps * v) - grad_fn(x - eps * v)) / (2.0 * eps)
+# (hi, points, gradients) of the wave of probes lo..hi-1 (see
+# ``_power_iteration``), given lo.
+Waves = Callable[[int], tuple[int, np.ndarray, Callable[[], np.ndarray]]]
+
+
+def _power_iteration(
+    waves: Waves, x: np.ndarray, count: int, iters: int, rng: np.random.Generator,
+    checked: bool = False,
+) -> list[float]:
+    """Rayleigh quotients of ``count`` power iterations on the FD Hessian at
+    ``x``, one per probe, run in lockstep waves.
+
+    ``waves(lo)`` gives the wave that starts at probe ``lo``: its end
+    ``hi``, a ``(2, hi - lo, D)`` buffer that receives the points
+    ``x + eps * v`` (row 0) and ``x - eps * v`` (row 1) of its probes, and
+    a function that returns their gradients, shaped alike.  Each probe gets
+    the floats and the draws from ``rng`` that it gets alone, probing one
+    after the other: the reductions run row by row, a probe whose
+    Hessian-vector product vanishes (or is not finite) is reseeded once
+    from the generator state after its start vector and then restarts the
+    wave, and a second failure raises.  With ``checked``, a probe with a
+    non-finite point or gradient raises ``ValueError`` once the probes
+    before it have finished.
+    """
+    scale = 1e-4 * (1.0 + float(np.linalg.norm(x)))
+    eigs: list[float] = []
+    reseeded = -1  # the probe on its second start vector
+    lo = 0
+    while lo < count:
+        points = gradients = v = None  # the last wave's buffers go first
+        hi, points, gradients = waves(lo)
+        size = hi - lo
+        v = np.empty((size, x.size))
+        states = []
+        for row in v:
+            row[:] = rng.standard_normal(x.size)
+            states.append(rng.bit_generator.state)
+            row /= math.sqrt(row.dot(row))
+        eig, eps, norms = [0.0] * size, np.zeros(size), np.empty(size)
+        active, event = size, None  # probes active..size-1 have stopped
+        for _ in range(iters):
+            if not active:
+                break
+            for r in range(active):
+                eps[r] = scale / math.sqrt(v[r].dot(v[r]))
+            step = np.multiply(v[:active], eps[:active, None], out=points[1, :active])
+            np.add(x, step, out=points[0, :active])
+            np.subtract(x, step, out=points[1, :active])
+            grads = gradients()
+            ok = _finite_probes(points, grads, active) if checked else active
+            hv = np.subtract(grads[0, :ok], grads[1, :ok], out=grads[0, :ok])
+            hv /= (2.0 * eps[:ok])[:, None]
+            for r in range(ok):
+                norm = math.sqrt(hv[r].dot(hv[r]))
+                if norm < 1e-30 or not math.isfinite(norm):
+                    active, event = r, "degenerate"
+                    break
+                eig[r], norms[r] = float(v[r].dot(hv[r])), norm
+            else:
+                if ok < active:
+                    active, event = ok, "error"
+            np.divide(hv[:active], norms[:active, None], out=v[:active])
+        eigs += eig[:active]
+        if event is None:
+            lo = hi
+            continue
+        # Back to where probing one batch at a time stands at this probe.
+        rng.bit_generator.state = states[active]
+        if event == "error":
+            raise ValueError(_NON_FINITE)
+        if reseeded == lo + active:
+            raise RuntimeError("power iteration degenerate: Hessian-vector product vanished")
+        lo = reseeded = lo + active
+    return eigs
+
+
+def _finite_probes(points: np.ndarray, grads: np.ndarray, active: int) -> int:
+    """How many of the probes 0..active-1, from the first, have finite
+    points and gradients."""
+    for arr in (points, grads):
+        flat = arr[:, :active].ravel()  # a view unless probes have stopped
+        # A finite dot product proves every entry finite (see _check_finite).
+        if not math.isfinite(flat.dot(flat)):
+            break
+    else:
+        return active
+    finite = np.isfinite(points[:, :active]).all(axis=(0, 2))
+    finite &= np.isfinite(grads[:, :active]).all(axis=(0, 2))
+    return active if finite.all() else int(np.argmin(finite))
 
 
 def top_hessian_eigenvalue_from_grad(
@@ -261,27 +355,31 @@ def top_hessian_eigenvalue_from_grad(
     """Power iteration on the FD Hessian at ``x``; returns the Rayleigh quotient.
 
     A degenerate probe (Hessian-vector product vanishes) is reseeded once;
-    a second failure raises.
+    a second failure raises.  This is the one-probe case of the lockstep
+    engine that ``hessian_top_eig`` runs.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     x = np.asarray(x, dtype=np.float64)
-    for attempt in range(2):
-        v = rng.standard_normal(x.size)
-        v /= np.linalg.norm(v)
-        eig = 0.0
-        degenerate = False
-        for _ in range(iters):
-            hv = _fd_hvp(grad_fn, x, v)
-            norm = float(np.linalg.norm(hv))
-            if norm < 1e-30 or not np.isfinite(norm):
-                degenerate = True
-                break
-            eig = float(np.dot(v, hv))
-            v = hv / norm
-        if not degenerate:
-            return eig
-    raise RuntimeError("power iteration degenerate: Hessian-vector product vanished")
+    points, grads = np.empty((2, 1, x.size)), np.empty((2, 1, x.size))
+
+    def gradients() -> np.ndarray:
+        grads[0, 0] = grad_fn(points[0, 0])
+        grads[1, 0] = grad_fn(points[1, 0])
+        return grads
+
+    return _power_iteration(lambda lo: (1, points, gradients), x, 1, iters, rng)[0]
+
+
+def _probes_per_wave(spec: MlpSpec, batch: int) -> int:
+    """Probes of ``batch`` rows that one wave holds under
+    ``HESSIAN_WAVE_FLOATS``.  A probe holds five vectors of D floats (its
+    iterate, two points, two gradients), and at each of its two points the
+    batch's features and the kernel's temporaries: two blocks per hidden
+    layer and three for the classes."""
+    widths = spec.input_dim + 2 * sum(spec.hidden_dims) + 3 * spec.num_classes
+    per_probe = 5 * spec.param_count() + 2 * batch * widths
+    return max(1, HESSIAN_WAVE_FLOATS // per_probe)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -293,27 +391,42 @@ def hessian_top_eig(
     seed: int,
     batch_size: int = 64,
 ) -> float:
-    """Median over dataset batches of the dominant Hessian eigenvalue."""
+    """Median over dataset batches of the dominant Hessian eigenvalue.
+
+    The batches' probes run in lockstep waves of equal-size batches, up to
+    ``HESSIAN_WAVE_FLOATS``: one kernel call per iteration on the stacked
+    points of a wave, with the eigenvalues of probing batch by batch."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    kernel = Kernel(spec, data, params.values.copy())
     rng = np.random.default_rng(seed)
     n_batches = max(1, math.ceil(data.n / batch_size))
-    eigs = []
-    for chunk in np.array_split(rng.permutation(data.n), n_batches):
-        features, labels = data.features[chunk], data.labels[chunk]
+    chunks = np.array_split(rng.permutation(data.n), n_batches)
+    kernel = None
 
-        def grad_fn(point: np.ndarray) -> np.ndarray:
-            np.copyto(kernel.x, _check_finite(point))
-            kernel(features, labels)
-            # A copy: ``_fd_hvp`` holds one gradient while taking the next.
-            return _check_finite(kernel.grad).copy()
+    def waves(lo: int):
+        nonlocal kernel
+        n, hi = chunks[lo].size, lo + 1
+        limit = min(n_batches, lo + _probes_per_wave(spec, n))
+        while hi < limit and chunks[hi].size == n:
+            hi += 1
+        size = hi - lo
+        if kernel is None or kernel.x.shape[0] != 2 * size:
+            kernel = None  # the last wave's buffers go first
+            kernel = Kernel(spec, data, np.empty((2 * size, params.dim)))  # checks the inputs
+        wave_kernel, grads = kernel, kernel.grad.reshape(2, size, -1)
+        rows = np.tile(np.concatenate(chunks[lo:hi]), 2)  # each batch at its + and - point
+        features = data.features[rows].reshape(2 * size, n, spec.input_dim)
+        labels = data.labels[rows].reshape(2 * size, n)
 
-        eigs.append(
-            top_hessian_eigenvalue_from_grad(grad_fn, params.values, iters, rng)
-        )
+        def gradients() -> np.ndarray:
+            wave_kernel(features, labels)
+            return grads
+
+        return hi, kernel.x.reshape(2, size, -1), gradients
+
+    eigs = _power_iteration(waves, params.values, n_batches, iters, rng, checked=True)
     return float(np.median(eigs))
 
 

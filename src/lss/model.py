@@ -51,6 +51,8 @@ class MlpSpec:
 
 # (W, b) views of one flat vector, one pair per layer.
 Layers = list[tuple[np.ndarray, np.ndarray]]
+# One (..., n, width) block per layer.
+Blocks = list[np.ndarray]
 
 
 def _unpack(flat: np.ndarray, spec: MlpSpec) -> Layers:
@@ -102,30 +104,29 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector._wrap(flat)
 
 
-def _forward(
-    layers: Layers, spec: MlpSpec, features: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Returns (logits, activations per layer input, pre-activations)."""
+def _forward(layers: Layers, spec: MlpSpec, features: np.ndarray, outs: Blocks) -> np.ndarray:
+    """Writes each layer's output into ``outs``, the activation of a hidden
+    layer and the logits last, and returns the logits."""
     a = features
-    acts = [a]  # inputs to each layer
-    pre = []
-    for idx, (w, b) in enumerate(layers):
-        # In place where a result is fresh: each temporary of a wide layer
-        # is a large block the allocator may return to the system and
-        # fault in again on the next call.
-        z = a @ w
+    for (w, b), z in zip(layers, outs):
+        np.matmul(a, w, out=z)
         z += b
-        pre.append(z)
-        if idx < len(layers) - 1:
-            a = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-            acts.append(a)
-    return pre[-1], acts, pre
+        if z is not outs[-1]:
+            np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z)
+        a = z
+    return a
+
+
+def _layer_blocks(spec: MlpSpec, lead: tuple[int, ...]) -> Blocks:
+    """Fresh output blocks, one per layer, for a batch of leading shape ``lead``."""
+    return [np.empty((*lead, fo)) for _, fo in spec.layer_shapes()]
 
 
 def _logits(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
     _check_params(params.values, spec)
     _check_data(data, spec)
-    return _forward(_unpack(params.values, spec), spec, data.features)[0]
+    blocks = _layer_blocks(spec, data.features.shape[:-1])
+    return _forward(_unpack(params.values, spec), spec, data.features, blocks)
 
 
 def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
@@ -135,48 +136,76 @@ def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarr
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _log_softmax(out: np.ndarray) -> np.ndarray:
+def _log_softmax(
+    out: np.ndarray, log_probs: np.ndarray, exps: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """Writes the log-softmax of ``out`` over its last axis into
+    ``log_probs`` (which may be ``out``) and returns it; ``exps`` (shaped
+    like ``out``) and ``col`` (its last axis 1) are scratch."""
     # Called as ufunc reductions: the ``max``/``sum`` wrappers cost more than
     # the reduction itself at these sizes, and give the same bits.
-    shifted = out - np.maximum.reduce(out, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    np.maximum.reduce(out, axis=-1, keepdims=True, out=col)
+    shifted = np.subtract(out, col, out=log_probs)
+    np.add.reduce(np.exp(shifted, out=exps), axis=-1, keepdims=True, out=col)
+    shifted -= np.log(col, out=col)
+    return shifted
 
 
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-log_probs[np.arange(labels.shape[0]), labels].mean())
 
 
+class _Workspace:
+    """The forward and backward temporaries of one batch shape."""
+
+    __slots__ = ("outs", "deltas", "log_probs", "dlogits", "onehot", "col", "rows")
+
+    def __init__(self, spec: MlpSpec, lead: tuple[int, ...]):
+        self.outs = _layer_blocks(spec, lead)
+        self.deltas = [np.empty((*lead, h)) for h in spec.hidden_dims]
+        self.log_probs, self.dlogits = np.empty((2, *lead, spec.num_classes))
+        # dlogits with one row per sample, and each sample's row index in it
+        self.onehot = self.dlogits.reshape(-1, spec.num_classes)
+        self.col = np.empty((*lead, 1))
+        self.rows = np.arange(self.onehot.shape[0])
+
+
 def _backprop(
-    layers: Layers, grads: Layers, spec: MlpSpec, features: np.ndarray, labels: np.ndarray
+    layers: Layers, grads: Layers, spec: MlpSpec, features: np.ndarray, labels: np.ndarray,
+    ws: _Workspace,
 ) -> np.ndarray:
     """Writes the gradient of the mean cross-entropy at the weights viewed by
     ``layers`` into the views ``grads`` and returns the log-probabilities,
-    shape (n, num_classes).  Inputs are not checked.
+    shape (n, num_classes), held in ``ws``.  Inputs are not checked.
 
     With a leading client axis (weights from a ``(G, D)`` matrix, features
     ``(G, n, input_dim)``, labels ``(G, n)``) each client's slice gets the
     bits it gets alone: the matmuls run slice by slice, and the reductions
     run along the same contiguous axes."""
     n = labels.shape[-1]
-    out, acts, pre = _forward(layers, spec, features)
-    log_probs = _log_softmax(out)
+    out = _forward(layers, spec, features, ws.outs)
+    log_probs = _log_softmax(out, ws.log_probs, ws.dlogits, ws.col)
 
     # dL/dlogits = (softmax - onehot) / n
-    dlogits = np.exp(log_probs)
-    dlogits.reshape(-1, dlogits.shape[-1])[np.arange(labels.size), labels.ravel()] -= 1.0
+    dlogits = np.exp(log_probs, out=ws.dlogits)
+    ws.onehot[ws.rows, labels.ravel()] -= 1.0
     dlogits /= n
 
     delta = dlogits
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
-        np.matmul(acts[idx].swapaxes(-1, -2), delta, out=gw)
+        a = ws.outs[idx - 1] if idx else features  # the layer's input
+        np.matmul(a.swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
         if idx > 0:
-            delta = delta @ layers[idx][0].swapaxes(-1, -2)
+            delta = np.matmul(delta, layers[idx][0].swapaxes(-1, -2), out=ws.deltas[idx - 1])
+            # The activation's derivative, in place of the activation; for
+            # relu, max(z, 0) > 0 exactly where z > 0.
             if spec.activation == "relu":
-                delta *= pre[idx - 1] > 0.0
-            else:  # acts[idx] is tanh of the pre-activation
-                delta *= 1.0 - acts[idx] ** 2
+                np.greater(a, 0.0, out=a)
+            else:
+                np.subtract(1.0, np.square(a, out=a), out=a)
+            delta *= a
     return log_probs
 
 
@@ -184,13 +213,17 @@ class Kernel:
     """The training kernel on the caller's flat weights ``x``, checked with
     ``data`` against the spec once.  ``kernel(features, labels)`` writes the
     gradient of the mean cross-entropy at ``x`` into ``grad`` and returns the
-    log-probabilities; the batch is unchecked, so it must be rows of ``data``.
+    log-probabilities, valid until the next call; the batch is unchecked, so
+    it must be rows of ``data``.
 
     A ``(G, D)`` matrix ``x`` holds the weights of G clients, and ``data`` is
     then one dataset per client; each call takes a ``(G, n, input_dim)``
-    batch, n rows of every client's data."""
+    batch, n rows of every client's data.
 
-    __slots__ = ("x", "grad", "_spec", "_weights", "_grads")
+    The kernel owns its forward and backward temporaries, allocated at the
+    first call of each batch shape and rewritten in place after that."""
+
+    __slots__ = ("x", "grad", "_spec", "_weights", "_grads", "_shape", "_ws", "_workspaces")
 
     def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
         _check_params(x, spec)
@@ -198,9 +231,16 @@ class Kernel:
             _check_data(d, spec)
         self.x, self.grad, self._spec = x, np.empty(x.shape), spec
         self._weights, self._grads = _unpack(x, spec), _unpack(self.grad, spec)
+        self._shape, self._ws, self._workspaces = None, None, {}
 
     def __call__(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return _backprop(self._weights, self._grads, self._spec, features, labels)
+        if features.shape != self._shape:  # one tuple compare while the shape holds
+            self._shape = features.shape
+            ws = self._workspaces.get(self._shape)
+            if ws is None:
+                ws = self._workspaces[self._shape] = _Workspace(self._spec, self._shape[:-1])
+            self._ws = ws
+        return _backprop(self._weights, self._grads, self._spec, features, labels, self._ws)
 
 
 def loss_and_grad(
@@ -223,4 +263,5 @@ def evaluate(params: ParamVector, spec: MlpSpec, data: Dataset) -> tuple[float, 
     ``accuracy`` and of ``loss_and_grad``'s loss, without the backward pass."""
     out = _logits(params, spec, data)
     acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
-    return acc, _mean_nll(_log_softmax(out), data.labels)
+    log_probs = _log_softmax(out, out, np.empty_like(out), np.empty((data.n, 1)))
+    return acc, _mean_nll(log_probs, data.labels)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import hessian_oracle
+from lss import analysis
 from lss.analysis import (
     TheoryParams,
     bvcl_diagnostics,
@@ -402,6 +404,119 @@ class TestHessianTopEig:
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=2)
         with pytest.raises(ValueError):
             hessian_top_eig(init_params(spec, 0), spec, data, iters=0, seed=0)
+
+
+class FakeStack:
+    """Stacked gradients ``diags[p] * point`` of quadratic probes for
+    ``analysis._power_iteration``, and their one-probe oracle.  Probe
+    ``vanish`` gets a zero gradient at iteration ``at`` of its first
+    attempt, or of every attempt with ``twice``; probe ``blow_up`` gets an
+    infinite one at iteration 0."""
+
+    def __init__(self, diags, wave, vanish=-1, at=0, twice=False, blow_up=-1):
+        self.diags, self.wave = diags, wave
+        self.vanish, self.at, self.twice, self.blow_up = vanish, at, twice, blow_up
+        self.waves_with_vanish = 0
+
+    def zero(self, probe, attempt, it):
+        return probe == self.vanish and it == self.at and (attempt == 1 or self.twice)
+
+    def __call__(self, lo):
+        hi = min(len(self.diags), lo + self.wave)
+        points, grads = np.empty((2, 2, hi - lo, self.diags.shape[1]))
+        self.waves_with_vanish += lo <= self.vanish < hi
+        attempt, its = self.waves_with_vanish, [0]
+
+        def gradients():
+            np.multiply(self.diags[lo:hi], points, out=grads)
+            for r in range(hi - lo):
+                if self.zero(lo + r, attempt, its[0]):
+                    grads[:, r] = 0.0
+                if lo + r == self.blow_up:
+                    grads[:, r] = np.inf
+            its[0] += 1
+            return grads
+
+        return hi, points, gradients
+
+    def oracle(self, x, iters, rng):
+        eigs = []
+        for p, d in enumerate(self.diags):
+            calls = [0]
+
+            def grad_fn(point, p=p, d=d):
+                # a vanishing probe's attempt 1 ends at iteration ``at``
+                k, calls[0] = calls[0], calls[0] + 1
+                attempt, it = (1, k // 2) if k // 2 <= self.at else (2, k // 2 - self.at - 1)
+                if self.zero(p, attempt, it):
+                    return np.zeros_like(point)
+                if p == self.blow_up:
+                    raise ValueError("diagnostic produced non-finite entries")
+                return d * point
+
+            eigs.append(hessian_oracle.top_hessian_eigenvalue_from_grad(grad_fn, x, iters, rng))
+        return eigs
+
+
+class TestLockstepPowerIteration:
+    diags = np.linspace(0.5, 3.0, 4 * 9).reshape(4, 9) ** np.arange(1, 5)[:, None]
+    x = np.linspace(-1.0, 1.0, 9)
+
+    def both(self, stack, checked=False):
+        """(engine result or error, generator state) and the oracle's."""
+        results = []
+        for run in (
+            lambda rng: analysis._power_iteration(stack, self.x, 4, 8, rng, checked),
+            lambda rng: stack.oracle(self.x, 8, rng),
+        ):
+            rng = np.random.default_rng(17)
+            try:
+                got = [e.hex() for e in run(rng)]
+            except (RuntimeError, ValueError) as err:
+                got = (type(err), str(err))
+            results.append((got, rng.bit_generator.state))
+        return results
+
+    @pytest.mark.parametrize("wave", [1, 2, 3, 4])
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_a_probe_that_vanishes_once_is_reseeded_as_alone(self, wave, at):
+        stack = FakeStack(self.diags, wave, vanish=1, at=at)
+        engine, oracle = self.both(stack)
+        assert engine == oracle
+        assert isinstance(engine[0], list) and len(engine[0]) == 4
+        assert stack.waves_with_vanish == 2
+        # without the vanishing, probe 1 and every later one get other draws
+        assert engine != self.both(FakeStack(self.diags, wave))[0]
+
+    @pytest.mark.parametrize("wave", [1, 2, 4])
+    def test_a_probe_that_vanishes_twice_raises(self, wave):
+        engine, oracle = self.both(FakeStack(self.diags, wave, vanish=1, twice=True))
+        assert engine == oracle
+        assert engine[0] == (
+            RuntimeError, "power iteration degenerate: Hessian-vector product vanished"
+        )
+
+    # A non-finite gradient raises only once the probes before it have
+    # finished: a later probe's error gives way to an earlier probe's reseed
+    # and to its second failure.
+    @pytest.mark.parametrize("wave", [1, 2, 4])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_errors_come_in_probe_order(self, wave, twice):
+        stack = FakeStack(self.diags, wave, vanish=1, at=5, twice=twice, blow_up=2)
+        engine, oracle = self.both(stack, checked=True)
+        assert engine == oracle
+        assert engine[0][0] is (RuntimeError if twice else ValueError)
+
+
+def test_the_wave_bound_stacks_a_wide_mlp_one_batch_at_a_time():
+    # the three benchmark workloads' models at their eval batches
+    wide = MlpSpec(input_dim=128, hidden_dims=(256, 256), num_classes=10)
+    mid = MlpSpec(input_dim=32, hidden_dims=(64,), num_classes=10)
+    softmax = MlpSpec(input_dim=16, hidden_dims=(), num_classes=10)
+    assert analysis._probes_per_wave(wide, 50) == 1
+    assert analysis._probes_per_wave(mid, 60) == 7
+    assert analysis._probes_per_wave(softmax, 60) >= 5
+    assert analysis._probes_per_wave(softmax, 10**9) == 1
 
 
 class TestDiagnosticsReport:

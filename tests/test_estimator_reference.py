@@ -2,7 +2,9 @@
 public, checked calls: ``loss_and_grad`` on a fresh ``ParamVector`` and a
 ``Dataset.subset`` per batch.  The estimators in ``lss.analysis`` run the
 training kernel on fixed buffers instead, and must return the same floats,
-bit for bit."""
+bit for bit.  The Hessian's reference probes one batch at a time with the
+sequential power iteration of ``hessian_oracle``; ``hessian_top_eig``
+probes its batches in lockstep waves."""
 
 from __future__ import annotations
 
@@ -11,12 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from lss.analysis import (
-    estimate_sigma,
-    estimate_zeta,
-    hessian_top_eig,
-    top_hessian_eigenvalue_from_grad,
-)
+from hessian_oracle import top_hessian_eigenvalue_from_grad
+from lss import analysis, model as model_module
+from lss.analysis import estimate_sigma, estimate_zeta, hessian_top_eig
 from lss.data import gen_blobs
 from lss.federation import data_proportional_weights
 from lss.model import MlpSpec, init_params, loss_and_grad
@@ -81,7 +80,7 @@ def same_float(got, want):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 class TestMatchesReference:
-    # batch 64 splits n=150 raggedly; 150 and 400 cover batch_size >= n
+    # n=150 splits evenly at batch 16 and 64; 150 and 400 cover batch_size >= n
     @pytest.mark.parametrize("batch_size", [16, 64, 150, 400])
     def test_hessian(self, name, batch_size, blobs):
         spec, params = model(name)
@@ -136,3 +135,32 @@ def test_overflowing_params_raise_value_error(estimate, blobs):
     huge = ParamVector(params.values * 1e200)
     with pytest.raises(ValueError, match="non-finite entries"):
         estimate(huge, spec, blobs)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+class TestLockstepHessian:
+    # n=150 at batch 40 splits raggedly into batches of 38, 38, 37 and 37:
+    # a wave holds equal-size batches only
+    @pytest.mark.parametrize("batch_size", [16, 40, 64])
+    @pytest.mark.parametrize("wave", [1, 2, None], ids=["wave1", "wave2", "unbounded"])
+    def test_every_wave_size_gives_the_oracle_bits(
+        self, name, batch_size, wave, blobs, monkeypatch
+    ):
+        if wave is None:
+            monkeypatch.setattr(analysis, "HESSIAN_WAVE_FLOATS", 1 << 62)
+        else:
+            monkeypatch.setattr(analysis, "_probes_per_wave", lambda spec, batch: wave)
+        spec, params = model(name)
+        want = reference_hessian(params, spec, blobs, 12, 3, batch_size)
+        shapes = []  # of the features of every kernel call
+        backprop = model_module._backprop
+        monkeypatch.setattr(
+            model_module, "_backprop", lambda *a: (shapes.append(a[3].shape), backprop(*a))[1]
+        )
+        got = hessian_top_eig(params, spec, blobs, iters=12, seed=3, batch_size=batch_size)
+        same_float(got, want)
+        sizes = [b.size for b in np.array_split(np.arange(blobs.n), math.ceil(blobs.n / batch_size))]
+        runs = [sizes.count(n) for n in dict.fromkeys(sizes)]  # equal-size batches, in order
+        waves = sum(math.ceil(r / (wave or r)) for r in runs)
+        assert len(shapes) == 12 * waves
+        assert max(s[0] for s in shapes) == 2 * min(max(runs), wave or max(runs))

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,70 @@ class TestKernel:
         kernel(data.features, data.labels)
         zero = ParamVector(np.zeros(spec.param_count()))
         assert np.array_equal(kernel.grad, loss_and_grad(zero, spec, data)[1].values)
+
+
+WORKSPACE_SPECS = [
+    MlpSpec(input_dim=5, hidden_dims=(), num_classes=4),
+    MlpSpec(input_dim=5, hidden_dims=(9,), num_classes=4, activation="relu"),
+    MlpSpec(input_dim=5, hidden_dims=(9, 6), num_classes=4, activation="tanh"),
+]
+
+
+@pytest.mark.parametrize("spec", WORKSPACE_SPECS, ids=["softmax", "relu", "tanh"])
+class TestKernelWorkspace:
+    def test_a_reused_kernel_gives_the_bits_of_a_fresh_one(self, spec):
+        rng = np.random.default_rng(11)
+        data = random_batch(rng, spec, 64)
+        x = perturbed(init_params(spec, 2), rng, 0.5).values
+        kernel = Kernel(spec, data, x.copy())
+        for lo, rows in ((0, 64), (30, 17), (0, 64), (5, 17)):
+            features, labels = data.features[lo : lo + rows], data.labels[lo : lo + rows]
+            fresh = Kernel(spec, data, x.copy())
+            want = fresh(features, labels)
+            assert np.array_equal(kernel(features, labels), want)
+            assert np.array_equal(kernel.grad, fresh.grad)
+        # stacked: three clients, each at its own weights and rows
+        xs = np.stack([x, x[::-1].copy(), 0.5 * x])
+        kernel = Kernel(spec, [data] * 3, xs.copy())
+        for lo, rows in ((0, 20), (7, 9), (0, 20)):
+            order = [np.arange(lo, lo + rows) + 15 * g for g in range(3)]
+            features, labels = data.features[order], data.labels[order]
+            fresh = Kernel(spec, [data] * 3, xs.copy())
+            want = fresh(features, labels)
+            assert np.array_equal(kernel(features, labels), want)
+            assert np.array_equal(kernel.grad, fresh.grad)
+            for g in range(3):  # and each client's slice is its bits alone
+                alone = Kernel(spec, data, xs[g].copy())
+                assert np.array_equal(want[g], alone(features[g], labels[g]))
+                assert np.array_equal(fresh.grad[g], alone.grad)
+
+    # Layers wide enough that a block of one batch, n rows of the narrowest
+    # layer, outgrows numpy's own ufunc buffer (8192 floats), which the
+    # broadcast bias add and the relu mask's cast still take at each call.
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_a_repeated_call_allocates_no_batch_sized_block(self, spec, lead):
+        spec = MlpSpec(
+            input_dim=5,
+            hidden_dims=tuple(150 + 10 * h for h in spec.hidden_dims),
+            num_classes=140,
+            activation=spec.activation,
+        )
+        rng = np.random.default_rng(12)
+        n = 96
+        data = random_batch(rng, spec, n)
+        x = np.broadcast_to(init_params(spec, 4).values, (*lead, spec.param_count())).copy()
+        kernel = Kernel(spec, data, x)
+        features = np.broadcast_to(data.features, (*lead, n, spec.input_dim)).copy()
+        labels = np.broadcast_to(data.labels, (*lead, n)).copy()
+        kernel(features, labels)
+        block = n * min((spec.num_classes, *spec.hidden_dims)) * 8
+        tracemalloc.start()
+        try:
+            kernel(features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block
 
 
 def test_no_module_but_model_imports_its_private_names():
