@@ -4,10 +4,10 @@ Each round every client trains from a copy of the current global model
 using the chosen strategy, and the server forms the new global model as
 the average of the uploads weighted by each client's sample count, as in
 FedAvg.  The round's clients train through one call
-(``train_clients``): clients of equal size that fit in one batch train
-in lockstep groups, every other client through its strategy's trainer
-(``lss_local_train``, ``fedprox_local_train``); each upload is the one
-the client gets alone.
+(``train_clients``): all clients that fit in one batch train in one
+lockstep group, whatever their sizes, and every other client through its
+strategy's trainer (``lss_local_train``, ``fedprox_local_train``); each
+upload is the one the client gets alone.
 Uploads are aggregated and scored in client-id order, and per-client
 seeds are a stable hash of (round seed, client id), so results do not
 depend on the order the clients are given in.
@@ -133,8 +133,8 @@ def train_clients(
     """The uploads of clients training from ``anchor`` with their seeds, in
     the order given; ``run_round`` has checked ``strategy``.  Each upload is
     the one the client's ``lss_local_train`` or ``fedprox_local_train``
-    returns alone: a client that trains alone calls it, and clients of
-    equal size that fit in one batch train in lockstep groups
+    returns alone: a client that trains alone calls it, and the clients
+    that fit in one batch train in one lockstep group
     (``local_training.lockstep_groups``)."""
     if strategy == "fedavg":
         # FedAvg is plain SGD: proximal SGD with the pull switched off,

@@ -17,19 +17,21 @@ group of G clients at once: it holds the pools in one
 into fixed ``(G, D)`` buffers, in the float order of the reference
 functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
 ``axpy``), so results are bit-identical to them whatever the group.
-``lockstep_groups`` forms the groups: clients of equal size that hold at
-most one batch, which take their whole dataset every step; every other
-client is a group of one.  ``train_group`` trains one group.  Each client
-draws from its own random streams, and its pool distances are checked
-one by one.  Finiteness is checked at the
-end of each member phase: no update turns a non-finite entry finite.
+``lockstep_groups`` forms the groups: one group of every client that
+holds at most one batch, whatever its size, since such a client takes
+its whole dataset every step; every other client is a group of one.
+``train_group`` trains one group, with one soup step on all its rows and
+one kernel call per client size.  Each client draws from its own random
+streams, and each of its pool distances is checked.  Finiteness is
+checked at the end of each member phase: no update turns a non-finite
+entry finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, groupby, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -192,28 +194,38 @@ class LocalTrace:
 
 
 def lockstep_groups(datasets: Sequence[Dataset], batch_size: int) -> list[list[int]]:
-    """The clients' indices in training groups, each group in the order of
-    its first client.  Clients of equal size that hold at most one batch
-    take their whole dataset every step, so they train in lockstep; every
-    other client trains alone."""
-    groups: dict[int, list[int]] = {}  # by size; a client over one batch keys alone
-    for i, data in enumerate(datasets):
-        groups.setdefault(data.n if data.n <= batch_size else -1 - i, []).append(i)
-    return list(groups.values())
+    """The clients' indices in training groups: one group of every client
+    that holds at most one batch, ordered by ``(size, index)``, then every
+    other client alone, in index order.  A client within one batch takes
+    its whole dataset every step, so such clients train in lockstep."""
+    within = sorted(
+        (i for i, d in enumerate(datasets) if d.n <= batch_size), key=lambda i: (datasets[i].n, i)
+    )
+    alone = [[i] for i, d in enumerate(datasets) if d.n > batch_size]
+    return [within, *alone] if within else alone
 
 
 def train_group(
     anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
     seeds: Sequence[int], soup: bool,
 ) -> list[list[ParamVector]]:
-    """Each client's pool, anchor first, from one lockstep group (one of
-    ``lockstep_groups``); client ``g`` trains from ``seeds[g]`` and gets
-    the pool it gets alone, bit for bit."""
+    """Each client's pool, anchor first, in the order given, from one
+    lockstep group (one of ``lockstep_groups``); client ``g`` trains from
+    ``seeds[g]`` and gets the pool it gets alone, bit for bit.  Clients of
+    one size make one kernel call per step, so a group ordered by size
+    makes one per distinct size."""
     if len(seeds) != len(datasets):
         raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
     if len(lockstep_groups(datasets, config.batch_size)) > 1:
-        raise ValueError("a lockstep group holds clients of equal size within one batch")
+        raise ValueError("a lockstep group holds clients within one batch")
     return _train(anchor, spec, datasets, config, seeds, soup)
+
+
+# From this many clients, a group's pool distances are taken in one
+# ``vecdot`` per frozen member: the same bits as one ``dot`` per client, and
+# cheaper from about 4 clients at D = 170 or 5 at D = 2762, but about 1.5x
+# dearer for one client.
+_VECDOT_FROM = 4
 
 
 # A diverging member overflows in the loop; its distances and its final
@@ -230,25 +242,37 @@ def _train(
     clients train in lockstep: row ``g`` of every ``(G, D)`` buffer is
     client ``g``'s, each client keeps its own random streams, and its
     distances are checked one by one.  A group of more than one must hold
-    equal-size clients of at most one batch each (see ``lockstep_groups``).
+    clients of at most one batch each (see ``lockstep_groups``), which take
+    their whole dataset every step: each run of consecutive clients of one
+    size is stacked once and makes one kernel call per step, on its rows
+    of the interpolations and of one shared gradient matrix.  Clients of
+    unequal size are never padded to a common row count, since a padded
+    stack does not give each client the bits it gets alone.
     """
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
     rows = np.empty((members + 1, size, dim))  # rows[k, g]: member k of client g
-    # The kernel reads the interpolations or the members, both (G, D).
-    kernel = Kernel(spec, datasets, np.empty((size, dim)) if soup else rows[1])
-    x, grad = kernel.x, kernel.grad
+    # The kernels read the interpolations or the members, both (G, D).
+    x, grad = (np.empty((size, dim)) if soup else rows[1]), np.empty((size, dim))
     rows[0] = anchor.values
     # One allocation per buffer: one (2, D) block for tmp and push raised
     # the peak RSS of a run with D = 101k by about 1 MB.
     tmp, push = np.empty((size, dim)), (np.empty((size, dim)) if soup else None)
     coeff_rngs = [_stream(seed, 1) for seed in seeds]
     if size == 1:
+        kernels = [Kernel(spec, datasets, x, grad)]
         one = _batches(datasets[0], config.batch_size, _stream(seeds[0], 0))
-        batches = ((features[None], labels[None]) for features, labels in one)
+        batches = ([(features[None], labels[None])] for features, labels in one)
     else:
-        stacked = np.stack([d.features for d in datasets]), np.stack([d.labels for d in datasets])
-        batches = repeat(stacked)
+        kernels, stacks, lo = [], [], 0
+        for _, run in groupby(datasets, key=lambda d: d.n):
+            run = list(run)
+            hi = lo + len(run)
+            kernels.append(Kernel(spec, run, x[lo:hi], grad[lo:hi]))
+            stacks.append((np.stack([d.features for d in run]), np.stack([d.labels for d in run])))
+            lo = hi
+        batches = repeat(stacks)
+    vecdot = size >= _VECDOT_FROM
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
     pools = [[anchor] for _ in datasets]
     for m in range(1, members + 1):
@@ -262,13 +286,13 @@ def _train(
             blocks = [_coeff_rows(m + 1, config.tau, config.coeff_mode, rng) for rng in coeff_rngs]
             coeffs = np.stack(blocks, axis=2)[..., None]
         for t in range(config.tau):
-            features, labels = next(batches)
             if soup:
                 step = coeffs[t]
                 np.multiply(rows[0], step[0], out=x)
                 for k in range(1, m + 1):
                     x += np.multiply(rows[k], step[k], out=tmp)
-            kernel(features, labels)
+            for kernel, (features, labels) in zip(kernels, next(batches)):
+                kernel(features, labels)
             if soup:
                 grad *= step[m]
                 if lam_a != 0.0 or lam_d != 0.0:
@@ -277,14 +301,14 @@ def _train(
                     push.fill(0.0)
                     for k in range(m if lam_d != 0.0 else 1):
                         np.subtract(active, rows[k], out=tmp)
-                        for row in tmp:  # each client's own distance and check
-                            dist = math.sqrt(np.dot(row, row))
-                            if not math.isfinite(dist):
-                                raise ValueError(
-                                    f"soup member {m} diverged: "
-                                    f"its distance to member {k} is {dist}"
-                                )
-                            row /= max(dist, config.dist_epsilon)
+                        if vecdot:
+                            _unit_rows(tmp, config.dist_epsilon, m, k)
+                        else:
+                            for row in tmp:  # each client's own distance and check
+                                dist = math.sqrt(np.dot(row, row))
+                                if not math.isfinite(dist):
+                                    raise _diverged(m, k, dist)
+                                row /= max(dist, config.dist_epsilon)
                         push += tmp
                         if k == 0 and lam_a != 0.0:
                             grad += np.multiply(tmp, lam_a, out=tmp)
@@ -298,6 +322,21 @@ def _train(
         for pool, member in zip(pools, active):
             pool.append(ParamVector._wrap(member.copy()))
     return pools
+
+
+def _unit_rows(diffs: np.ndarray, eps: float, m: int, k: int) -> None:
+    """Scales each row of ``diffs`` (active member ``m`` minus member ``k``,
+    one row per client) to unit length, with ``eps`` floor on the norm, in
+    the bits of one ``sqrt(dot(row, row))`` per row."""
+    dists = np.sqrt(np.vecdot(diffs, diffs))
+    bad = ~np.isfinite(dists)
+    if bad.any():
+        raise _diverged(m, k, float(dists[bad.argmax()]))
+    diffs /= np.maximum(dists, eps, out=dists)[:, None]
+
+
+def _diverged(m: int, k: int, dist: float) -> ValueError:
+    return ValueError(f"soup member {m} diverged: its distance to member {k} is {dist}")
 
 
 def lss_local_train(

@@ -220,16 +220,25 @@ class Kernel:
     then one dataset per client; each call takes a ``(G, n, input_dim)``
     batch, n rows of every client's data.
 
-    The kernel owns its forward and backward temporaries, allocated at the
-    first call of each batch shape and rewritten in place after that."""
+    ``grad`` is a fresh buffer unless the caller passes one shaped like
+    ``x``, such as a row range of a larger gradient matrix whose other rows
+    other kernels write.  The kernel owns its forward and backward
+    temporaries, allocated at the first call of each batch shape and
+    rewritten in place after that."""
 
     __slots__ = ("x", "grad", "_spec", "_weights", "_grads", "_shape", "_ws", "_workspaces")
 
-    def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
+    def __init__(
+        self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray,
+        grad: np.ndarray | None = None,
+    ):
         _check_params(x, spec)
+        if grad is not None and grad.shape != x.shape:
+            raise ValueError(f"gradient buffer has shape {grad.shape}, weights {x.shape}")
         for d in [data] if isinstance(data, Dataset) else data:
             _check_data(d, spec)
-        self.x, self.grad, self._spec = x, np.empty(x.shape), spec
+        self.x, self._spec = x, spec
+        self.grad = np.empty(x.shape) if grad is None else grad
         self._weights, self._grads = _unpack(x, spec), _unpack(self.grad, spec)
         self._shape, self._ws, self._workspaces = None, None, {}
 

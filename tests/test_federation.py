@@ -241,9 +241,9 @@ class TestRunRound:
     def test_lockstep_failure_names_the_client_that_fails_first_alone(
         self, fed_setup, monkeypatch, strategy
     ):
-        # Clients 0 and 3 (7 samples) and 1 and 2 (5 samples) form two
-        # lockstep groups; the group of 0 and 3 trains first and fails on
-        # client 3, but client 1 is the first to fail in id order.
+        # Clients 0 and 3 (7 samples) and 1 and 2 (5 samples) form one
+        # lockstep group, ordered 1, 2, 0, 3 by size; it fails, and client 1
+        # is the first to fail alone in id order.
         spec, anchor, _, test = fed_setup
         rng = np.random.default_rng(8)
         clients = []
@@ -270,7 +270,8 @@ class TestRunRound:
         with pytest.raises(RuntimeError) as err:
             run_round(anchor, clients[::-1], spec, local, strategy, 2, 9, test)
         assert str(err.value) == expected
-        assert [d.n for d in first_groups[0]] == [7, 7] and first_groups[0][1] is clients[3].data
+        assert [d.n for d in first_groups[0]] == [5, 5, 7, 7]
+        assert all(d is clients[i].data for d, i in zip(first_groups[0], [1, 2, 0, 3]))
 
     def test_single_client_fedavg_equals_centralized_sgd(self, fed_setup):
         spec, anchor, clients, test = fed_setup

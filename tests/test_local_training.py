@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lss.federation as federation
 import lss.local_training as local_training
 import lss.model as model
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
@@ -548,8 +549,8 @@ def alone(strategy, anchor, spec, data, cfg, seed):
 
 
 class TestLockstep:
-    """Clients of equal size that fit in one batch train in one group, and
-    each gets the pool and upload it gets alone, bit for bit."""
+    """All clients that fit in one batch train in one group, whatever their
+    sizes, and each gets the pool and upload it gets alone, bit for bit."""
 
     @staticmethod
     def spy_groups(monkeypatch):
@@ -562,49 +563,135 @@ class TestLockstep:
         return sizes
 
     @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((5,), "relu"), ((4, 3), "tanh")])
-    @pytest.mark.parametrize("n, count", [(1, 3), (5, 4), (16, 2)])  # 16 is the batch size
+    @pytest.mark.parametrize(
+        "sizes",
+        # 16 is the batch size.  The last is unsorted, with repeats, and
+        # holds a client over one batch; its group of 9 takes the one-vecdot
+        # distances, and the groups of 2 and 3 one dot per client.
+        [[1] * 3, [5] * 4, [16] * 2, [5, 16, 1, 9, 40, 5, 3, 16, 1, 9]],
+    )
     @pytest.mark.parametrize("strategy, lambda_a, lambda_d, coeff_mode", LOCKSTEP_STRATEGIES)
     def test_group_equals_clients_one_at_a_time(
-        self, monkeypatch, hidden, activation, n, count, strategy, lambda_a, lambda_d, coeff_mode
+        self, monkeypatch, hidden, activation, sizes, strategy, lambda_a, lambda_d, coeff_mode
     ):
-        spec, anchor, _ = engine_case(hidden, activation, n)
+        spec, anchor, _ = engine_case(hidden, activation, 5)
         cfg = LocalConfig(
             eta=0.2, tau=5, batch_size=16, lambda_a=lambda_a, lambda_d=lambda_d,
             num_pool_models=3, coeff_mode=coeff_mode, mu_prox=0.3,
         )
-        datasets = lockstep_clients(spec, [n] * count)
-        seeds = [11 + i for i in range(count)]
+        datasets = lockstep_clients(spec, sizes)
+        seeds = [11 + i for i in range(len(sizes))]
+        within = [i for i, n in enumerate(sizes) if n <= 16]
         groups = self.spy_groups(monkeypatch)
         uploads = train_clients(strategy, anchor, spec, datasets, cfg, seeds)
-        assert groups == [count]
+        assert groups == [len(within)] + [1] * (len(sizes) - len(within))
         soup = strategy == "lss"
         pool_cfg = cfg if strategy != "fedavg" else dataclasses.replace(cfg, mu_prox=0.0)
-        pools = train_group(anchor, spec, datasets, pool_cfg, seeds, soup)
-        assert groups == [count, count]
-        for data, seed, pool, upload in zip(datasets, seeds, pools, uploads):
+        # In the caller's order, which may break a size into several runs.
+        pools = train_group(
+            anchor, spec, [datasets[i] for i in within], pool_cfg, [seeds[i] for i in within], soup
+        )
+        assert groups[-1] == len(within)
+        pools = dict(zip(within, pools))
+        for i, (data, seed, upload) in enumerate(zip(datasets, seeds, uploads)):
             want_pool, want_upload = alone(strategy, anchor, spec, data, cfg, seed)
-            assert len(pool) == len(want_pool) == (4 if soup else 2)
-            for got, want in zip(pool, want_pool):
-                assert np.array_equal(got.values, want.values)
             assert np.array_equal(upload.values, want_upload.values)
-            if soup:
-                assert np.array_equal(upload.values, uniform_average(pool).values)
             assert not np.array_equal(upload.values, anchor.values)
+            if i not in pools:
+                continue
+            assert len(pools[i]) == len(want_pool) == (4 if soup else 2)
+            for got, want in zip(pools[i], want_pool):
+                assert np.array_equal(got.values, want.values)
+            if soup:
+                assert np.array_equal(upload.values, uniform_average(pools[i]).values)
 
-    def test_only_equal_sizes_within_one_batch_share_a_group(self, monkeypatch):
+    def test_all_clients_within_one_batch_share_one_group(self, monkeypatch):
         spec, anchor, _ = engine_case((5,), "relu", 5)
         cfg = LocalConfig(eta=0.2, tau=4, batch_size=16, num_pool_models=2)
         sizes = [5, 40, 5, 1, 16, 17, 16]
         datasets = lockstep_clients(spec, sizes)
         seeds = list(range(3, 3 + len(sizes)))
-        # 5 (twice), 40, 1, 16 (twice), 17: the clients over one batch alone
-        assert lockstep_groups(datasets, 16) == [[0, 2], [1], [3], [4, 6], [5]]
+        # 1, 5 (twice), 16 (twice) in one group by (size, index); 40 and 17 alone
+        assert lockstep_groups(datasets, 16) == [[3, 0, 2, 4, 6], [1], [5]]
+        assert lockstep_groups(datasets[1:2], 16) == [[0]]
+        assert lockstep_groups([], 16) == []
         groups = self.spy_groups(monkeypatch)
         uploads = train_clients("lss", anchor, spec, datasets, cfg, seeds)
-        assert groups == [2, 1, 1, 2, 1]
+        assert groups == [5, 1, 1]
         for data, seed, upload in zip(datasets, seeds, uploads):
             _, want = alone("lss", anchor, spec, data, cfg, seed)
             assert np.array_equal(upload.values, want.values)
+
+    @pytest.mark.parametrize("soup", [True, False])
+    def test_one_train_call_and_one_kernel_call_per_size_per_step(self, monkeypatch, soup):
+        spec, anchor, _ = engine_case((5,), "tanh", 5)
+        cfg = LocalConfig(eta=0.2, tau=3, batch_size=16, num_pool_models=2, lambda_d=0.3)
+        sizes = [5, 1, 16, 5, 40, 1, 3, 16, 16]
+        datasets = lockstep_clients(spec, sizes)
+        shapes = []
+        backprop = model._backprop
+        monkeypatch.setattr(
+            model, "_backprop",
+            lambda *a: (shapes.append(a[3].shape), backprop(*a))[1],
+        )
+        groups = self.spy_groups(monkeypatch)
+        train_clients("lss" if soup else "fedprox", anchor, spec, datasets, cfg, range(9))
+        assert groups == [8, 1]
+        steps = (2 if soup else 1) * cfg.tau
+        # One call per size, in size order, with every client of that size.
+        per_step = [(2, 1, 4), (1, 3, 4), (2, 5, 4), (3, 16, 4)]
+        assert shapes[: 4 * steps] == per_step * steps
+        # The client of 40 alone: one call per step.
+        assert len(shapes) == 4 * steps + steps
+        assert all(s[:1] == (1,) for s in shapes[4 * steps :])
+
+    @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
+    def test_a_client_that_diverges_in_a_mixed_group_is_named(self, strategy):
+        spec, anchor, _ = engine_case((), "relu", 5)
+        local = LocalConfig(eta=0.5, tau=3, batch_size=16, num_pool_models=2, mu_prox=0.1)
+        rng = np.random.default_rng(8)
+        clients = []
+        for cid, n in enumerate([7, 5, 3, 5, 7, 1]):
+            scale = 1e160 if cid in (2, 4) else 1.0
+            features = scale * rng.standard_normal((n, spec.input_dim))
+            data = Dataset(features, rng.integers(0, 3, n), 3)
+            clients.append(federation.ClientState(cid, data))
+        datasets = [c.data for c in clients]
+        # One group, ordered 5, 2, 1, 3, 0, 4: client 2 comes before client 4.
+        assert lockstep_groups(datasets, 16) == [[5, 2, 1, 3, 0, 4]]
+        seeds = [federation.derive_seed(9, c.client_id) for c in clients]
+        failures = []
+        for cid, (data, seed) in enumerate(zip(datasets, seeds)):
+            try:
+                train_clients(strategy, anchor, spec, [data], local, [seed])
+            except ValueError as exc:
+                failures.append(f"client {cid} failed during round 2: {exc}")
+        assert [f.split(" failed")[0] for f in failures] == ["client 2", "client 4"]
+        lss_error = r"soup member \d diverged: its distance to member \d is (inf|nan)"
+        group_error = lss_error if strategy == "lss" else "non-finite"
+        with pytest.raises(ValueError, match=group_error):
+            train_clients(strategy, anchor, spec, datasets, local, seeds)
+        with pytest.raises(RuntimeError) as err:
+            federation.run_round(anchor, clients[::-1], spec, local, strategy, 2, 9, datasets[0])
+        assert str(err.value) == failures[0]
+
+    def test_one_vecdot_gives_the_bits_and_the_error_of_one_dot_per_row(self):
+        rng = np.random.default_rng(4)
+        for g, d in [(1, 170), (3, 2762), (7, 15), (20, 170), (94, 170)]:
+            # some rows shorter than eps, which floors their norm
+            diffs = rng.standard_normal((g, d)) * 10.0 ** rng.uniform(-12, 1, (g, 1))
+            want = diffs.copy()
+            for row in want:
+                row /= max(math.sqrt(np.dot(row, row)), 1e-8)
+            local_training._unit_rows(diffs, 1e-8, 2, 1)
+            assert np.array_equal(diffs, want)
+        diffs = np.ones((4, 3))
+        diffs[1, 0], diffs[2, 1] = np.nan, np.inf
+        message = "soup member 3 diverged: its distance to member 2 is {}"
+        with pytest.raises(ValueError, match=f"^{message.format('nan')}$"):
+            local_training._unit_rows(diffs, 1e-8, 3, 2)
+        with pytest.raises(ValueError, match=f"^{message.format('inf')}$"):
+            local_training._unit_rows(diffs[::-1].copy(), 1e-8, 3, 2)
 
     @pytest.mark.parametrize("pool_size", [1, 2, 5, 9, 13])
     def test_a_phase_coefficient_block_equals_one_draw_per_step(self, pool_size):
@@ -630,10 +717,10 @@ class TestLockstep:
         with pytest.raises(ValueError, match="1 seeds for 2 clients"):
             train_group(anchor, spec, datasets, LocalConfig(), [1], soup=True)
 
-    @pytest.mark.parametrize("sizes", [[3, 4], [17, 17]])  # 16 is the batch size
+    @pytest.mark.parametrize("sizes", [[16, 17], [17, 17]])  # 16 is the batch size
     def test_a_group_that_is_not_lockstep_is_rejected(self, sizes):
         spec, anchor, _ = engine_case((), "relu", 3)
         datasets = lockstep_clients(spec, sizes)
         cfg = LocalConfig(batch_size=16)
-        with pytest.raises(ValueError, match="equal size within one batch"):
+        with pytest.raises(ValueError, match="a lockstep group holds clients within one batch"):
             train_group(anchor, spec, datasets, cfg, [1, 2], soup=False)
