@@ -248,6 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", parents=[sets], help="run one experiment from a config file")
     run_p.add_argument("config", help="path to a YAML experiment config")
+    run_p.add_argument(
+        "--debug", action="store_true", help="on failure, raise with the traceback"
+    )
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", parents=[sets], help="run a cartesian grid of overrides")
@@ -287,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        if getattr(args, "debug", False):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

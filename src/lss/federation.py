@@ -4,10 +4,10 @@ Each round every client trains from a copy of the current global model
 using the chosen strategy, and the server forms the new global model as
 the average of the uploads weighted by each client's sample count, as in
 FedAvg.  The round's clients train through one call
-(``train_clients``): all clients that fit in one batch train in one
-lockstep group, whatever their sizes, and every other client through its
-strategy's trainer (``lss_local_train``, ``fedprox_local_train``); each
-upload is the one the client gets alone.
+(``train_clients``): every client trains in a lockstep group, whatever its
+size, in as few groups as ``local_training.LOCKSTEP_FLOATS`` allows; a
+group of one goes through its strategy's trainer (``lss_local_train``,
+``fedprox_local_train``).  Each upload is the one the client gets alone.
 Uploads are aggregated and scored in client-id order, and per-client
 seeds are a stable hash of (round seed, client id), so results do not
 depend on the order the clients are given in.
@@ -29,10 +29,11 @@ from .local_training import (
     fedprox_local_train,
     lockstep_groups,
     lss_local_train,
+    pool_averages,
     train_group,
 )
 from .model import MlpSpec, accuracy, evaluate, init_params
-from .params import ParamVector, l2_distance, uniform_average, weighted_average
+from .params import ParamVector, l2_distance, weighted_average
 
 CSV_HEADER = "round,global_acc,global_loss,client_accs,update_norms,wall_time_s"
 
@@ -133,16 +134,19 @@ def train_clients(
     """The uploads of clients training from ``anchor`` with their seeds, in
     the order given; ``run_round`` has checked ``strategy``.  Each upload is
     the one the client's ``lss_local_train`` or ``fedprox_local_train``
-    returns alone: a client that trains alone calls it, and the clients
-    that fit in one batch train in one lockstep group
-    (``local_training.lockstep_groups``)."""
+    returns alone: the clients train in the lockstep groups of
+    ``local_training.lockstep_groups``, and a group of one calls that
+    trainer."""
+    if len(seeds) != len(datasets):
+        raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
     if strategy == "fedavg":
         # FedAvg is plain SGD: proximal SGD with the pull switched off,
         # whatever ``mu_prox`` the config carries.
         local_cfg = replace(local_cfg, mu_prox=0.0)
     soup = strategy == "lss"
+    members = local_cfg.num_pool_models if soup else 1
     uploads: list[ParamVector] = [anchor] * len(datasets)
-    for group in lockstep_groups(datasets, local_cfg.batch_size):
+    for group in lockstep_groups(datasets, anchor.dim, members):
         if len(group) == 1:
             # Through the public trainers, which perfbench's traced runs
             # wrap to check each LSS upload against its pool.
@@ -155,8 +159,9 @@ def train_clients(
         pools = train_group(
             anchor, spec, [datasets[i] for i in group], local_cfg, [seeds[i] for i in group], soup
         )
-        for i, pool in zip(group, pools):
-            uploads[i] = uniform_average(pool) if soup else pool[-1]
+        finals = pool_averages(pools) if soup else pools[-1].copy()
+        for i, final in zip(group, finals):
+            uploads[i] = ParamVector._wrap(final)
     return uploads
 
 

@@ -11,27 +11,28 @@ members.  The client's uploaded model is the uniform average of the whole
 pool.
 
 Both trainers run one engine, ``_train``, on the training kernel
-(``model.Kernel``), which checks its inputs once per client.  It trains a
+(``model.Kernel``), which checks its inputs once per group.  It trains a
 group of G clients at once: it holds the pools in one
-``(members + 1, G, D)`` array (row 0 the anchor) and writes each step
-into fixed ``(G, D)`` buffers, in the float order of the reference
-functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
+``(members + 1, G, D)`` array (row 0 the anchor), which it returns, and
+writes each step into fixed ``(G, D)`` buffers, in the float order of the
+reference functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
 ``axpy``), so results are bit-identical to them whatever the group.
-``lockstep_groups`` forms the groups: one group of every client that
-holds at most one batch, whatever its size, since such a client takes
-its whole dataset every step; every other client is a group of one.
-``train_group`` trains one group, with one soup step on all its rows and
-one kernel call per client size.  Each client draws from its own random
-streams, and each of its pool distances is checked.  Finiteness is
-checked at the end of each member phase: no update turns a non-finite
-entry finite.
+``lockstep_groups`` forms the groups: every client, ordered by size, in
+the fewest groups whose rows fit ``LOCKSTEP_FLOATS``.  ``train_group``
+trains one group, with one soup step on all its rows and one kernel call
+per run of clients whose batches have one size at that step
+(``_group_batches``): each client keeps its own batch stream, whose batch
+sizes follow from its dataset's size alone.  Each client draws from its
+own random streams, and each of its pool distances is checked.
+Finiteness is checked at the end of each member phase: no update turns a
+non-finite entry finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, groupby, repeat
+from itertools import combinations, count, groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -193,32 +194,123 @@ class LocalTrace:
         return mean_pairwise_distance(self.pool_members)
 
 
-def lockstep_groups(datasets: Sequence[Dataset], batch_size: int) -> list[list[int]]:
-    """The clients' indices in training groups: one group of every client
-    that holds at most one batch, ordered by ``(size, index)``, then every
-    other client alone, in index order.  A client within one batch takes
-    its whole dataset every step, so such clients train in lockstep."""
-    within = sorted(
-        (i for i, d in enumerate(datasets) if d.n <= batch_size), key=lambda i: (datasets[i].n, i)
-    )
-    alone = [[i] for i, d in enumerate(datasets) if d.n > batch_size]
-    return [within, *alone] if within else alone
+# The floats that the rows and buffers of one lockstep group may hold.  A
+# client holds about (members + 4)·D of them (see ``_train``), so a group
+# holds 5 clients of four members at D = 2,762, 110 of three at D = 170,
+# and one at D = 101,386.  A group's rows add to the peak RSS: groups of 10
+# at D = 2,762 raised a 20-client run's peak by about 7%, groups of 5 by 3%,
+# for about the same speed.
+LOCKSTEP_FLOATS = 1 << 17
+
+
+def _clients_per_group(dim: int, members: int) -> int:
+    """Clients of ``members`` pool members on ``dim`` weights that one
+    group holds under ``LOCKSTEP_FLOATS``: each holds its pool with the
+    anchor, its interpolation, its gradient and its distance sum."""
+    return max(1, LOCKSTEP_FLOATS // ((members + 4) * dim))
+
+
+def lockstep_groups(datasets: Sequence[Dataset], dim: int, members: int) -> list[list[int]]:
+    """The clients' indices in training groups: all clients ordered by
+    ``(size, index)``, cut into the fewest groups that
+    ``_clients_per_group`` allows, of near-equal count."""
+    if not datasets:
+        return []
+    order = sorted(range(len(datasets)), key=lambda i: (datasets[i].n, i))
+    groups = -(-len(order) // _clients_per_group(dim, members))
+    cuts = [len(order) * k // groups for k in range(groups + 1)]
+    return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def train_group(
     anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
     seeds: Sequence[int], soup: bool,
-) -> list[list[ParamVector]]:
-    """Each client's pool, anchor first, in the order given, from one
-    lockstep group (one of ``lockstep_groups``); client ``g`` trains from
-    ``seeds[g]`` and gets the pool it gets alone, bit for bit.  Clients of
-    one size make one kernel call per step, so a group ordered by size
-    makes one per distinct size."""
+) -> np.ndarray:
+    """The ``(members + 1, G, D)`` pools of clients trained in lockstep,
+    row ``[k, g]`` member ``k`` of client ``g`` in the order given (row 0
+    the anchor); client ``g`` trains from ``seeds[g]`` and gets the pool it
+    gets alone, bit for bit."""
     if len(seeds) != len(datasets):
         raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
-    if len(lockstep_groups(datasets, config.batch_size)) > 1:
-        raise ValueError("a lockstep group holds clients within one batch")
     return _train(anchor, spec, datasets, config, seeds, soup)
+
+
+def pool_averages(pools: np.ndarray) -> np.ndarray:
+    """Each client's uniform pool average, as ``(G, D)`` rows of a
+    ``(members + 1, G, D)`` block, bit for bit its ``uniform_average``."""
+    return _average(pools, np.empty(pools.shape[1:]), np.empty(pools.shape[1:]))
+
+
+def _average(rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The uniform average of ``rows`` along its first axis into ``out``,
+    in ``uniform_average``'s order: each term scaled, then added left to
+    right."""
+    w = 1.0 / len(rows)
+    np.multiply(rows[0], w, out=out)
+    for row in rows[1:]:
+        out += np.multiply(row, w, out=tmp)
+    return out
+
+
+def _group_batches(
+    datasets: Sequence[Dataset], batch_size: int, seeds: Sequence[int]
+) -> Iterator[list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Endless: each step's kernel calls ``(lo, features, labels)`` for a
+    group, ``features`` shaped ``(g, n, input_dim)`` for its clients ``lo``
+    to ``lo + g - 1``.  Client ``g`` takes the batches of its own
+    ``_batches`` stream on ``_stream(seeds[g], 0)``, whose sizes follow
+    from its dataset's size alone, so a run of consecutive clients of one
+    size takes batches of one size at every step; one call holds a run, or
+    consecutive runs whose batches have one size at that step.  Batches
+    of unequal size are never padded to a common row count, since a
+    padded stack does not give each client the bits it gets alone."""
+    # (lo, hi, sizes): each run of one dataset size and its batch sizes over an epoch
+    runs, lo = [], 0
+    for n, run in groupby(datasets, key=lambda d: d.n):
+        hi = lo + len(list(run))
+        full, tail = divmod(n, batch_size)
+        sizes = (n,) if n <= batch_size else (batch_size,) * full + ((tail,) if tail else ())
+        runs.append((lo, hi, sizes))
+        lo = hi
+    # A client within one batch takes its whole dataset every step, so its
+    # run is stacked once; any other client draws from its own stream.
+    fixed = {
+        lo: (np.stack([d.features for d in datasets[lo:hi]]),
+             np.stack([d.labels for d in datasets[lo:hi]]))
+        for lo, hi, _ in runs if datasets[lo].n <= batch_size
+    }
+    streams = {
+        g: _batches(datasets[g], batch_size, _stream(seeds[g], 0))
+        for lo, hi, _ in runs if lo not in fixed for g in range(lo, hi)
+    }
+    # Each step's stacked batches, one after another: each client's batch
+    # holds at most min(n, batch_size) rows.
+    rows = sum(min(d.n, batch_size) for d in datasets)
+    features = np.empty((rows, datasets[0].input_dim))
+    labels = np.empty(rows, dtype=np.int64)
+    for step in count():
+        batches, used = [], 0
+        for size, call in groupby(runs, key=lambda run: run[2][step % len(run[2])]):
+            call = list(call)
+            lo, hi = call[0][0], call[-1][1]
+            if len(call) == 1 and lo in fixed:
+                batches.append((lo, *fixed[lo]))
+                continue
+            if hi - lo == 1:
+                feats, labs = next(streams[lo])
+                batches.append((lo, feats[None], labs[None]))
+                continue
+            feats = features[used : used + (hi - lo) * size].reshape(hi - lo, size, -1)
+            labs = labels[used : used + (hi - lo) * size].reshape(hi - lo, size)
+            used += (hi - lo) * size
+            for a, b, _ in call:
+                if a in fixed:
+                    feats[a - lo : b - lo], labs[a - lo : b - lo] = fixed[a]
+                else:
+                    for g in range(a, b):
+                        feats[g - lo], labs[g - lo] = next(streams[g])
+            batches.append((lo, feats, labs))
+        yield batches
 
 
 # From this many clients, a group's pool distances are taken in one
@@ -234,53 +326,41 @@ _VECDOT_FROM = 4
 def _train(
     anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
     seeds: Sequence[int], soup: bool,
-) -> list[list[ParamVector]]:
-    """The local-training engine; returns each client's pool, anchor first.
+) -> np.ndarray:
+    """The local-training engine; returns the ``(members + 1, G, D)`` pools
+    of ``train_group``.
 
     With ``soup`` it trains ``num_pool_models`` members on the regularized
     interpolation objective, otherwise one member by proximal SGD.  The
     clients train in lockstep: row ``g`` of every ``(G, D)`` buffer is
     client ``g``'s, each client keeps its own random streams, and its
-    distances are checked one by one.  A group of more than one must hold
-    clients of at most one batch each (see ``lockstep_groups``), which take
-    their whole dataset every step: each run of consecutive clients of one
-    size is stacked once and makes one kernel call per step, on its rows
-    of the interpolations and of one shared gradient matrix.  Clients of
-    unequal size are never padded to a common row count, since a padded
-    stack does not give each client the bits it gets alone.
+    distances are checked one by one.  Each step runs the soup step once on
+    all rows, and one kernel call per run of clients whose batches have
+    one size (``_group_batches``), on its rows of the interpolations and
+    of the gradients.
     """
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
     rows = np.empty((members + 1, size, dim))  # rows[k, g]: member k of client g
-    # The kernels read the interpolations or the members, both (G, D).
-    x, grad = (np.empty((size, dim)) if soup else rows[1]), np.empty((size, dim))
     rows[0] = anchor.values
-    # One allocation per buffer: one (2, D) block for tmp and push raised
-    # the peak RSS of a run with D = 101k by about 1 MB.
-    tmp, push = np.empty((size, dim)), (np.empty((size, dim)) if soup else None)
+    # The kernel reads the interpolations or the members, both (G, D), and
+    # owns the gradients.  A soup's interpolation buffer is its scratch
+    # outside the kernel call, and its gradient buffer is scratch until that
+    # call; proximal SGD, whose kernel reads the member, has a scratch
+    # buffer of its own.  One allocation per buffer: one (2, D) block for
+    # tmp and push raised the peak RSS of a run with D = 101k by about 1 MB.
+    x = np.empty((size, dim)) if soup else rows[1]
+    kernel = Kernel(spec, datasets, x)  # checks every input once
+    grad = kernel.grad
+    tmp = x if soup else np.empty((size, dim))
+    push = np.empty((size, dim)) if soup else None
+    batches = _group_batches(datasets, config.batch_size, seeds)
     coeff_rngs = [_stream(seed, 1) for seed in seeds]
-    if size == 1:
-        kernels = [Kernel(spec, datasets, x, grad)]
-        one = _batches(datasets[0], config.batch_size, _stream(seeds[0], 0))
-        batches = ([(features[None], labels[None])] for features, labels in one)
-    else:
-        kernels, stacks, lo = [], [], 0
-        for _, run in groupby(datasets, key=lambda d: d.n):
-            run = list(run)
-            hi = lo + len(run)
-            kernels.append(Kernel(spec, run, x[lo:hi], grad[lo:hi]))
-            stacks.append((np.stack([d.features for d in run]), np.stack([d.labels for d in run])))
-            lo = hi
-        batches = repeat(stacks)
     vecdot = size >= _VECDOT_FROM
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
-    pools = [[anchor] for _ in datasets]
     for m in range(1, members + 1):
         active = rows[m]
-        # The uniform average of the pool so far, in ``uniform_average``'s order.
-        np.multiply(rows[0], 1.0 / m, out=active)
-        for k in range(1, m):
-            active += np.multiply(rows[k], 1.0 / m, out=tmp)
+        _average(rows[:m], active, tmp)  # the pool so far
         if soup:
             # coeffs[t, k]: member k's coefficient at step t, a (G, 1) column.
             blocks = [_coeff_rows(m + 1, config.tau, config.coeff_mode, rng) for rng in coeff_rngs]
@@ -290,9 +370,9 @@ def _train(
                 step = coeffs[t]
                 np.multiply(rows[0], step[0], out=x)
                 for k in range(1, m + 1):
-                    x += np.multiply(rows[k], step[k], out=tmp)
-            for kernel, (features, labels) in zip(kernels, next(batches)):
-                kernel(features, labels)
+                    x += np.multiply(rows[k], step[k], out=grad)
+            for lo, features, labels in next(batches):
+                kernel(features, labels, lo)
             if soup:
                 grad *= step[m]
                 if lam_a != 0.0 or lam_d != 0.0:
@@ -319,9 +399,9 @@ def _train(
                 grad += np.multiply(tmp, mu, out=tmp)
             grad *= -config.eta
             active += grad
-        for pool, member in zip(pools, active):
-            pool.append(ParamVector._wrap(member.copy()))
-    return pools
+        if not np.isfinite(active).all():
+            raise ValueError("operation produced non-finite entries")
+    return rows
 
 
 def _unit_rows(diffs: np.ndarray, eps: float, m: int, k: int) -> None:
@@ -353,8 +433,9 @@ def lss_local_train(
     of the regularized interpolation objective.  Fresh interpolation
     coefficients are sampled every step.  Deterministic given ``seed``.
     """
-    pool = _train(anchor, spec, [client_data], config, [seed], soup=True)[0]
-    return uniform_average(pool), LocalTrace(tuple(pool))
+    pools = _train(anchor, spec, [client_data], config, [seed], soup=True)
+    pool = (anchor, *(ParamVector._wrap(member) for member in pools[1:, 0]))
+    return uniform_average(pool), LocalTrace(pool)
 
 
 def fedprox_loss_and_grad(
@@ -381,4 +462,5 @@ def fedprox_local_train(
     seed: int,
 ) -> ParamVector:
     """SGD on the proximal objective; plain minibatch SGD when ``mu_prox`` is 0."""
-    return _train(anchor, spec, [client_data], config, [seed], soup=False)[0][-1]
+    # A copy, so that the pools' anchor row is freed.
+    return ParamVector._wrap(_train(anchor, spec, [client_data], config, [seed], soup=False)[-1, 0].copy())

@@ -8,6 +8,7 @@ easy to verify against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,18 +157,50 @@ def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 class _Workspace:
-    """The forward and backward temporaries of one batch shape."""
+    """The forward and backward temporaries of one batch shape, carved from
+    a kernel's scratch buffer (see ``_carve``)."""
 
     __slots__ = ("outs", "deltas", "log_probs", "dlogits", "onehot", "col", "rows")
 
-    def __init__(self, spec: MlpSpec, lead: tuple[int, ...]):
-        self.outs = _layer_blocks(spec, lead)
-        self.deltas = [np.empty((*lead, h)) for h in spec.hidden_dims]
-        self.log_probs, self.dlogits = np.empty((2, *lead, spec.num_classes))
+    def __init__(self, spec: MlpSpec, lead: tuple[int, ...], scratch: np.ndarray):
+        *blocks, both, self.col = _carve(scratch, _workspace_shapes(spec, lead))
+        layers = len(spec.hidden_dims) + 1
+        self.outs, self.deltas = blocks[:layers], blocks[layers:]
+        self.log_probs, self.dlogits = both
         # dlogits with one row per sample, and each sample's row index in it
         self.onehot = self.dlogits.reshape(-1, spec.num_classes)
-        self.col = np.empty((*lead, 1))
         self.rows = np.arange(self.onehot.shape[0])
+
+
+def _workspace_shapes(spec: MlpSpec, lead: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The blocks of a workspace: each layer's output, each hidden layer's
+    delta, the log-probabilities with dlogits, and one column."""
+    return [
+        *((*lead, fo) for _, fo in spec.layer_shapes()),
+        *((*lead, h) for h in spec.hidden_dims),
+        (2, *lead, spec.num_classes),
+        (*lead, 1),
+    ]
+
+
+# Each carved block starts on a 64-byte boundary of the scratch, so that no
+# two blocks share a cache line.
+_ALIGN = 8
+
+
+def _carved_floats(shapes: Sequence[tuple[int, ...]]) -> int:
+    return sum(-(-math.prod(shape) // _ALIGN) * _ALIGN for shape in shapes)
+
+
+def _carve(scratch: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Disjoint contiguous blocks of the given shapes from the front of the
+    flat buffer ``scratch``, which holds ``_carved_floats(shapes)``."""
+    blocks, off = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(scratch[off : off + size].reshape(shape))
+        off += -(-size // _ALIGN) * _ALIGN
+    return blocks
 
 
 def _backprop(
@@ -217,39 +250,50 @@ class Kernel:
     it must be rows of ``data``.
 
     A ``(G, D)`` matrix ``x`` holds the weights of G clients, and ``data`` is
-    then one dataset per client; each call takes a ``(G, n, input_dim)``
-    batch, n rows of every client's data.
+    then one dataset per client; each call takes a ``(g, n, input_dim)``
+    batch, n rows of the data of each of the g clients from row ``lo``
+    (``kernel(features, labels, lo)``), and writes only their rows of
+    ``grad``.
 
-    ``grad`` is a fresh buffer unless the caller passes one shaped like
-    ``x``, such as a row range of a larger gradient matrix whose other rows
-    other kernels write.  The kernel owns its forward and backward
-    temporaries, allocated at the first call of each batch shape and
+    The kernel owns ``grad``, shaped like ``x``, and its forward and backward
+    temporaries: one flat scratch buffer, sized to the largest batch so far,
+    from which each batch shape's blocks are carved at its first call and
     rewritten in place after that."""
 
-    __slots__ = ("x", "grad", "_spec", "_weights", "_grads", "_shape", "_ws", "_workspaces")
+    __slots__ = ("x", "grad", "_spec", "_calls", "_workspaces", "_scratch")
 
-    def __init__(
-        self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray,
-        grad: np.ndarray | None = None,
-    ):
+    def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
         _check_params(x, spec)
-        if grad is not None and grad.shape != x.shape:
-            raise ValueError(f"gradient buffer has shape {grad.shape}, weights {x.shape}")
         for d in [data] if isinstance(data, Dataset) else data:
             _check_data(d, spec)
         self.x, self._spec = x, spec
-        self.grad = np.empty(x.shape) if grad is None else grad
-        self._weights, self._grads = _unpack(x, spec), _unpack(self.grad, spec)
-        self._shape, self._ws, self._workspaces = None, None, {}
+        self.grad = np.empty(x.shape)
+        # (lo, batch shape) -> the weight and gradient views of its rows,
+        # and its workspace
+        self._calls: dict[tuple, tuple[Layers, Layers, _Workspace]] = {}
+        self._workspaces: dict[tuple[int, ...], _Workspace] = {}
+        self._scratch = np.empty(0)
 
-    def __call__(self, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        if features.shape != self._shape:  # one tuple compare while the shape holds
-            self._shape = features.shape
-            ws = self._workspaces.get(self._shape)
-            if ws is None:
-                ws = self._workspaces[self._shape] = _Workspace(self._spec, self._shape[:-1])
-            self._ws = ws
-        return _backprop(self._weights, self._grads, self._spec, features, labels, self._ws)
+    def __call__(self, features: np.ndarray, labels: np.ndarray, lo: int = 0) -> np.ndarray:
+        weights, grads, ws = self._calls.get((lo, features.shape)) or self._bind(lo, features.shape)
+        return _backprop(weights, grads, self._spec, features, labels, ws)
+
+    def _bind(self, lo: int, shape: tuple[int, ...]) -> tuple[Layers, Layers, _Workspace]:
+        x, grad = self.x, self.grad
+        if x.ndim == 2:  # clients lo..lo + g - 1 of a stacked matrix
+            x, grad = x[lo : lo + shape[0]], grad[lo : lo + shape[0]]
+        ws = self._workspaces.get(shape)
+        if ws is None:
+            lead = shape[:-1]
+            need = _carved_floats(_workspace_shapes(self._spec, lead))
+            if need > self._scratch.size:
+                # the blocks carved so far go with the old buffer
+                self._workspaces.clear()
+                self._calls.clear()
+                self._scratch = np.empty(need)
+            ws = self._workspaces[shape] = _Workspace(self._spec, lead, self._scratch)
+        self._calls[(lo, shape)] = (_unpack(x, self._spec), _unpack(grad, self._spec), ws)
+        return self._calls[(lo, shape)]
 
 
 def loss_and_grad(

@@ -1,6 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import lss.cli as cli
 import lss.experiment as experiment
 from lss.analysis import TheoryParams, convergence_bound, lr_choice, max_local_steps
 from lss.cli import main
+from lss.config import ConfigError
 from lss.params import load_checkpoint
 from test_data import _write_idx_pair
 
@@ -119,6 +124,27 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: local.eta: is given twice\n"
         assert not (tmp_path / "run1").exists()
+
+    def test_debug_raises_with_the_traceback(self, tmp_path, capsys):
+        cfg = write_smoke(tmp_path)
+        cfg.write_text(cfg.read_text().replace("  eta: 0.05\n", "  eta: 0.05\n  eta: 0.5\n"))
+        with pytest.raises(ConfigError, match="local.eta: is given twice"):
+            main(["run", str(cfg), "--debug"])
+        assert capsys.readouterr().err == ""
+        # As a program: the traceback, and the exit status of an uncaught error.
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "lss.cli", "run", str(cfg), "--debug"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("Traceback (most recent call last):\n")
+        assert done.stderr.endswith("ConfigError: local.eta: is given twice\n")
+        assert 'in parse_config' in done.stderr
+        # Without the flag, one line.
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: local.eta: is given twice\n"
 
     def test_failed_diagnostics_replace_no_artifact(self, tmp_path, monkeypatch):
         cfg = write_smoke(tmp_path)

@@ -28,7 +28,7 @@ from lss.federation import (
 )
 from lss.local_training import LocalConfig, fedprox_local_train, lss_local_train
 from lss.model import MlpSpec, accuracy, evaluate, init_params
-from lss.params import ParamVector
+from lss.params import ParamVector, uniform_average
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +287,43 @@ class TestRunRound:
             seed = derive_seed(derive_seed(8, "round", r), 0)
             reference = fedprox_local_train(reference, spec, all_data, local, seed)
         assert np.array_equal(model.values, reference.values)
+
+
+class TestLockstepUploads:
+    """A stand-in for the benchmark's traced pool check, which sees only the
+    uploads of clients that train alone through ``lss_local_train``."""
+
+    # lss-mid's client sizes at seed 1, in shuffled order, with its model
+    # and pool: four lockstep groups of five, each over one batch of 64
+    # with a ragged epoch tail.
+    SIZES = [220, 57, 367, 75, 518, 131, 309, 72, 447, 168,
+             75, 293, 184, 367, 91, 246, 329, 220, 353, 278]
+
+    def test_every_upload_of_a_ragged_round_is_the_average_of_its_pool_alone(
+        self, monkeypatch
+    ):
+        spec = MlpSpec(input_dim=32, hidden_dims=(64,), num_classes=10)
+        local = LocalConfig(
+            eta=0.05, tau=5, batch_size=64, lambda_a=0.5, lambda_d=0.5, num_pool_models=4
+        )
+        rng = np.random.default_rng(21)
+        datasets = [
+            Dataset(rng.standard_normal((n, 32)), rng.integers(0, 10, n), 10) for n in self.SIZES
+        ]
+        anchor = init_params(spec, 3)
+        seeds = [derive_seed(7, cid) for cid in range(len(datasets))]
+        groups = []
+        train = local_training._train
+        monkeypatch.setattr(
+            local_training, "_train",
+            lambda *a, **k: (groups.append(len(a[2])), train(*a, **k))[1],
+        )
+        uploads = train_clients("lss", anchor, spec, datasets, local, seeds)
+        assert groups == [5] * 4
+        for data, seed, upload in zip(datasets, seeds, uploads, strict=True):
+            final, trace = lss_local_train(anchor, spec, data, local, seed)
+            assert np.array_equal(upload.values, uniform_average(trace.pool_members).values)
+            assert np.array_equal(upload.values, final.values)
 
 
 class TestRoundRecordCsv:

@@ -549,8 +549,8 @@ def alone(strategy, anchor, spec, data, cfg, seed):
 
 
 class TestLockstep:
-    """All clients that fit in one batch train in one group, whatever their
-    sizes, and each gets the pool and upload it gets alone, bit for bit."""
+    """Clients of every size train in lockstep groups, and each gets the
+    pool and upload it gets alone, bit for bit."""
 
     @staticmethod
     def spy_groups(monkeypatch):
@@ -565,10 +565,13 @@ class TestLockstep:
     @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((5,), "relu"), ((4, 3), "tanh")])
     @pytest.mark.parametrize(
         "sizes",
-        # 16 is the batch size.  The last is unsorted, with repeats, and
-        # holds a client over one batch; its group of 9 takes the one-vecdot
-        # distances, and the groups of 2 and 3 one dot per client.
-        [[1] * 3, [5] * 4, [16] * 2, [5, 16, 1, 9, 40, 5, 3, 16, 1, 9]],
+        # 16 is the batch size.  Clients within one batch, of one size and
+        # of exactly one batch; clients over one batch with ragged epoch
+        # tails (5, 5, 2, 5 and none) and a run of equal size; and a mix of
+        # both, unsorted, with repeats.  The groups of 5 and 12 take the
+        # one-vecdot distances, the groups of 2 and 3 one dot per client.
+        [[1] * 3, [16] * 2, [37, 21, 50, 37, 48],
+         [5, 16, 1, 9, 40, 5, 3, 16, 1, 9, 33, 17]],
     )
     @pytest.mark.parametrize("strategy, lambda_a, lambda_d, coeff_mode", LOCKSTEP_STRATEGIES)
     def test_group_equals_clients_one_at_a_time(
@@ -576,57 +579,82 @@ class TestLockstep:
     ):
         spec, anchor, _ = engine_case(hidden, activation, 5)
         cfg = LocalConfig(
-            eta=0.2, tau=5, batch_size=16, lambda_a=lambda_a, lambda_d=lambda_d,
+            eta=0.2, tau=7, batch_size=16, lambda_a=lambda_a, lambda_d=lambda_d,
             num_pool_models=3, coeff_mode=coeff_mode, mu_prox=0.3,
         )
         datasets = lockstep_clients(spec, sizes)
         seeds = [11 + i for i in range(len(sizes))]
-        within = [i for i, n in enumerate(sizes) if n <= 16]
         groups = self.spy_groups(monkeypatch)
         uploads = train_clients(strategy, anchor, spec, datasets, cfg, seeds)
-        assert groups == [len(within)] + [1] * (len(sizes) - len(within))
+        assert groups == [len(sizes)]
         soup = strategy == "lss"
         pool_cfg = cfg if strategy != "fedavg" else dataclasses.replace(cfg, mu_prox=0.0)
         # In the caller's order, which may break a size into several runs.
-        pools = train_group(
-            anchor, spec, [datasets[i] for i in within], pool_cfg, [seeds[i] for i in within], soup
-        )
-        assert groups[-1] == len(within)
-        pools = dict(zip(within, pools))
+        pools = train_group(anchor, spec, datasets, pool_cfg, seeds, soup)
+        assert pools.shape == (4 if soup else 2, len(sizes), anchor.dim)
+        assert np.array_equal(pools[0], np.broadcast_to(anchor.values, pools.shape[1:]))
         for i, (data, seed, upload) in enumerate(zip(datasets, seeds, uploads)):
             want_pool, want_upload = alone(strategy, anchor, spec, data, cfg, seed)
             assert np.array_equal(upload.values, want_upload.values)
             assert not np.array_equal(upload.values, anchor.values)
-            if i not in pools:
-                continue
-            assert len(pools[i]) == len(want_pool) == (4 if soup else 2)
-            for got, want in zip(pools[i], want_pool):
-                assert np.array_equal(got.values, want.values)
+            for got, want in zip(pools[:, i], want_pool, strict=True):
+                assert np.array_equal(got, want.values)
             if soup:
-                assert np.array_equal(upload.values, uniform_average(pools[i]).values)
+                pool = [ParamVector(member) for member in pools[:, i]]
+                assert np.array_equal(upload.values, uniform_average(pool).values)
+                assert np.array_equal(local_training.pool_averages(pools)[i], upload.values)
 
-    def test_all_clients_within_one_batch_share_one_group(self, monkeypatch):
+    def test_groups_hold_every_client_by_size_under_the_float_budget(self, monkeypatch):
         spec, anchor, _ = engine_case((5,), "relu", 5)
         cfg = LocalConfig(eta=0.2, tau=4, batch_size=16, num_pool_models=2)
         sizes = [5, 40, 5, 1, 16, 17, 16]
         datasets = lockstep_clients(spec, sizes)
         seeds = list(range(3, 3 + len(sizes)))
-        # 1, 5 (twice), 16 (twice) in one group by (size, index); 40 and 17 alone
-        assert lockstep_groups(datasets, 16) == [[3, 0, 2, 4, 6], [1], [5]]
-        assert lockstep_groups(datasets[1:2], 16) == [[0]]
-        assert lockstep_groups([], 16) == []
+        dim = anchor.dim
+        # by (size, index): 1, 5 (twice), 16 (twice), 17, 40
+        assert lockstep_groups(datasets, dim, 2) == [[3, 0, 2, 4, 6, 5, 1]]
+        assert lockstep_groups(datasets[1:2], dim, 2) == [[0]]
+        assert lockstep_groups([], dim, 2) == []
+        # Room for three clients of two members: the fewest groups, of
+        # near-equal count.
+        monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", 3 * (2 + 4) * dim + 5)
+        assert local_training._clients_per_group(dim, 2) == 3
+        assert lockstep_groups(datasets, dim, 2) == [[3, 0], [2, 4], [6, 5, 1]]
+        # A proximal client of one member takes less room than a soup client.
+        assert local_training._clients_per_group(dim, 1) == 3
+        assert local_training._clients_per_group(dim, 3) == 2
         groups = self.spy_groups(monkeypatch)
         uploads = train_clients("lss", anchor, spec, datasets, cfg, seeds)
-        assert groups == [5, 1, 1]
+        assert groups == [2, 2, 3]
         for data, seed, upload in zip(datasets, seeds, uploads):
             _, want = alone("lss", anchor, spec, data, cfg, seed)
             assert np.array_equal(upload.values, want.values)
+        # Room for less than one client: every client trains alone.
+        monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", 1)
+        assert lockstep_groups(datasets, dim, 2) == [[3], [0], [2], [4], [6], [5], [1]]
+
+    def test_the_float_budget_groups_the_three_workloads(self):
+        # The benchmark workloads' models, pool sizes and client counts.
+        mid = MlpSpec(input_dim=32, hidden_dims=(64,), num_classes=10)
+        wide = MlpSpec(input_dim=128, hidden_dims=(256, 256), num_classes=10)
+        softmax = MlpSpec(input_dim=16, hidden_dims=(), num_classes=10)
+        assert local_training._clients_per_group(mid.param_count(), 4) == 5
+        assert local_training._clients_per_group(wide.param_count(), 1) == 1
+        assert local_training._clients_per_group(softmax.param_count(), 3) >= 100
+        for spec, members, clients, groups in [
+            (mid, 4, 20, [5] * 4), (wide, 1, 4, [1] * 4), (softmax, 3, 100, [100])
+        ]:
+            datasets = lockstep_clients(spec, [1 + i % 7 for i in range(clients)])
+            got = lockstep_groups(datasets, spec.param_count(), members)
+            assert [len(g) for g in got] == groups
 
     @pytest.mark.parametrize("soup", [True, False])
-    def test_one_train_call_and_one_kernel_call_per_size_per_step(self, monkeypatch, soup):
+    def test_one_train_call_and_one_kernel_call_per_run_of_one_size_per_step(
+        self, monkeypatch, soup
+    ):
         spec, anchor, _ = engine_case((5,), "tanh", 5)
         cfg = LocalConfig(eta=0.2, tau=3, batch_size=16, num_pool_models=2, lambda_d=0.3)
-        sizes = [5, 1, 16, 5, 40, 1, 3, 16, 16]
+        sizes = [5, 1, 16, 5, 40, 1, 3, 16, 16, 21]
         datasets = lockstep_clients(spec, sizes)
         shapes = []
         backprop = model._backprop
@@ -635,15 +663,22 @@ class TestLockstep:
             lambda *a: (shapes.append(a[3].shape), backprop(*a))[1],
         )
         groups = self.spy_groups(monkeypatch)
-        train_clients("lss" if soup else "fedprox", anchor, spec, datasets, cfg, range(9))
-        assert groups == [8, 1]
+        train_clients("lss" if soup else "fedprox", anchor, spec, datasets, cfg, range(10))
+        assert groups == [10]
+        # In size order: 1 (twice), 3, 5 (twice), 16 (three times), 21 and
+        # 40.  The client of 21 takes 16 then 5 rows, the client of 40 16,
+        # 16, then 8; a call holds the consecutive clients of one batch size.
+        within = [(2, 1, 4), (1, 3, 4), (2, 5, 4)]
+        per_step = [
+            within + [(5, 16, 4)],
+            within + [(3, 16, 4), (1, 5, 4), (1, 16, 4)],
+            within + [(4, 16, 4), (1, 8, 4)],
+            within + [(3, 16, 4), (1, 5, 4), (1, 16, 4)],
+            within + [(5, 16, 4)],
+            within + [(3, 16, 4), (1, 5, 4), (1, 8, 4)],
+        ]
         steps = (2 if soup else 1) * cfg.tau
-        # One call per size, in size order, with every client of that size.
-        per_step = [(2, 1, 4), (1, 3, 4), (2, 5, 4), (3, 16, 4)]
-        assert shapes[: 4 * steps] == per_step * steps
-        # The client of 40 alone: one call per step.
-        assert len(shapes) == 4 * steps + steps
-        assert all(s[:1] == (1,) for s in shapes[4 * steps :])
+        assert shapes == [s for step in per_step[:steps] for s in step]
 
     @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
     def test_a_client_that_diverges_in_a_mixed_group_is_named(self, strategy):
@@ -651,14 +686,19 @@ class TestLockstep:
         local = LocalConfig(eta=0.5, tau=3, batch_size=16, num_pool_models=2, mu_prox=0.1)
         rng = np.random.default_rng(8)
         clients = []
-        for cid, n in enumerate([7, 5, 3, 5, 7, 1]):
-            scale = 1e160 if cid in (2, 4) else 1.0
+        for cid, n in enumerate([7, 40, 3, 5, 7, 1, 40]):
+            scale = 1e160 if cid == 4 else 1.0
             features = scale * rng.standard_normal((n, spec.input_dim))
+            if cid == 1:
+                # huge rows after the first batch of its first epoch: the
+                # client trains one step, then diverges mid-epoch
+                seed = federation.derive_seed(9, cid)
+                features[local_training._stream(seed, 0).permutation(n)[16:]] *= 1e160
             data = Dataset(features, rng.integers(0, 3, n), 3)
             clients.append(federation.ClientState(cid, data))
         datasets = [c.data for c in clients]
-        # One group, ordered 5, 2, 1, 3, 0, 4: client 2 comes before client 4.
-        assert lockstep_groups(datasets, 16) == [[5, 2, 1, 3, 0, 4]]
+        # One group, ordered 5, 2, 3, 0, 4, 1, 6: client 4 comes before client 1.
+        assert lockstep_groups(datasets, anchor.dim, 2) == [[5, 2, 3, 0, 4, 1, 6]]
         seeds = [federation.derive_seed(9, c.client_id) for c in clients]
         failures = []
         for cid, (data, seed) in enumerate(zip(datasets, seeds)):
@@ -666,7 +706,7 @@ class TestLockstep:
                 train_clients(strategy, anchor, spec, [data], local, [seed])
             except ValueError as exc:
                 failures.append(f"client {cid} failed during round 2: {exc}")
-        assert [f.split(" failed")[0] for f in failures] == ["client 2", "client 4"]
+        assert [f.split(" failed")[0] for f in failures] == ["client 1", "client 4"]
         lss_error = r"soup member \d diverged: its distance to member \d is (inf|nan)"
         group_error = lss_error if strategy == "lss" else "non-finite"
         with pytest.raises(ValueError, match=group_error):
@@ -716,11 +756,9 @@ class TestLockstep:
         datasets = lockstep_clients(spec, [3, 3])
         with pytest.raises(ValueError, match="1 seeds for 2 clients"):
             train_group(anchor, spec, datasets, LocalConfig(), [1], soup=True)
-
-    @pytest.mark.parametrize("sizes", [[16, 17], [17, 17]])  # 16 is the batch size
-    def test_a_group_that_is_not_lockstep_is_rejected(self, sizes):
-        spec, anchor, _ = engine_case((), "relu", 3)
-        datasets = lockstep_clients(spec, sizes)
-        cfg = LocalConfig(batch_size=16)
-        with pytest.raises(ValueError, match="a lockstep group holds clients within one batch"):
-            train_group(anchor, spec, datasets, cfg, [1, 2], soup=False)
+        # and once a round, also for a client that would train alone
+        for seeds in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match=f"{len(seeds)} seeds for 2 clients"):
+                train_clients("lss", anchor, spec, datasets, LocalConfig(), seeds)
+        with pytest.raises(ValueError, match="2 seeds for 1 clients"):
+            train_clients("fedavg", anchor, spec, datasets[:1], LocalConfig(), [1, 2])

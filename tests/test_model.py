@@ -268,6 +268,26 @@ class TestKernelWorkspace:
                 assert np.array_equal(want[g], alone(features[g], labels[g]))
                 assert np.array_equal(fresh.grad[g], alone.grad)
 
+    def test_a_call_on_a_row_range_writes_only_those_rows(self, spec):
+        rng = np.random.default_rng(13)
+        data = random_batch(rng, spec, 64)
+        xs = np.stack([perturbed(init_params(spec, g), rng, 0.5).values for g in range(5)])
+        kernel = Kernel(spec, [data] * 5, xs.copy())
+        kernel.grad[:] = np.nan
+        # a batch shape larger than the scratch so far, then smaller ones
+        # carved from it, and rows from the start, the middle and the end
+        for lo, g, rows in ((1, 3, 20), (0, 5, 20), (0, 1, 9), (4, 1, 20), (2, 2, 9)):
+            before = kernel.grad.copy()
+            features = np.stack([data.features[7 * k : 7 * k + rows] for k in range(g)])
+            labels = np.stack([data.labels[7 * k : 7 * k + rows] for k in range(g)])
+            got = kernel(features, labels, lo)
+            for k in range(g):
+                alone = Kernel(spec, data, xs[lo + k].copy())
+                assert np.array_equal(got[k], alone(features[k], labels[k]))
+                assert np.array_equal(kernel.grad[lo + k], alone.grad)
+            others = [r for r in range(5) if not lo <= r < lo + g]
+            assert np.array_equal(kernel.grad[others], before[others], equal_nan=True)
+
     # Layers wide enough that a block of one batch, n rows of the narrowest
     # layer, outgrows numpy's own ufunc buffer (8192 floats), which the
     # broadcast bias add and the relu mask's cast still take at each call.
@@ -292,9 +312,14 @@ class TestKernelWorkspace:
         try:
             kernel(features, labels)
             peak = tracemalloc.get_traced_memory()[1]
+            # A smaller batch takes its temporaries from the same scratch.
+            tracemalloc.reset_peak()
+            kernel(features[..., : n // 2, :].copy(), labels[..., : n // 2].copy())
+            smaller = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < block
+        assert smaller < block
 
 
 def test_no_module_but_model_imports_its_private_names():
