@@ -5,9 +5,10 @@ using the chosen strategy, and the server forms the new global model as
 the average of the uploads weighted by each client's sample count, as in
 FedAvg.  The round's clients train through one call
 (``train_clients``): every client trains in a lockstep group, whatever its
-size, in as few groups as ``local_training.LOCKSTEP_FLOATS`` allows; a
-group of one goes through its strategy's trainer (``lss_local_train``,
-``fedprox_local_train``).  Each upload is the one the client gets alone.
+size, in as few groups as ``local_training.LOCKSTEP_FLOATS`` allows.
+``lss_local_train`` forms each soup upload from the client's pool rows,
+and a proximal client alone in its group trains through
+``fedprox_local_train``.  Each upload is the one the client gets alone.
 Uploads are aggregated and scored in client-id order, and per-client
 seeds are a stable hash of (round seed, client id), so results do not
 depend on the order the clients are given in.
@@ -29,7 +30,6 @@ from .local_training import (
     fedprox_local_train,
     lockstep_groups,
     lss_local_train,
-    pool_averages,
     train_group,
 )
 from .model import MlpSpec, accuracy, evaluate, init_params
@@ -135,8 +135,8 @@ def train_clients(
     the order given; ``run_round`` has checked ``strategy``.  Each upload is
     the one the client's ``lss_local_train`` or ``fedprox_local_train``
     returns alone: the clients train in the lockstep groups of
-    ``local_training.lockstep_groups``, and a group of one calls that
-    trainer."""
+    ``local_training.lockstep_groups``, and each soup upload is formed by
+    ``lss_local_train`` from the client's pool rows."""
     if len(seeds) != len(datasets):
         raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
     if strategy == "fedavg":
@@ -147,21 +147,24 @@ def train_clients(
     members = local_cfg.num_pool_models if soup else 1
     uploads: list[ParamVector] = [anchor] * len(datasets)
     for group in lockstep_groups(datasets, anchor.dim, members):
-        if len(group) == 1:
-            # Through the public trainers, which perfbench's traced runs
-            # wrap to check each LSS upload against its pool.
+        if not soup and len(group) == 1:
+            # A proximal client alone in its group (every client at
+            # D = 101,386) trains through ``fedprox_local_train``, the name
+            # the benchmark times it by; the same bits as ``train_group``.
             (i,) = group
-            if soup:
-                uploads[i], _ = lss_local_train(anchor, spec, datasets[i], local_cfg, seeds[i])
-            else:
-                uploads[i] = fedprox_local_train(anchor, spec, datasets[i], local_cfg, seeds[i])
+            uploads[i] = fedprox_local_train(anchor, spec, datasets[i], local_cfg, seeds[i])
             continue
         pools = train_group(
             anchor, spec, [datasets[i] for i in group], local_cfg, [seeds[i] for i in group], soup
         )
-        finals = pool_averages(pools) if soup else pools[-1].copy()
-        for i, final in zip(group, finals):
-            uploads[i] = ParamVector._wrap(final)
+        if soup:
+            for j, i in enumerate(group):
+                uploads[i], _ = lss_local_train(
+                    anchor, spec, datasets[i], local_cfg, seeds[i], pools[:, j]
+                )
+        else:
+            for i, final in zip(group, pools[-1].copy()):
+                uploads[i] = ParamVector._wrap(final)
     return uploads
 
 

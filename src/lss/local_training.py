@@ -31,7 +31,6 @@ non-finite entry finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, count, groupby
 from typing import Iterator, Sequence
 
@@ -178,16 +177,25 @@ def _stream(seed: int, child: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
 
 
-@dataclass(frozen=True)
 class LocalTrace:
-    """A finished soup's pool, anchor first, and its geometry on demand."""
+    """A finished soup's pool: a read-only view of its ``(members + 1, D)``
+    rows, anchor first, and its members and geometry on demand."""
 
-    pool_members: tuple[ParamVector, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows.view()
+        self.rows.setflags(write=False)
+
+    @property
+    def pool_members(self) -> tuple[ParamVector, ...]:
+        return tuple(ParamVector._wrap(row) for row in self.rows)
 
     @property
     def anchor_distance(self) -> float:
         """Distance from the anchor to the uploaded pool average."""
-        return l2_distance(uniform_average(self.pool_members), self.pool_members[0])
+        members = self.pool_members
+        return l2_distance(uniform_average(members), members[0])
 
     @property
     def pool_mean_pairwise_distance(self) -> float:
@@ -229,16 +237,8 @@ def train_group(
     """The ``(members + 1, G, D)`` pools of clients trained in lockstep,
     row ``[k, g]`` member ``k`` of client ``g`` in the order given (row 0
     the anchor); client ``g`` trains from ``seeds[g]`` and gets the pool it
-    gets alone, bit for bit."""
-    if len(seeds) != len(datasets):
-        raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
+    gets alone, bit for bit; ``seeds`` holds one seed per client."""
     return _train(anchor, spec, datasets, config, seeds, soup)
-
-
-def pool_averages(pools: np.ndarray) -> np.ndarray:
-    """Each client's uniform pool average, as ``(G, D)`` rows of a
-    ``(members + 1, G, D)`` block, bit for bit its ``uniform_average``."""
-    return _average(pools, np.empty(pools.shape[1:]), np.empty(pools.shape[1:]))
 
 
 def _average(rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -425,6 +425,7 @@ def lss_local_train(
     client_data: Dataset,
     config: LocalConfig,
     seed: int,
+    pool: np.ndarray | None = None,
 ) -> tuple[ParamVector, LocalTrace]:
     """Sequential soup training from ``anchor``; returns the pool average.
 
@@ -432,10 +433,22 @@ def lss_local_train(
     the uniform average of the current pool and trained for ``tau`` steps
     of the regularized interpolation objective.  Fresh interpolation
     coefficients are sampled every step.  Deterministic given ``seed``.
+
+    Given ``pool``, the ``(members + 1, D)`` rows, anchor first, that the
+    client got in a lockstep group (``train_group``: the pool it gets
+    alone), the client is not trained again: the upload and trace are
+    formed from those rows.  ``federation.train_clients`` forms every soup
+    upload this way, so that this one function returns them all.
     """
-    pools = _train(anchor, spec, [client_data], config, [seed], soup=True)
-    pool = (anchor, *(ParamVector._wrap(member) for member in pools[1:, 0]))
-    return uniform_average(pool), LocalTrace(pool)
+    if pool is None:
+        pool = _train(anchor, spec, [client_data], config, [seed], soup=True)[:, 0]
+    elif pool.shape != (config.num_pool_models + 1, anchor.dim):
+        raise ValueError(
+            f"a pool of {config.num_pool_models} members on {anchor.dim} weights "
+            f"has shape {(config.num_pool_models + 1, anchor.dim)}, got {pool.shape}"
+        )
+    upload = _average(pool, np.empty(anchor.dim), np.empty(anchor.dim))
+    return ParamVector._wrap(upload), LocalTrace(pool)
 
 
 def fedprox_loss_and_grad(

@@ -157,50 +157,33 @@ def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 class _Workspace:
-    """The forward and backward temporaries of one batch shape, carved from
-    a kernel's scratch buffer (see ``_carve``)."""
+    """The forward and backward temporaries of one batch shape: disjoint
+    views of the front of a kernel's flat scratch buffer, which the
+    workspaces of its other batch shapes share."""
 
     __slots__ = ("outs", "deltas", "log_probs", "dlogits", "onehot", "col", "rows")
 
     def __init__(self, spec: MlpSpec, lead: tuple[int, ...], scratch: np.ndarray):
-        *blocks, both, self.col = _carve(scratch, _workspace_shapes(spec, lead))
+        rows, blocks, off = math.prod(lead), [], 0
+        for width in _workspace_widths(spec):
+            blocks.append(scratch[off : off + rows * width].reshape(*lead, width))
+            off += rows * width
         layers = len(spec.hidden_dims) + 1
-        self.outs, self.deltas = blocks[:layers], blocks[layers:]
-        self.log_probs, self.dlogits = both
+        self.outs, self.deltas = blocks[:layers], blocks[layers:-3]
+        self.log_probs, self.dlogits, self.col = blocks[-3:]
         # dlogits with one row per sample, and each sample's row index in it
         self.onehot = self.dlogits.reshape(-1, spec.num_classes)
-        self.rows = np.arange(self.onehot.shape[0])
+        self.rows = np.arange(rows)
 
 
-def _workspace_shapes(spec: MlpSpec, lead: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The blocks of a workspace: each layer's output, each hidden layer's
-    delta, the log-probabilities with dlogits, and one column."""
+def _workspace_widths(spec: MlpSpec) -> list[int]:
+    """The widths of a workspace's blocks, each one row per sample: each
+    layer's output, each hidden layer's delta, the log-probabilities,
+    dlogits, and one column."""
     return [
-        *((*lead, fo) for _, fo in spec.layer_shapes()),
-        *((*lead, h) for h in spec.hidden_dims),
-        (2, *lead, spec.num_classes),
-        (*lead, 1),
+        *(fo for _, fo in spec.layer_shapes()), *spec.hidden_dims,
+        spec.num_classes, spec.num_classes, 1,
     ]
-
-
-# Each carved block starts on a 64-byte boundary of the scratch, so that no
-# two blocks share a cache line.
-_ALIGN = 8
-
-
-def _carved_floats(shapes: Sequence[tuple[int, ...]]) -> int:
-    return sum(-(-math.prod(shape) // _ALIGN) * _ALIGN for shape in shapes)
-
-
-def _carve(scratch: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Disjoint contiguous blocks of the given shapes from the front of the
-    flat buffer ``scratch``, which holds ``_carved_floats(shapes)``."""
-    blocks, off = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        blocks.append(scratch[off : off + size].reshape(shape))
-        off += -(-size // _ALIGN) * _ALIGN
-    return blocks
 
 
 def _backprop(
@@ -257,10 +240,9 @@ class Kernel:
 
     The kernel owns ``grad``, shaped like ``x``, and its forward and backward
     temporaries: one flat scratch buffer, sized to the largest batch so far,
-    from which each batch shape's blocks are carved at its first call and
-    rewritten in place after that."""
+    whose front each batch shape's blocks view from its first call on."""
 
-    __slots__ = ("x", "grad", "_spec", "_calls", "_workspaces", "_scratch")
+    __slots__ = ("x", "grad", "_spec", "_row_floats", "_calls", "_workspaces", "_scratch")
 
     def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
         _check_params(x, spec)
@@ -268,8 +250,9 @@ class Kernel:
             _check_data(d, spec)
         self.x, self._spec = x, spec
         self.grad = np.empty(x.shape)
+        self._row_floats = sum(_workspace_widths(spec))  # scratch floats per sample
         # (lo, batch shape) -> the weight and gradient views of its rows,
-        # and its workspace
+        # and the workspace of the batch shape
         self._calls: dict[tuple, tuple[Layers, Layers, _Workspace]] = {}
         self._workspaces: dict[tuple[int, ...], _Workspace] = {}
         self._scratch = np.empty(0)
@@ -285,15 +268,15 @@ class Kernel:
         ws = self._workspaces.get(shape)
         if ws is None:
             lead = shape[:-1]
-            need = _carved_floats(_workspace_shapes(self._spec, lead))
+            need = math.prod(lead) * self._row_floats
             if need > self._scratch.size:
-                # the blocks carved so far go with the old buffer
+                # the workspaces so far view the old buffer
                 self._workspaces.clear()
                 self._calls.clear()
                 self._scratch = np.empty(need)
             ws = self._workspaces[shape] = _Workspace(self._spec, lead, self._scratch)
-        self._calls[(lo, shape)] = (_unpack(x, self._spec), _unpack(grad, self._spec), ws)
-        return self._calls[(lo, shape)]
+        self._calls[(lo, shape)] = call = (_unpack(x, self._spec), _unpack(grad, self._spec), ws)
+        return call
 
 
 def loss_and_grad(

@@ -290,8 +290,10 @@ class TestRunRound:
 
 
 class TestLockstepUploads:
-    """A stand-in for the benchmark's traced pool check, which sees only the
-    uploads of clients that train alone through ``lss_local_train``."""
+    """The benchmark's traced pool check wraps ``federation.lss_local_train``
+    and checks each upload it returns against its pool.  Every soup upload
+    of a round comes from that call, and is the one its client gets
+    alone."""
 
     # lss-mid's client sizes at seed 1, in shuffled order, with its model
     # and pool: four lockstep groups of five, each over one batch of 64
@@ -318,8 +320,23 @@ class TestLockstepUploads:
             local_training, "_train",
             lambda *a, **k: (groups.append(len(a[2])), train(*a, **k))[1],
         )
+        # as the benchmark's traced runs record each upload with its pool
+        recorded = []
+        form = federation.lss_local_train
+
+        def record(*args, **kwargs):
+            final, trace = form(*args, **kwargs)
+            recorded.append((final, trace.pool_members))
+            return final, trace
+
+        monkeypatch.setattr(federation, "lss_local_train", record)
         uploads = train_clients("lss", anchor, spec, datasets, local, seeds)
         assert groups == [5] * 4
+        assert sorted(id(final) for final, _ in recorded) == sorted(id(u) for u in uploads)
+        for final, pool in recorded:
+            assert len(pool) == 5
+            assert np.array_equal(final.values, uniform_average(pool).values)
+        monkeypatch.undo()
         for data, seed, upload in zip(datasets, seeds, uploads, strict=True):
             final, trace = lss_local_train(anchor, spec, data, local, seed)
             assert np.array_equal(upload.values, uniform_average(trace.pool_members).values)

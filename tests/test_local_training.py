@@ -341,6 +341,19 @@ class TestLssLocalTrain:
         pool = list(trace.pool_members)
         assert trace.pool_mean_pairwise_distance == mean_pairwise_distance(pool) > 0.0
 
+    def test_a_given_pool_is_not_trained_again(self, small_blobs, softmax_spec, softmax_anchor):
+        cfg = LocalConfig(eta=0.05, tau=4, batch_size=32, num_pool_models=3)
+        final, trace = lss_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=3)
+        rows = trace.rows.copy()
+        again, again_trace = lss_local_train(
+            softmax_anchor, softmax_spec, small_blobs, cfg, seed=99, pool=rows
+        )
+        assert again == final
+        assert np.array_equal(again_trace.rows, rows)
+        assert not again_trace.rows.flags.writeable and rows.flags.writeable
+        with pytest.raises(ValueError, match=r"has shape \(4, 54\), got \(3, 54\)"):
+            lss_local_train(softmax_anchor, softmax_spec, small_blobs, cfg, seed=3, pool=rows[1:])
+
     def test_readme_library_example_runs(self, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"## Library use.*?```python\n(.*?)```", readme, re.S).group(1)
@@ -568,9 +581,10 @@ class TestLockstep:
         # 16 is the batch size.  Clients within one batch, of one size and
         # of exactly one batch; clients over one batch with ragged epoch
         # tails (5, 5, 2, 5 and none) and a run of equal size; and a mix of
-        # both, unsorted, with repeats.  The groups of 5 and 12 take the
-        # one-vecdot distances, the groups of 2 and 3 one dot per client.
-        [[1] * 3, [16] * 2, [37, 21, 50, 37, 48],
+        # both, unsorted, with repeats.  The groups of 4 (``_VECDOT_FROM``),
+        # 5 and 12 take the one-vecdot distances, the groups of 2 and 3 one
+        # dot per client.
+        [[1] * 3, [16] * 2, [5] * 4, [37, 21, 50, 37, 48],
          [5, 16, 1, 9, 40, 5, 3, 16, 1, 9, 33, 17]],
     )
     @pytest.mark.parametrize("strategy, lambda_a, lambda_d, coeff_mode", LOCKSTEP_STRATEGIES)
@@ -602,7 +616,9 @@ class TestLockstep:
             if soup:
                 pool = [ParamVector(member) for member in pools[:, i]]
                 assert np.array_equal(upload.values, uniform_average(pool).values)
-                assert np.array_equal(local_training.pool_averages(pools)[i], upload.values)
+                final, trace = lss_local_train(anchor, spec, data, cfg, seed, pools[:, i])
+                assert np.array_equal(final.values, upload.values)
+                assert trace.pool_members == tuple(pool)
 
     def test_groups_hold_every_client_by_size_under_the_float_budget(self, monkeypatch):
         spec, anchor, _ = engine_case((5,), "relu", 5)
@@ -754,9 +770,7 @@ class TestLockstep:
     def test_one_seed_per_client(self):
         spec, anchor, _ = engine_case((), "relu", 3)
         datasets = lockstep_clients(spec, [3, 3])
-        with pytest.raises(ValueError, match="1 seeds for 2 clients"):
-            train_group(anchor, spec, datasets, LocalConfig(), [1], soup=True)
-        # and once a round, also for a client that would train alone
+        # checked once a round, also for a client that trains alone
         for seeds in ([1], [1, 2, 3]):
             with pytest.raises(ValueError, match=f"{len(seeds)} seeds for 2 clients"):
                 train_clients("lss", anchor, spec, datasets, LocalConfig(), seeds)

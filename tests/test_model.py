@@ -275,7 +275,7 @@ class TestKernelWorkspace:
         kernel = Kernel(spec, [data] * 5, xs.copy())
         kernel.grad[:] = np.nan
         # a batch shape larger than the scratch so far, then smaller ones
-        # carved from it, and rows from the start, the middle and the end
+        # that view it, and rows from the start, the middle and the end
         for lo, g, rows in ((1, 3, 20), (0, 5, 20), (0, 1, 9), (4, 1, 20), (2, 2, 9)):
             before = kernel.grad.copy()
             features = np.stack([data.features[7 * k : 7 * k + rows] for k in range(g)])
