@@ -179,13 +179,13 @@ def estimate_sigma(
     if batch_size >= client_data.n:
         return 0.0
     features, labels = client_data.features, client_data.labels
-    kernel(features, labels)
+    kernel([(0, features)], labels)
     full_grad, grad = _check_finite(kernel.grad).copy(), kernel.grad
     rng = np.random.default_rng(seed)
     acc = 0.0
     for _ in range(num_draws):
         rows = rng.choice(client_data.n, size=batch_size, replace=False)
-        kernel(features[rows], labels[rows])
+        kernel([(0, features[rows])], labels[rows])
         diff = np.subtract(_check_finite(grad), full_grad, out=grad)
         acc += float(np.dot(diff, diff))
     return math.sqrt(acc / num_draws)
@@ -421,7 +421,7 @@ def hessian_top_eig(
         labels = data.labels[rows].reshape(2 * size, n)
 
         def gradients() -> np.ndarray:
-            wave_kernel(features, labels)
+            wave_kernel([(0, features)], labels)
             return grads
 
         return hi, kernel.x.reshape(2, size, -1), gradients

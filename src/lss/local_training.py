@@ -20,10 +20,12 @@ reference functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
 ``lockstep_groups`` forms the groups: every client, ordered by size, in
 the fewest groups whose rows fit ``LOCKSTEP_FLOATS``.  ``train_group``
 trains one group, with one soup step on all its rows and one kernel call
-per run of clients whose batches have one size at that step
-(``_group_batches``): each client keeps its own batch stream, whose batch
-sizes follow from its dataset's size alone.  Each client draws from its
-own random streams, and each of its pool distances is checked.
+on all its batches at each step (``_group_batches``): each client keeps
+its own batch stream, whose batch sizes follow from its dataset's size
+alone.  The kernel runs the matmuls and the bias-gradient sums once per
+run of consecutive clients whose batches have one size, and every other
+op once on all the step's rows, so no batch is padded.  Each client draws
+from its own random streams, and each of its pool distances is checked.
 Finiteness is checked at the end of each member phase: no update turns a
 non-finite entry finite.
 """
@@ -157,15 +159,20 @@ def _batches(
     Each epoch draws a fresh permutation when its first batch is taken.
     Clients smaller than one batch always yield their whole dataset.
     """
-    n = data.n
-    if n <= batch_size:
+    if data.n <= batch_size:
         while True:
             yield data.features, data.labels
+    for chunk in _batch_rows(data.n, batch_size, rng):
+        yield data.features[chunk], data.labels[chunk]
+
+
+def _batch_rows(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The row indices of ``_batches``' minibatches of a dataset of more than
+    ``batch_size`` rows, batch by batch."""
     while True:
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
-            chunk = order[lo : lo + batch_size]
-            yield data.features[chunk], data.labels[chunk]
+            yield order[lo : lo + batch_size]
 
 
 def _stream(seed: int, child: int) -> np.random.Generator:
@@ -254,16 +261,23 @@ def _average(rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def _group_batches(
     datasets: Sequence[Dataset], batch_size: int, seeds: Sequence[int]
-) -> Iterator[list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Endless: each step's kernel calls ``(lo, features, labels)`` for a
-    group, ``features`` shaped ``(g, n, input_dim)`` for its clients ``lo``
-    to ``lo + g - 1``.  Client ``g`` takes the batches of its own
-    ``_batches`` stream on ``_stream(seeds[g], 0)``, whose sizes follow
-    from its dataset's size alone, so a run of consecutive clients of one
-    size takes batches of one size at every step; one call holds a run, or
-    consecutive runs whose batches have one size at that step.  Batches
-    of unequal size are never padded to a common row count, since a
-    padded stack does not give each client the bits it gets alone."""
+) -> Iterator[tuple[list[tuple[int, np.ndarray]], np.ndarray]]:
+    """Endless: each step's kernel call ``(runs, labels)`` for a group.  A
+    run ``(lo, features)`` holds the batches of clients ``lo`` to ``lo + g -
+    1``, ``features`` shaped ``(g, n, input_dim)``, and ``labels`` the label
+    of each of the step's rows, in run order.  Client ``g`` takes the
+    batches of its own ``_batches`` stream on ``_stream(seeds[g], 0)``,
+    whose sizes follow from its dataset's size alone, so a run of
+    consecutive clients of one size takes batches of one size at every
+    step; a run in the call holds such a run, or consecutive ones whose
+    batches have one size at that step.  The runs of a step differ in
+    size: they are never padded to a common row count, since a padded stack
+    does not give each client the bits it gets alone.
+
+    Each step's batches lie one after another in one features block and
+    one label vector.  A batch drawn from a stream is gathered straight
+    into them; a client within one batch takes its whole dataset every
+    step, so its rows are written again only when they move."""
     # (lo, hi, sizes): each run of one dataset size and its batch sizes over an epoch
     runs, lo = [], 0
     for n, run in groupby(datasets, key=lambda d: d.n):
@@ -272,45 +286,38 @@ def _group_batches(
         sizes = (n,) if n <= batch_size else (batch_size,) * full + ((tail,) if tail else ())
         runs.append((lo, hi, sizes))
         lo = hi
-    # A client within one batch takes its whole dataset every step, so its
-    # run is stacked once; any other client draws from its own stream.
-    fixed = {
-        lo: (np.stack([d.features for d in datasets[lo:hi]]),
-             np.stack([d.labels for d in datasets[lo:hi]]))
-        for lo, hi, _ in runs if datasets[lo].n <= batch_size
-    }
     streams = {
-        g: _batches(datasets[g], batch_size, _stream(seeds[g], 0))
-        for lo, hi, _ in runs if lo not in fixed for g in range(lo, hi)
+        g: _batch_rows(datasets[g].n, batch_size, _stream(seeds[g], 0))
+        for g in range(len(datasets)) if datasets[g].n > batch_size
     }
-    # Each step's stacked batches, one after another: each client's batch
-    # holds at most min(n, batch_size) rows.
+    # Each client's batch holds at most min(n, batch_size) rows.
     rows = sum(min(d.n, batch_size) for d in datasets)
     features = np.empty((rows, datasets[0].input_dim))
     labels = np.empty(rows, dtype=np.int64)
+    placed = {}  # the row where each run within one batch was written last step
     for step in count():
-        batches, used = [], 0
+        calls, end = [], 0
         for size, call in groupby(runs, key=lambda run: run[2][step % len(run[2])]):
-            call = list(call)
-            lo, hi = call[0][0], call[-1][1]
-            if len(call) == 1 and lo in fixed:
-                batches.append((lo, *fixed[lo]))
-                continue
-            if hi - lo == 1:
-                feats, labs = next(streams[lo])
-                batches.append((lo, feats[None], labs[None]))
-                continue
-            feats = features[used : used + (hi - lo) * size].reshape(hi - lo, size, -1)
-            labs = labels[used : used + (hi - lo) * size].reshape(hi - lo, size)
-            used += (hi - lo) * size
+            start = end
             for a, b, _ in call:
-                if a in fixed:
-                    feats[a - lo : b - lo], labs[a - lo : b - lo] = fixed[a]
-                else:
+                if a in streams:
                     for g in range(a, b):
-                        feats[g - lo], labs[g - lo] = next(streams[g])
-            batches.append((lo, feats, labs))
-        yield batches
+                        # ``clip`` mode writes straight into ``out``, which
+                        # ``raise`` would buffer; the indices are all in range.
+                        chunk = next(streams[g])
+                        datasets[g].features.take(chunk, 0, features[end : end + size], "clip")
+                        datasets[g].labels.take(chunk, 0, labels[end : end + size], "clip")
+                        end += size
+                elif placed.get(a) == end:
+                    end += (b - a) * size
+                else:
+                    placed[a] = end
+                    for d in datasets[a:b]:
+                        features[end : end + size], labels[end : end + size] = d.features, d.labels
+                        end += size
+            view = features[start:end].reshape(-1, size, features.shape[1])
+            calls.append((b - view.shape[0], view))  # from its first client
+        yield calls, labels[:end]
 
 
 # From this many clients, a group's pool distances are taken in one
@@ -335,9 +342,8 @@ def _train(
     clients train in lockstep: row ``g`` of every ``(G, D)`` buffer is
     client ``g``'s, each client keeps its own random streams, and its
     distances are checked one by one.  Each step runs the soup step once on
-    all rows, and one kernel call per run of clients whose batches have
-    one size (``_group_batches``), on its rows of the interpolations and
-    of the gradients.
+    all rows, and one kernel call on the step's batches
+    (``_group_batches``), which writes every row of the gradients.
     """
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
@@ -371,8 +377,7 @@ def _train(
                 np.multiply(rows[0], step[0], out=x)
                 for k in range(1, m + 1):
                     x += np.multiply(rows[k], step[k], out=grad)
-            for lo, features, labels in next(batches):
-                kernel(features, labels, lo)
+            kernel(*next(batches))
             if soup:
                 grad *= step[m]
                 if lam_a != 0.0 or lam_d != 0.0:

@@ -52,7 +52,7 @@ class MlpSpec:
 
 # (W, b) views of one flat vector, one pair per layer.
 Layers = list[tuple[np.ndarray, np.ndarray]]
-# One (..., n, width) block per layer.
+# One array per layer, or per kernel temporary.
 Blocks = list[np.ndarray]
 
 
@@ -105,29 +105,29 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector._wrap(flat)
 
 
-def _forward(layers: Layers, spec: MlpSpec, features: np.ndarray, outs: Blocks) -> np.ndarray:
-    """Writes each layer's output into ``outs``, the activation of a hidden
-    layer and the logits last, and returns the logits."""
-    a = features
-    for (w, b), z in zip(layers, outs):
-        np.matmul(a, w, out=z)
-        z += b
-        if z is not outs[-1]:
-            np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z)
-        a = z
-    return a
-
-
-def _layer_blocks(spec: MlpSpec, lead: tuple[int, ...]) -> Blocks:
-    """Fresh output blocks, one per layer, for a batch of leading shape ``lead``."""
-    return [np.empty((*lead, fo)) for _, fo in spec.layer_shapes()]
+def _forward(
+    spec: MlpSpec, runs: Sequence[tuple[Layers, np.ndarray, Blocks]], blocks: Blocks
+) -> np.ndarray:
+    """The forward pass of runs of samples, each ``(layers, features,
+    outs)``: its weights, its input rows, and its output of each layer, a
+    view of its consecutive rows of that layer's block in ``blocks``.  A
+    layer's matmul and bias add run run by run, and a hidden layer's
+    activation once on its block, in place.  Returns the logits' block."""
+    for i, block in enumerate(blocks):
+        for layers, features, outs in runs:
+            w, b = layers[i]
+            z = np.matmul(outs[i - 1] if i else features, w, out=outs[i])
+            z += b
+        if block is not blocks[-1]:
+            np.maximum(block, 0.0, out=block) if spec.activation == "relu" else np.tanh(block, out=block)
+    return blocks[-1]
 
 
 def _logits(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
     _check_params(params.values, spec)
     _check_data(data, spec)
-    blocks = _layer_blocks(spec, data.features.shape[:-1])
-    return _forward(_unpack(params.values, spec), spec, data.features, blocks)
+    blocks = [np.empty((data.n, fo)) for _, fo in spec.layer_shapes()]
+    return _forward(spec, [(_unpack(params.values, spec), data.features, blocks)], blocks)
 
 
 def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
@@ -137,16 +137,43 @@ def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarr
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _log_softmax(
-    out: np.ndarray, log_probs: np.ndarray, exps: np.ndarray, col: np.ndarray
-) -> np.ndarray:
-    """Writes the log-softmax of ``out`` over its last axis into
-    ``log_probs`` (which may be ``out``) and returns it; ``exps`` (shaped
-    like ``out``) and ``col`` (its last axis 1) are scratch."""
+# From ``_ROW_MAX_FROM`` rows per class, for up to ``_ROW_MAX_CLASSES``
+# classes, ``_row_max`` takes the max over the class columns, one call per
+# class, in place of ``maximum.reduce``'s inner loop per row.  Against the
+# reduce (numpy 2.4.6, AVX-512 Xeon), the column max ran at 10 classes
+# 1.03x as fast at 256 rows, 1.5x at 512 and 4x at 2,218 (32 against
+# 129 us); at 2 classes 1.2x as fast at 64 rows; at 32 classes slower at
+# 8,192 rows, and at 64 classes slower at every row count up to 2,218.
+_ROW_MAX_FROM = 32
+_ROW_MAX_CLASSES = 16
+
+
+def _row_max(out: np.ndarray, col: np.ndarray) -> None:
+    """Writes the max of each row of the ``(rows, classes)`` ``out`` into the
+    ``(rows, 1)`` ``col``, bit for bit ``np.maximum.reduce``'s."""
+    rows, classes = out.shape
+    if classes > _ROW_MAX_CLASSES or rows < _ROW_MAX_FROM * classes:
+        np.maximum.reduce(out, axis=-1, keepdims=True, out=col)
+        return
+    np.maximum(out[:, :1], out[:, 1:2], out=col)
+    for k in range(2, classes):
+        np.maximum(col, out[:, k : k + 1], out=col)
+    # A max is exact in any order, but a max of zero or NaN may differ from
+    # the reduce's in its sign or NaN payload, which follow the reduce's
+    # SIMD lanes; those rows take the reduce's.
+    if not np.minimum.reduce(np.abs(col), axis=None) > 0.0:
+        redo = np.flatnonzero(~(np.abs(col[:, 0]) > 0.0))
+        col[redo] = np.maximum.reduce(out[redo], axis=-1, keepdims=True)
+
+
+def _log_softmax(out: np.ndarray, exps: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Writes the log-softmax of each row of the ``(rows, classes)`` ``out``
+    over it and returns it; ``exps`` (shaped like ``out``) and the
+    ``(rows, 1)`` ``col`` are scratch."""
     # Called as ufunc reductions: the ``max``/``sum`` wrappers cost more than
     # the reduction itself at these sizes, and give the same bits.
-    np.maximum.reduce(out, axis=-1, keepdims=True, out=col)
-    shifted = np.subtract(out, col, out=log_probs)
+    _row_max(out, col)
+    shifted = np.subtract(out, col, out=out)
     np.add.reduce(np.exp(shifted, out=exps), axis=-1, keepdims=True, out=col)
     shifted -= np.log(col, out=col)
     return shifted
@@ -156,93 +183,127 @@ def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-log_probs[np.arange(labels.shape[0]), labels].mean())
 
 
-class _Workspace:
-    """The forward and backward temporaries of one batch shape: disjoint
-    views of the front of a kernel's flat scratch buffer, which the
-    workspaces of its other batch shapes share."""
-
-    __slots__ = ("outs", "deltas", "log_probs", "dlogits", "onehot", "col", "rows")
-
-    def __init__(self, spec: MlpSpec, lead: tuple[int, ...], scratch: np.ndarray):
-        rows, blocks, off = math.prod(lead), [], 0
-        for width in _workspace_widths(spec):
-            blocks.append(scratch[off : off + rows * width].reshape(*lead, width))
-            off += rows * width
-        layers = len(spec.hidden_dims) + 1
-        self.outs, self.deltas = blocks[:layers], blocks[layers:-3]
-        self.log_probs, self.dlogits, self.col = blocks[-3:]
-        # dlogits with one row per sample, and each sample's row index in it
-        self.onehot = self.dlogits.reshape(-1, spec.num_classes)
-        self.rows = np.arange(rows)
-
-
 def _workspace_widths(spec: MlpSpec) -> list[int]:
-    """The widths of a workspace's blocks, each one row per sample: each
-    layer's output, each hidden layer's delta, the log-probabilities,
-    dlogits, and one column."""
-    return [
-        *(fo for _, fo in spec.layer_shapes()), *spec.hidden_dims,
-        spec.num_classes, spec.num_classes, 1,
-    ]
+    """The widths of a kernel's blocks, each one row per sample: each
+    layer's output (the logits, then the log-probabilities in their place),
+    each layer's delta (the last one dlogits), and one column: the
+    log-softmax's scratch, then each row's batch size."""
+    return [*(fo for _, fo in spec.layer_shapes()), *spec.hidden_dims, spec.num_classes, 1]
+
+
+class _Block:
+    """The first ``rows.size`` rows of each of a kernel's blocks: what a call
+    on that many rows runs its row-wise ops on.  ``rows`` holds each row's
+    index."""
+
+    __slots__ = ("outs", "deltas", "col", "rows")
+
+    def __init__(self, blocks: Blocks, rows: np.ndarray, layers: int):
+        if rows.size < len(blocks[0]):
+            blocks = [block[: rows.size] for block in blocks]
+        self.outs, self.deltas, self.col = blocks[:layers], blocks[layers:-1], blocks[-1]
+        self.rows = rows
+
+
+class _Run:
+    """A run bound to a kernel: the weight and gradient views of its g
+    clients, and its views of rows ``end - g·n`` to ``end`` of the kernel's
+    blocks, each shaped like its batch, ``(g, n, width)``."""
+
+    __slots__ = ("weights", "grads", "outs", "deltas", "col", "n", "end")
+
+    def __init__(self, weights: Layers, grads: Layers, views: Blocks, end: int):
+        layers = len(weights)
+        self.weights, self.grads, self.end = weights, grads, end
+        self.outs, self.deltas, self.col = views[:layers], views[layers:-1], views[-1]
+        self.n = self.col.shape[-2]
 
 
 def _backprop(
-    layers: Layers, grads: Layers, spec: MlpSpec, features: np.ndarray, labels: np.ndarray,
-    ws: _Workspace,
+    spec: MlpSpec, runs: list[tuple[_Run, np.ndarray]], labels: np.ndarray, block: _Block
 ) -> np.ndarray:
-    """Writes the gradient of the mean cross-entropy at the weights viewed by
-    ``layers`` into the views ``grads`` and returns the log-probabilities,
-    shape (n, num_classes), held in ``ws``.  Inputs are not checked.
+    """Writes the gradient of the mean cross-entropy of each run's batch at
+    its clients' weights into its gradient views, and returns the
+    log-probabilities of all the runs' rows, shape (rows, num_classes), held
+    in ``block``.  ``runs`` holds each run's binding and features,
+    ``labels`` the label of each row, in run order.  Inputs are not
+    checked.
 
-    With a leading client axis (weights from a ``(G, D)`` matrix, features
-    ``(G, n, input_dim)``, labels ``(G, n)``) each client's slice gets the
-    bits it gets alone: the matmuls run slice by slice, and the reductions
-    run along the same contiguous axes."""
-    n = labels.shape[-1]
-    out = _forward(layers, spec, features, ws.outs)
-    log_probs = _log_softmax(out, ws.log_probs, ws.dlogits, ws.col)
+    Each client's slice gets the bits it gets alone: the matmuls and the
+    bias-gradient sums over the batch run run by run, slice by slice, and
+    every other op works one row at a time, once on all the rows."""
+    forward = [(run.weights, features, run.outs) for run, features in runs]
+    out = _forward(spec, forward, block.outs)
+    log_probs = _log_softmax(out, block.deltas[-1], block.col)
 
-    # dL/dlogits = (softmax - onehot) / n
-    dlogits = np.exp(log_probs, out=ws.dlogits)
-    ws.onehot[ws.rows, labels.ravel()] -= 1.0
-    dlogits /= n
+    # dL/dlogits = (softmax - onehot) / n, n the row's batch size
+    dlogits = np.exp(log_probs, out=block.deltas[-1])
+    dlogits[block.rows, labels.ravel()] -= 1.0
+    if len(runs) == 1:
+        dlogits /= runs[0][0].n
+    else:
+        for run, _ in runs:
+            run.col.fill(run.n)
+        dlogits /= block.col
 
-    delta = dlogits
-    for idx in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[idx]
-        a = ws.outs[idx - 1] if idx else features  # the layer's input
-        np.matmul(a.swapaxes(-1, -2), delta, out=gw)
-        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
-        if idx > 0:
-            delta = np.matmul(delta, layers[idx][0].swapaxes(-1, -2), out=ws.deltas[idx - 1])
+    for i in range(len(block.outs) - 1, -1, -1):
+        for run, features in runs:
+            gw, gb = run.grads[i]
+            delta = run.deltas[i]
+            a = run.outs[i - 1] if i else features  # the layer's input
+            np.matmul(a.swapaxes(-1, -2), delta, out=gw)
+            np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
+            if i:
+                np.matmul(delta, run.weights[i][0].swapaxes(-1, -2), out=run.deltas[i - 1])
+        if i:
             # The activation's derivative, in place of the activation; for
             # relu, max(z, 0) > 0 exactly where z > 0.
+            a = block.outs[i - 1]
             if spec.activation == "relu":
                 np.greater(a, 0.0, out=a)
             else:
                 np.subtract(1.0, np.square(a, out=a), out=a)
-            delta *= a
+            block.deltas[i - 1] *= a
     return log_probs
+
+
+# The run bindings that a kernel caches at most.  A group's bindings are
+# few in practice: 48 over 2,400 steps of the 100-client softmax workload's
+# group, 5 for a group of five clients of the 20-client MLP.  But a run's
+# first row is the sum of the batch sizes before it, which can take one
+# value per combination of the earlier clients' epoch tails; and a binding
+# holds 2-3 KB of views.
+_BINDINGS = 256
 
 
 class Kernel:
     """The training kernel on the caller's flat weights ``x``, checked with
-    ``data`` against the spec once.  ``kernel(features, labels)`` writes the
-    gradient of the mean cross-entropy at ``x`` into ``grad`` and returns the
-    log-probabilities, valid until the next call; the batch is unchecked, so
-    it must be rows of ``data``.
+    ``data`` against the spec once.  ``kernel(runs, labels)`` takes one
+    step's batches: ``runs`` holds ``(lo, features)`` pairs, and ``labels``
+    the label of each of their rows, in run order (any shape that ravels to
+    that).  It writes the gradient of the mean cross-entropy of each run at
+    ``x`` into ``grad`` and returns the log-probabilities, one row per
+    sample in run order, valid until the next call.  The batches are
+    unchecked, so they must be rows of ``data``.
 
-    A ``(G, D)`` matrix ``x`` holds the weights of G clients, and ``data`` is
-    then one dataset per client; each call takes a ``(g, n, input_dim)``
-    batch, n rows of the data of each of the g clients from row ``lo``
-    (``kernel(features, labels, lo)``), and writes only their rows of
-    ``grad``.
+    With a flat ``x`` a call takes one run, ``(0, features)``, features
+    ``(n, input_dim)``.  A ``(G, D)`` matrix ``x`` holds the weights of G
+    clients, and ``data`` is then one dataset per client; a run ``(lo,
+    features)`` takes a ``(g, n, input_dim)`` batch, n rows of the data of
+    each of the g clients from row ``lo``, and a call writes only its runs'
+    rows of ``grad``.  The runs of one call may differ in n: only the
+    matmuls and the bias-gradient sums over the batch run run by run, and
+    every other op once on all rows, so no batch is padded.
 
     The kernel owns ``grad``, shaped like ``x``, and its forward and backward
-    temporaries: one flat scratch buffer, sized to the largest batch so far,
-    whose front each batch shape's blocks view from its first call on."""
+    temporaries: one block per temporary, each one row per sample, in one
+    flat scratch buffer sized to the largest call so far.  A call views the
+    front rows of each block, and each run its consecutive rows of them.
+    The views are cached by run binding, ``(lo, batch shape, first row)``,
+    and by row count, not by a step's composition, and at most
+    ``_BINDINGS`` run bindings are kept."""
 
-    __slots__ = ("x", "grad", "_spec", "_row_floats", "_calls", "_workspaces", "_scratch")
+    __slots__ = ("x", "grad", "_spec", "_runs", "_blocks", "_full", "_rows")
 
     def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
         _check_params(x, spec)
@@ -250,33 +311,65 @@ class Kernel:
             _check_data(d, spec)
         self.x, self._spec = x, spec
         self.grad = np.empty(x.shape)
-        self._row_floats = sum(_workspace_widths(spec))  # scratch floats per sample
-        # (lo, batch shape) -> the weight and gradient views of its rows,
-        # and the workspace of the batch shape
-        self._calls: dict[tuple, tuple[Layers, Layers, _Workspace]] = {}
-        self._workspaces: dict[tuple[int, ...], _Workspace] = {}
-        self._scratch = np.empty(0)
+        self._runs: dict[tuple, _Run] = {}  # (lo, batch shape, first row) -> binding
+        self._blocks: dict[int, _Block] = {}  # rows -> the blocks' front rows
+        self._full: Blocks = []  # each temporary's block, at full size
+        self._rows = np.arange(0)  # each row's index, at full size
 
-    def __call__(self, features: np.ndarray, labels: np.ndarray, lo: int = 0) -> np.ndarray:
-        weights, grads, ws = self._calls.get((lo, features.shape)) or self._bind(lo, features.shape)
-        return _backprop(weights, grads, self._spec, features, labels, ws)
+    def __call__(self, runs: Sequence[tuple[int, np.ndarray]], labels: np.ndarray) -> np.ndarray:
+        bound, end = [], 0
+        try:
+            for lo, features in runs:
+                run = self._runs[lo, features.shape, end]
+                bound.append((run, features))
+                end = run.end
+            block = self._blocks[end]
+        except KeyError:
+            bound, block = self._bind(runs)
+        return _backprop(self._spec, bound, labels, block)
 
-    def _bind(self, lo: int, shape: tuple[int, ...]) -> tuple[Layers, Layers, _Workspace]:
+    def _bind(self, runs: Sequence[tuple[int, np.ndarray]]) -> tuple[list, _Block]:
+        rows = sum(math.prod(features.shape[:-1]) for _, features in runs)
+        if rows > self._rows.size:
+            # the views so far are of the old buffer
+            self._runs.clear()
+            self._blocks.clear()
+            widths = _workspace_widths(self._spec)
+            scratch = np.empty(rows * sum(widths))
+            self._full, off = [], 0
+            for width in widths:
+                self._full.append(scratch[off : off + rows * width].reshape(rows, width))
+                off += rows * width
+            self._rows = np.arange(rows)
+        elif len(self._runs) + len(runs) > _BINDINGS:
+            self._runs.clear()
+            self._blocks.clear()
+        bound, end = [], 0
+        for lo, features in runs:
+            key = (lo, features.shape, end)
+            run = self._runs.get(key) or self._bind_run(*key)
+            bound.append((run, features))
+            end = run.end
+        block = self._blocks.get(end)
+        if block is None:
+            layers = len(self._spec.hidden_dims) + 1
+            block = self._blocks[end] = _Block(self._full, self._rows[:end], layers)
+        return bound, block
+
+    def _bind_run(self, lo: int, shape: tuple[int, ...], start: int) -> _Run:
         x, grad = self.x, self.grad
         if x.ndim == 2:  # clients lo..lo + g - 1 of a stacked matrix
             x, grad = x[lo : lo + shape[0]], grad[lo : lo + shape[0]]
-        ws = self._workspaces.get(shape)
-        if ws is None:
-            lead = shape[:-1]
-            need = math.prod(lead) * self._row_floats
-            if need > self._scratch.size:
-                # the workspaces so far view the old buffer
-                self._workspaces.clear()
-                self._calls.clear()
-                self._scratch = np.empty(need)
-            ws = self._workspaces[shape] = _Workspace(self._spec, lead, self._scratch)
-        self._calls[(lo, shape)] = call = (_unpack(x, self._spec), _unpack(grad, self._spec), ws)
-        return call
+        lead = shape[:-1]
+        end = start + math.prod(lead)
+        views = self._full
+        if (start, end) != (0, len(views[0])):
+            views = [block[start:end] for block in views]
+        if len(lead) > 1:
+            views = [view.reshape(*lead, view.shape[1]) for view in views]
+        run = _Run(_unpack(x, self._spec), _unpack(grad, self._spec), views, end)
+        self._runs[lo, shape, start] = run
+        return run
 
 
 def loss_and_grad(
@@ -284,7 +377,7 @@ def loss_and_grad(
 ) -> tuple[float, ParamVector]:
     """Mean cross-entropy over the dataset and its exact gradient."""
     kernel = Kernel(spec, data, params.values)
-    log_probs = kernel(data.features, data.labels)
+    log_probs = kernel([(0, data.features)], data.labels)
     return _mean_nll(log_probs, data.labels), ParamVector._wrap(kernel.grad)
 
 
@@ -299,5 +392,5 @@ def evaluate(params: ParamVector, spec: MlpSpec, data: Dataset) -> tuple[float, 
     ``accuracy`` and of ``loss_and_grad``'s loss, without the backward pass."""
     out = _logits(params, spec, data)
     acc = float(np.mean(np.argmax(out, axis=1) == data.labels))
-    log_probs = _log_softmax(out, out, np.empty_like(out), np.empty((data.n, 1)))
+    log_probs = _log_softmax(out, np.empty_like(out), np.empty((data.n, 1)))
     return acc, _mean_nll(log_probs, data.labels)

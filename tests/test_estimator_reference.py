@@ -152,15 +152,16 @@ class TestLockstepHessian:
             monkeypatch.setattr(analysis, "_probes_per_wave", lambda spec, batch: wave)
         spec, params = model(name)
         want = reference_hessian(params, spec, blobs, 12, 3, batch_size)
-        shapes = []  # of the features of every kernel call
+        shapes = []  # of the features of every kernel call, each of one run
         backprop = model_module._backprop
         monkeypatch.setattr(
-            model_module, "_backprop", lambda *a: (shapes.append(a[3].shape), backprop(*a))[1]
+            model_module, "_backprop",
+            lambda *a: (shapes.extend(f.shape for _, f in a[1]), backprop(*a))[1],
         )
         got = hessian_top_eig(params, spec, blobs, iters=12, seed=3, batch_size=batch_size)
         same_float(got, want)
         sizes = [b.size for b in np.array_split(np.arange(blobs.n), math.ceil(blobs.n / batch_size))]
         runs = [sizes.count(n) for n in dict.fromkeys(sizes)]  # equal-size batches, in order
         waves = sum(math.ceil(r / (wave or r)) for r in runs)
-        assert len(shapes) == 12 * waves
+        assert len(shapes) == 12 * waves  # as many calls
         assert max(s[0] for s in shapes) == 2 * min(max(runs), wave or max(runs))

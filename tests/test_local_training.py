@@ -665,25 +665,24 @@ class TestLockstep:
             assert [len(g) for g in got] == groups
 
     @pytest.mark.parametrize("soup", [True, False])
-    def test_one_train_call_and_one_kernel_call_per_run_of_one_size_per_step(
-        self, monkeypatch, soup
-    ):
+    def test_one_train_call_and_one_kernel_call_per_step(self, monkeypatch, soup):
         spec, anchor, _ = engine_case((5,), "tanh", 5)
         cfg = LocalConfig(eta=0.2, tau=3, batch_size=16, num_pool_models=2, lambda_d=0.3)
         sizes = [5, 1, 16, 5, 40, 1, 3, 16, 16, 21]
         datasets = lockstep_clients(spec, sizes)
-        shapes = []
+        steps = []  # the features shape of each run of each kernel call
         backprop = model._backprop
         monkeypatch.setattr(
             model, "_backprop",
-            lambda *a: (shapes.append(a[3].shape), backprop(*a))[1],
+            lambda *a: (steps.append([f.shape for _, f in a[1]]), backprop(*a))[1],
         )
         groups = self.spy_groups(monkeypatch)
         train_clients("lss" if soup else "fedprox", anchor, spec, datasets, cfg, range(10))
         assert groups == [10]
         # In size order: 1 (twice), 3, 5 (twice), 16 (three times), 21 and
         # 40.  The client of 21 takes 16 then 5 rows, the client of 40 16,
-        # 16, then 8; a call holds the consecutive clients of one batch size.
+        # 16, then 8; a run holds the consecutive clients of one batch size,
+        # and one call holds all the runs of a step.
         within = [(2, 1, 4), (1, 3, 4), (2, 5, 4)]
         per_step = [
             within + [(5, 16, 4)],
@@ -693,8 +692,34 @@ class TestLockstep:
             within + [(5, 16, 4)],
             within + [(3, 16, 4), (1, 5, 4), (1, 8, 4)],
         ]
-        steps = (2 if soup else 1) * cfg.tau
-        assert shapes == [s for step in per_step[:steps] for s in step]
+        assert steps == per_step[: (2 if soup else 1) * cfg.tau]
+
+    def test_the_view_caches_stay_bounded_over_coprime_epochs(self, monkeypatch):
+        spec, _, _ = engine_case((5,), "relu", 5)
+        # At batch 4: two clients within one batch, and epochs of 2, 3, 5
+        # and 7 batches with four distinct tails, so the steps repeat every
+        # 210.
+        datasets = lockstep_clients(spec, [3, 4, 5, 10, 19, 25])
+        x = np.stack([init_params(spec, g).values for g in range(6)])
+
+        def train(steps):
+            kernel = model.Kernel(spec, datasets, x.copy())
+            batches = local_training._group_batches(datasets, 4, range(6))
+            cached = []  # the kernel's cached run bindings after each step
+            for _ in range(steps):
+                kernel(*next(batches))
+                cached.append(len(kernel._runs))
+            return kernel, cached
+
+        kernel, cached = train(2 * 210)
+        # one view set per run binding: none added once the steps repeat
+        assert cached[209] == cached[-1] > 9
+        # Under a lower cap, the cache is cleared when full, and the
+        # gradients keep their bits.
+        monkeypatch.setattr(model, "_BINDINGS", 9)
+        capped, cached = train(2 * 210)
+        assert max(cached) <= 9 and any(b < a for a, b in zip(cached, cached[1:]))
+        assert np.array_equal(capped.grad, kernel.grad)
 
     @pytest.mark.parametrize("strategy", ["lss", "fedprox", "fedavg"])
     def test_a_client_that_diverges_in_a_mixed_group_is_named(self, strategy):

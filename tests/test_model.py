@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lss.model as model
+
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
 from lss.model import (
@@ -16,6 +18,7 @@ from lss.model import (
     loss_and_grad,
     predict_proba,
 )
+from lss.model import _log_softmax, _row_max
 from lss.params import ParamVector
 
 
@@ -223,12 +226,12 @@ class TestKernel:
             Kernel(spec, Dataset(np.zeros((2, 4)), [0, 1], 2), params.values)
         kernel = Kernel(spec, data, params.values.copy())
         loss, grad = loss_and_grad(params, spec, data)
-        log_probs = kernel(data.features, data.labels)
+        log_probs = kernel([(0, data.features)], data.labels)
         assert np.array_equal(kernel.grad, grad.values)
         assert -log_probs[np.arange(data.n), data.labels].mean() == loss
         # The weights are read from ``x`` at each call.
         kernel.x[:] = 0.0
-        kernel(data.features, data.labels)
+        kernel([(0, data.features)], data.labels)
         zero = ParamVector(np.zeros(spec.param_count()))
         assert np.array_equal(kernel.grad, loss_and_grad(zero, spec, data)[1].values)
 
@@ -238,6 +241,18 @@ WORKSPACE_SPECS = [
     MlpSpec(input_dim=5, hidden_dims=(9,), num_classes=4, activation="relu"),
     MlpSpec(input_dim=5, hidden_dims=(9, 6), num_classes=4, activation="tanh"),
 ]
+
+
+def ragged_step(data, calls):
+    """A kernel call's runs and labels: ``calls`` holds ``(lo, g, n)`` for
+    each run, and client ``lo + k`` of a run takes rows ``7·k`` to
+    ``7·k + n - 1`` of ``data``."""
+    runs, labels = [], []
+    for lo, g, n in calls:
+        rows = np.stack([np.arange(7 * k, 7 * k + n) for k in range(g)])
+        runs.append((lo, data.features[rows]))
+        labels.append(data.labels[rows].ravel())
+    return runs, np.concatenate(labels)
 
 
 @pytest.mark.parametrize("spec", WORKSPACE_SPECS, ids=["softmax", "relu", "tanh"])
@@ -250,49 +265,63 @@ class TestKernelWorkspace:
         for lo, rows in ((0, 64), (30, 17), (0, 64), (5, 17)):
             features, labels = data.features[lo : lo + rows], data.labels[lo : lo + rows]
             fresh = Kernel(spec, data, x.copy())
-            want = fresh(features, labels)
-            assert np.array_equal(kernel(features, labels), want)
+            want = fresh([(0, features)], labels)
+            assert np.array_equal(kernel([(0, features)], labels), want)
             assert np.array_equal(kernel.grad, fresh.grad)
-        # stacked: three clients, each at its own weights and rows
+        # stacked: three clients, each at its own weights and rows, in one
+        # run or in runs of unequal batch size
         xs = np.stack([x, x[::-1].copy(), 0.5 * x])
         kernel = Kernel(spec, [data] * 3, xs.copy())
-        for lo, rows in ((0, 20), (7, 9), (0, 20)):
-            order = [np.arange(lo, lo + rows) + 15 * g for g in range(3)]
-            features, labels = data.features[order], data.labels[order]
+        for calls in ([(0, 3, 20)], [(0, 3, 9)], [(0, 1, 20), (1, 2, 9)], [(0, 3, 20)],
+                      [(2, 1, 5), (0, 2, 20)], [(0, 1, 20), (1, 2, 9)]):
+            runs, labels = ragged_step(data, calls)
             fresh = Kernel(spec, [data] * 3, xs.copy())
-            want = fresh(features, labels)
-            assert np.array_equal(kernel(features, labels), want)
+            want = fresh(runs, labels)
+            assert np.array_equal(kernel(runs, labels), want)
             assert np.array_equal(kernel.grad, fresh.grad)
-            for g in range(3):  # and each client's slice is its bits alone
-                alone = Kernel(spec, data, xs[g].copy())
-                assert np.array_equal(want[g], alone(features[g], labels[g]))
-                assert np.array_equal(fresh.grad[g], alone.grad)
+            start = 0
+            for (lo, features), (_, g, n) in zip(runs, calls):
+                for k in range(g):  # and each client's slice is its bits alone
+                    alone = Kernel(spec, data, xs[lo + k].copy())
+                    rows = slice(start + k * n, start + (k + 1) * n)
+                    assert np.array_equal(want[rows], alone([(0, features[k])], labels[rows]))
+                    assert np.array_equal(fresh.grad[lo + k], alone.grad)
+                start += g * n
 
     def test_a_call_on_a_row_range_writes_only_those_rows(self, spec):
         rng = np.random.default_rng(13)
         data = random_batch(rng, spec, 64)
-        xs = np.stack([perturbed(init_params(spec, g), rng, 0.5).values for g in range(5)])
-        kernel = Kernel(spec, [data] * 5, xs.copy())
+        xs = np.stack([perturbed(init_params(spec, g), rng, 0.5).values for g in range(6)])
+        kernel = Kernel(spec, [data] * 6, xs.copy())
         kernel.grad[:] = np.nan
-        # a batch shape larger than the scratch so far, then smaller ones
-        # that view it, and rows from the start, the middle and the end
-        for lo, g, rows in ((1, 3, 20), (0, 5, 20), (0, 1, 9), (4, 1, 20), (2, 2, 9)):
+        # One run, then runs of mixed batch size, on clients that are not
+        # adjacent or not in order; a step larger than the scratch so far,
+        # then smaller ones that view it; rows from the start, the middle
+        # and the end.
+        for calls in ([(1, 3, 20)], [(1, 2, 20), (4, 1, 9)], [(0, 1, 9)],
+                      [(0, 3, 20), (3, 2, 9), (5, 1, 31)], [(5, 1, 20), (2, 2, 9)],
+                      [(4, 2, 5), (0, 1, 20)], [(2, 1, 20), (5, 1, 20)]):
             before = kernel.grad.copy()
-            features = np.stack([data.features[7 * k : 7 * k + rows] for k in range(g)])
-            labels = np.stack([data.labels[7 * k : 7 * k + rows] for k in range(g)])
-            got = kernel(features, labels, lo)
-            for k in range(g):
-                alone = Kernel(spec, data, xs[lo + k].copy())
-                assert np.array_equal(got[k], alone(features[k], labels[k]))
-                assert np.array_equal(kernel.grad[lo + k], alone.grad)
-            others = [r for r in range(5) if not lo <= r < lo + g]
+            runs, labels = ragged_step(data, calls)
+            got = kernel(runs, labels)
+            assert got.shape == (labels.size, spec.num_classes)
+            start, written = 0, set()
+            for (lo, features), (_, g, n) in zip(runs, calls):
+                for k in range(g):
+                    alone = Kernel(spec, data, xs[lo + k].copy())
+                    rows = slice(start + k * n, start + (k + 1) * n)
+                    assert np.array_equal(got[rows], alone([(0, features[k])], labels[rows]))
+                    assert np.array_equal(kernel.grad[lo + k], alone.grad)
+                    written.add(lo + k)
+                start += g * n
+            others = [r for r in range(6) if r not in written]
             assert np.array_equal(kernel.grad[others], before[others], equal_nan=True)
 
     # Layers wide enough that a block of one batch, n rows of the narrowest
     # layer, outgrows numpy's own ufunc buffer (8192 floats), which the
     # broadcast bias add and the relu mask's cast still take at each call.
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_a_repeated_call_allocates_no_batch_sized_block(self, spec, lead):
+    @pytest.mark.parametrize("case", ["flat", "stacked", "ragged"])
+    def test_a_repeated_call_allocates_no_batch_sized_block(self, spec, case):
         spec = MlpSpec(
             input_dim=5,
             hidden_dims=tuple(150 + 10 * h for h in spec.hidden_dims),
@@ -302,24 +331,66 @@ class TestKernelWorkspace:
         rng = np.random.default_rng(12)
         n = 96
         data = random_batch(rng, spec, n)
-        x = np.broadcast_to(init_params(spec, 4).values, (*lead, spec.param_count())).copy()
+        x = init_params(spec, 4).values
+        # each case's step, then a smaller one: (lo, g, rows) for each run
+        calls = {
+            "flat": ([(0, 1, n)], [(0, 1, n // 2)]),
+            "stacked": ([(0, 3, n)], [(0, 3, n // 2)]),
+            "ragged": ([(0, 2, n), (2, 3, n // 2)], [(0, 1, n // 2), (3, 2, n // 4)]),
+        }[case]
+        if case != "flat":
+            x = np.broadcast_to(x, (5, spec.param_count())).copy()
         kernel = Kernel(spec, data, x)
-        features = np.broadcast_to(data.features, (*lead, n, spec.input_dim)).copy()
-        labels = np.broadcast_to(data.labels, (*lead, n)).copy()
-        kernel(features, labels)
+
+        def step(runs):
+            if case == "flat":
+                (_, _, rows), = runs
+                return [(0, data.features[:rows].copy())], data.labels[:rows].copy()
+            features = [(lo, np.stack([data.features[:rows]] * g)) for lo, g, rows in runs]
+            return features, np.concatenate([np.tile(data.labels[:rows], g) for _, g, rows in runs])
+
+        full, smaller = step(calls[0]), step(calls[1])
+        kernel(*full)
         block = n * min((spec.num_classes, *spec.hidden_dims)) * 8
         tracemalloc.start()
         try:
-            kernel(features, labels)
+            kernel(*full)
             peak = tracemalloc.get_traced_memory()[1]
-            # A smaller batch takes its temporaries from the same scratch.
+            # A smaller step takes its temporaries from the same scratch.
             tracemalloc.reset_peak()
-            kernel(features[..., : n // 2, :].copy(), labels[..., : n // 2].copy())
-            smaller = tracemalloc.get_traced_memory()[1]
+            kernel(*smaller)
+            after = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < block
-        assert smaller < block
+        assert after < block
+
+
+# A quiet NaN with a payload, and one with its sign bit set.
+NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 10, 16, 64])
+def test_workspace_row_max_and_log_softmax_are_the_bits_of_the_reduce(classes):
+    rng = np.random.default_rng(classes)
+    special = [0.0, -0.0, np.nan, NEG_NAN, NAN_PAYLOAD, np.inf, -np.inf, 1.5, -2.0]
+    crossover = model._ROW_MAX_FROM * classes
+    for rows in (crossover - 1, crossover, 3 * crossover + 5):
+        # rows of special values; rows of zeros of either sign and negatives,
+        # whose max is a tie of zeros; and rows of ordinary logits
+        out = rng.choice(special, size=(rows, classes))
+        out[::3] = rng.choice([0.0, -0.0, -1.0], size=out[::3].shape)
+        out[1::3] = rng.standard_normal(out[1::3].shape)
+        want = np.maximum.reduce(out, axis=-1, keepdims=True)
+        col = np.empty((rows, 1))
+        _row_max(out, col)
+        assert np.array_equal(col.view(np.uint64), want.view(np.uint64))
+        with np.errstate(invalid="ignore"):
+            shifted = out - want
+            ref = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+            got = _log_softmax(out.copy(), np.empty_like(out), col)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_no_module_but_model_imports_its_private_names():
