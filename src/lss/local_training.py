@@ -10,29 +10,29 @@ affinity pull toward the anchor and a diversity push away from the frozen
 members.  The client's uploaded model is the uniform average of the whole
 pool.
 
-Both trainers run one engine, ``_train``, on the training kernel
-(``model.Kernel``), which checks its inputs once per group.  It trains a
-group of G clients at once: it holds the pools in one
-``(members + 1, G, D)`` array (row 0 the anchor), which it returns, and
-writes each step into fixed ``(G, D)`` buffers, in the float order of the
-reference functions (``lss_regularized_grad``, ``fedprox_loss_and_grad``,
-``axpy``), so results are bit-identical to them whatever the group.
+Both trainers, and every round's clients, run one engine, ``train_group``,
+on the training kernel (``model.Kernel``), which checks its inputs once per
+group.  It trains a group of G clients at once, a lone client being a
+group of one: it holds the pools in one ``(members + 1, G, D)`` array
+(row 0 the anchor), which it returns, and writes each step into fixed
+``(G, D)`` buffers, in the float order of the reference functions
+(``lss_regularized_grad``, ``fedprox_loss_and_grad``, ``axpy``), so
+results are bit-identical to them whatever the group.
 ``lockstep_groups`` forms the groups: every client, ordered by size, in
-the fewest groups whose rows fit ``LOCKSTEP_FLOATS``.  ``train_group``
-trains one group, with one soup step on all its rows and one kernel call
-on all its batches at each step (``_group_batches``): each client keeps
-its own batch stream, whose batch sizes follow from its dataset's size
-alone.  The kernel runs the matmuls and the bias-gradient sums once per
-run of consecutive clients whose batches have one size, and every other
-op once on all the step's rows, so no batch is padded.  Each client draws
-from its own random streams, and each of its pool distances is checked.
-Finiteness is checked at the end of each member phase: no update turns a
-non-finite entry finite.
+the fewest groups whose rows fit ``LOCKSTEP_FLOATS``.  Each step runs one
+soup step on all the group's rows and one kernel call on all its batches
+(``_group_batches``): each client keeps its own batch stream, whose batch
+sizes follow from its dataset's size alone.  The kernel runs the matmuls
+and the bias-gradient sums once per run of consecutive clients whose
+batches have one size, and every other op once on all the step's rows, so
+no batch is padded.  Each client draws from its own random streams, and
+each of its pool distances is checked (``_unit_rows``).  Finiteness is
+checked at the end of each member phase: no update turns a non-finite
+entry finite.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, count, groupby
 from typing import Iterator, Sequence
 
@@ -210,7 +210,7 @@ class LocalTrace:
 
 
 # The floats that the rows and buffers of one lockstep group may hold.  A
-# client holds about (members + 4)·D of them (see ``_train``), so a group
+# client holds about (members + 4)·D of them (see ``train_group``), so a group
 # holds 5 clients of four members at D = 2,762, 110 of three at D = 170,
 # and one at D = 101,386.  A group's rows add to the peak RSS: groups of 10
 # at D = 2,762 raised a 20-client run's peak by about 7%, groups of 5 by 3%,
@@ -235,17 +235,6 @@ def lockstep_groups(datasets: Sequence[Dataset], dim: int, members: int) -> list
     groups = -(-len(order) // _clients_per_group(dim, members))
     cuts = [len(order) * k // groups for k in range(groups + 1)]
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def train_group(
-    anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
-    seeds: Sequence[int], soup: bool,
-) -> np.ndarray:
-    """The ``(members + 1, G, D)`` pools of clients trained in lockstep,
-    row ``[k, g]`` member ``k`` of client ``g`` in the order given (row 0
-    the anchor); client ``g`` trains from ``seeds[g]`` and gets the pool it
-    gets alone, bit for bit; ``seeds`` holds one seed per client."""
-    return _train(anchor, spec, datasets, config, seeds, soup)
 
 
 def _average(rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -320,30 +309,25 @@ def _group_batches(
         yield calls, labels[:end]
 
 
-# From this many clients, a group's pool distances are taken in one
-# ``vecdot`` per frozen member: the same bits as one ``dot`` per client, and
-# cheaper from about 4 clients at D = 170 or 5 at D = 2762, but about 1.5x
-# dearer for one client.
-_VECDOT_FROM = 4
-
-
 # A diverging member overflows in the loop; its distances and its final
 # weights are checked, so numpy's own warnings would only repeat that.
 @np.errstate(over="ignore", invalid="ignore")
-def _train(
+def train_group(
     anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
     seeds: Sequence[int], soup: bool,
 ) -> np.ndarray:
-    """The local-training engine; returns the ``(members + 1, G, D)`` pools
-    of ``train_group``.
+    """The ``(members + 1, G, D)`` pools of clients trained in lockstep,
+    row ``[k, g]`` member ``k`` of client ``g`` in the order given (row 0
+    the anchor); client ``g`` trains from ``seeds[g]`` and gets the pool it
+    gets alone, bit for bit; ``seeds`` holds one seed per client.
 
     With ``soup`` it trains ``num_pool_models`` members on the regularized
-    interpolation objective, otherwise one member by proximal SGD.  The
-    clients train in lockstep: row ``g`` of every ``(G, D)`` buffer is
-    client ``g``'s, each client keeps its own random streams, and its
-    distances are checked one by one.  Each step runs the soup step once on
-    all rows, and one kernel call on the step's batches
-    (``_group_batches``), which writes every row of the gradients.
+    interpolation objective, otherwise one member by proximal SGD.  Row
+    ``g`` of every ``(G, D)`` buffer is client ``g``'s, each client keeps
+    its own random streams, and its distances are checked one by one.  Each
+    step runs the soup step once on all rows, and one kernel call on the
+    step's batches (``_group_batches``), which writes every row of the
+    gradients.
     """
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
@@ -362,7 +346,6 @@ def _train(
     push = np.empty((size, dim)) if soup else None
     batches = _group_batches(datasets, config.batch_size, seeds)
     coeff_rngs = [_stream(seed, 1) for seed in seeds]
-    vecdot = size >= _VECDOT_FROM
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
     for m in range(1, members + 1):
         active = rows[m]
@@ -386,14 +369,7 @@ def _train(
                     push.fill(0.0)
                     for k in range(m if lam_d != 0.0 else 1):
                         np.subtract(active, rows[k], out=tmp)
-                        if vecdot:
-                            _unit_rows(tmp, config.dist_epsilon, m, k)
-                        else:
-                            for row in tmp:  # each client's own distance and check
-                                dist = math.sqrt(np.dot(row, row))
-                                if not math.isfinite(dist):
-                                    raise _diverged(m, k, dist)
-                                row /= max(dist, config.dist_epsilon)
+                        _unit_rows(tmp, config.dist_epsilon, m, k)
                         push += tmp
                         if k == 0 and lam_a != 0.0:
                             grad += np.multiply(tmp, lam_a, out=tmp)
@@ -416,12 +392,9 @@ def _unit_rows(diffs: np.ndarray, eps: float, m: int, k: int) -> None:
     dists = np.sqrt(np.vecdot(diffs, diffs))
     bad = ~np.isfinite(dists)
     if bad.any():
-        raise _diverged(m, k, float(dists[bad.argmax()]))
+        dist = float(dists[bad.argmax()])
+        raise ValueError(f"soup member {m} diverged: its distance to member {k} is {dist}")
     diffs /= np.maximum(dists, eps, out=dists)[:, None]
-
-
-def _diverged(m: int, k: int, dist: float) -> ValueError:
-    return ValueError(f"soup member {m} diverged: its distance to member {k} is {dist}")
 
 
 def lss_local_train(
@@ -446,7 +419,7 @@ def lss_local_train(
     upload this way, so that this one function returns them all.
     """
     if pool is None:
-        pool = _train(anchor, spec, [client_data], config, [seed], soup=True)[:, 0]
+        pool = train_group(anchor, spec, [client_data], config, [seed], soup=True)[:, 0]
     elif pool.shape != (config.num_pool_models + 1, anchor.dim):
         raise ValueError(
             f"a pool of {config.num_pool_models} members on {anchor.dim} weights "
@@ -480,5 +453,5 @@ def fedprox_local_train(
     seed: int,
 ) -> ParamVector:
     """SGD on the proximal objective; plain minibatch SGD when ``mu_prox`` is 0."""
-    # A copy, so that the pools' anchor row is freed.
-    return ParamVector._wrap(_train(anchor, spec, [client_data], config, [seed], soup=False)[-1, 0].copy())
+    pools = train_group(anchor, spec, [client_data], config, [seed], soup=False)
+    return ParamVector._wrap(pools[-1, 0].copy())  # a copy frees the anchor row

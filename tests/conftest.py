@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lss.federation as federation
+import lss.local_training as local_training
 from lss.data import Dataset, gen_blobs
 from lss.model import MlpSpec, init_params
 from lss.params import ParamVector
@@ -38,6 +40,23 @@ def random_batch(rng: np.random.Generator, spec: MlpSpec, size: int) -> Dataset:
 
 def perturbed(params: ParamVector, rng: np.random.Generator, scale: float = 0.3) -> ParamVector:
     return ParamVector(params.values + scale * rng.standard_normal(params.dim))
+
+
+def spy_train_group(monkeypatch) -> list:
+    """The datasets of each ``train_group`` call, in call order.  The engine
+    is patched under both names it is called by: ``local_training``'s own,
+    which the one-client trainers call, and the one ``federation`` binds at
+    import, which ``train_clients`` calls."""
+    calls = []
+    train = local_training.train_group
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return train(*args, **kwargs)
+
+    for module in (local_training, federation):
+        monkeypatch.setattr(module, "train_group", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

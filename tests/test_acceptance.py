@@ -5,6 +5,7 @@ verdicts.  Desk-scale fixtures are pinned (data geometry, learning rates,
 master seeds); every assertion tolerance is stated inline.
 """
 
+import dataclasses
 import math
 import time
 
@@ -243,6 +244,29 @@ class TestCriterion4HeadlineOrdering:
             f"LSS@R1 {np.mean(soup_r1):.3f} vs FedAvg@R1 {np.mean(fedavg_r1):.3f} "
             f"(gap {100 * gap:+.1f} pts) and FedAvg@R3 {np.mean(fedavg_r3):.3f}, "
             f"{elapsed:.1f}s over 3 seeds",
+        )
+
+    def test_soup_beats_compute_matched_fedavg_on_each_seed(self):
+        # FedAvg takes P·tau = 32 local steps, as many as one LSS round, at
+        # the headline eta of 6.
+        t0 = time.perf_counter()
+        soup_r1, fedavg_r1 = [], []
+        for seed in MASTER_SEEDS:
+            soup = headline_config("lss", 1, seed)
+            local = dataclasses.replace(
+                soup.local, tau=soup.local.num_pool_models * soup.local.tau
+            )
+            fedavg = dataclasses.replace(headline_config("fedavg", 1, seed), local=local)
+            soup_r1.append(run_experiment(soup).records[0].global_test_accuracy)
+            fedavg_r1.append(run_experiment(fedavg).records[0].global_test_accuracy)
+        elapsed = time.perf_counter() - t0
+        for seed, lss, avg in zip(MASTER_SEEDS, soup_r1, fedavg_r1):
+            assert lss > avg, f"seed {seed}: LSS@R1 {lss:.4f} <= FedAvg(tau=32)@R1 {avg:.4f}"
+        report(
+            4,
+            "LSS@R1 beats compute-matched FedAvg(tau=32)@R1 on each seed: "
+            + ", ".join(f"{lss:.3f} vs {avg:.3f}" for lss, avg in zip(soup_r1, fedavg_r1))
+            + f", {elapsed:.1f}s",
         )
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import lss.federation as federation
-import lss.local_training as local_training
 import lss.model as model
+from conftest import spy_train_group
 from lss.config import (
     AnalysisConfig,
     DataConfig,
@@ -261,12 +261,7 @@ class TestRunRound:
                 expected = f"client {client.client_id} failed during round 2: {exc}"
                 break
         assert expected is not None and expected.startswith("client 1 failed")
-        first_groups = []
-        train = local_training._train
-        monkeypatch.setattr(
-            local_training, "_train",
-            lambda *a, **k: (first_groups.append(a[2]), train(*a, **k))[1],
-        )
+        first_groups = spy_train_group(monkeypatch)
         with pytest.raises(RuntimeError) as err:
             run_round(anchor, clients[::-1], spec, local, strategy, 2, 9, test)
         assert str(err.value) == expected
@@ -314,12 +309,7 @@ class TestLockstepUploads:
         ]
         anchor = init_params(spec, 3)
         seeds = [derive_seed(7, cid) for cid in range(len(datasets))]
-        groups = []
-        train = local_training._train
-        monkeypatch.setattr(
-            local_training, "_train",
-            lambda *a, **k: (groups.append(len(a[2])), train(*a, **k))[1],
-        )
+        groups = spy_train_group(monkeypatch)
         # as the benchmark's traced runs record each upload with its pool
         recorded = []
         form = federation.lss_local_train
@@ -331,7 +321,7 @@ class TestLockstepUploads:
 
         monkeypatch.setattr(federation, "lss_local_train", record)
         uploads = train_clients("lss", anchor, spec, datasets, local, seeds)
-        assert groups == [5] * 4
+        assert [len(g) for g in groups] == [5] * 4
         assert sorted(id(final) for final, _ in recorded) == sorted(id(u) for u in uploads)
         for final, pool in recorded:
             assert len(pool) == 5

@@ -10,7 +10,7 @@ import pytest
 import lss.federation as federation
 import lss.local_training as local_training
 import lss.model as model
-from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
+from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch, spy_train_group
 from lss.data import Dataset
 from lss.local_training import (
     COEFF_MODES,
@@ -567,13 +567,14 @@ class TestLockstep:
 
     @staticmethod
     def spy_groups(monkeypatch):
-        sizes = []
-        train = local_training._train
-        monkeypatch.setattr(
-            local_training, "_train",
-            lambda *a, **k: (sizes.append(len(a[2])), train(*a, **k))[1],
-        )
-        return sizes
+        """The datasets of each ``train_group`` call; a ``train_clients``
+        call of ``fedprox_local_train`` fails the test."""
+
+        def forbidden(*args, **kwargs):
+            pytest.fail("train_clients called fedprox_local_train")
+
+        monkeypatch.setattr(federation, "fedprox_local_train", forbidden)
+        return spy_train_group(monkeypatch)
 
     @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((5,), "relu"), ((4, 3), "tanh")])
     @pytest.mark.parametrize(
@@ -581,9 +582,8 @@ class TestLockstep:
         # 16 is the batch size.  Clients within one batch, of one size and
         # of exactly one batch; clients over one batch with ragged epoch
         # tails (5, 5, 2, 5 and none) and a run of equal size; and a mix of
-        # both, unsorted, with repeats.  The groups of 4 (``_VECDOT_FROM``),
-        # 5 and 12 take the one-vecdot distances, the groups of 2 and 3 one
-        # dot per client.
+        # both, unsorted, with repeats.  Every group takes its distances in
+        # one vecdot per frozen member.
         [[1] * 3, [16] * 2, [5] * 4, [37, 21, 50, 37, 48],
          [5, 16, 1, 9, 40, 5, 3, 16, 1, 9, 33, 17]],
     )
@@ -600,7 +600,7 @@ class TestLockstep:
         seeds = [11 + i for i in range(len(sizes))]
         groups = self.spy_groups(monkeypatch)
         uploads = train_clients(strategy, anchor, spec, datasets, cfg, seeds)
-        assert groups == [len(sizes)]
+        assert [len(g) for g in groups] == [len(sizes)]
         soup = strategy == "lss"
         pool_cfg = cfg if strategy != "fedavg" else dataclasses.replace(cfg, mu_prox=0.0)
         # In the caller's order, which may break a size into several runs.
@@ -622,7 +622,7 @@ class TestLockstep:
 
     def test_groups_hold_every_client_by_size_under_the_float_budget(self, monkeypatch):
         spec, anchor, _ = engine_case((5,), "relu", 5)
-        cfg = LocalConfig(eta=0.2, tau=4, batch_size=16, num_pool_models=2)
+        cfg = LocalConfig(eta=0.2, tau=4, batch_size=16, num_pool_models=2, mu_prox=0.3)
         sizes = [5, 40, 5, 1, 16, 17, 16]
         datasets = lockstep_clients(spec, sizes)
         seeds = list(range(3, 3 + len(sizes)))
@@ -633,21 +633,29 @@ class TestLockstep:
         assert lockstep_groups([], dim, 2) == []
         # Room for three clients of two members: the fewest groups, of
         # near-equal count.
-        monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", 3 * (2 + 4) * dim + 5)
+        three = 3 * (2 + 4) * dim + 5
+        monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", three)
         assert local_training._clients_per_group(dim, 2) == 3
         assert lockstep_groups(datasets, dim, 2) == [[3, 0], [2, 4], [6, 5, 1]]
         # A proximal client of one member takes less room than a soup client.
         assert local_training._clients_per_group(dim, 1) == 3
         assert local_training._clients_per_group(dim, 3) == 2
-        groups = self.spy_groups(monkeypatch)
-        uploads = train_clients("lss", anchor, spec, datasets, cfg, seeds)
-        assert groups == [2, 2, 3]
-        for data, seed, upload in zip(datasets, seeds, uploads):
-            _, want = alone("lss", anchor, spec, data, cfg, seed)
-            assert np.array_equal(upload.values, want.values)
         # Room for less than one client: every client trains alone.
         monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", 1)
         assert lockstep_groups(datasets, dim, 2) == [[3], [0], [2], [4], [6], [5], [1]]
+        # Each group, soup or proximal, of one client or more, trains
+        # through one ``train_group`` call, and each client gets its upload
+        # alone.
+        groups = self.spy_groups(monkeypatch)
+        for strategy in ("fedavg", "fedprox", "lss"):
+            for budget, counts in [(three, [2, 2, 3]), (1, [1] * 7)]:
+                monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", budget)
+                uploads = train_clients(strategy, anchor, spec, datasets, cfg, seeds)
+                assert [len(g) for g in groups] == counts
+                for data, seed, upload in zip(datasets, seeds, uploads):
+                    _, want = alone(strategy, anchor, spec, data, cfg, seed)
+                    assert np.array_equal(upload.values, want.values)
+                groups.clear()  # of the calls that ``alone`` made
 
     def test_the_float_budget_groups_the_three_workloads(self):
         # The benchmark workloads' models, pool sizes and client counts.
@@ -678,7 +686,7 @@ class TestLockstep:
         )
         groups = self.spy_groups(monkeypatch)
         train_clients("lss" if soup else "fedprox", anchor, spec, datasets, cfg, range(10))
-        assert groups == [10]
+        assert [len(g) for g in groups] == [10]
         # In size order: 1 (twice), 3, 5 (twice), 16 (three times), 21 and
         # 40.  The client of 21 takes 16 then 5 rows, the client of 40 16,
         # 16, then 8; a run holds the consecutive clients of one batch size,
