@@ -123,11 +123,14 @@ def _forward(
     return blocks[-1]
 
 
-def _logits(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
-    _check_params(params.values, spec)
+def _logits(params: ParamVector | np.ndarray, spec: MlpSpec, data: Dataset) -> np.ndarray:
+    """The logits of ``data`` at ``params``, shape (n, num_classes); a ``(G,
+    D)`` block of G weight vectors gives shape (G, n, num_classes)."""
+    flat = params.values if isinstance(params, ParamVector) else params
+    _check_params(flat, spec)
     _check_data(data, spec)
-    blocks = [np.empty((data.n, fo)) for _, fo in spec.layer_shapes()]
-    return _forward(spec, [(_unpack(params.values, spec), data.features, blocks)], blocks)
+    blocks = [np.empty((*flat.shape[:-1], data.n, fo)) for _, fo in spec.layer_shapes()]
+    return _forward(spec, [(_unpack(flat, spec), data.features, blocks)], blocks)
 
 
 def predict_proba(params: ParamVector, spec: MlpSpec, data: Dataset) -> np.ndarray:
@@ -381,10 +384,17 @@ def loss_and_grad(
     return _mean_nll(log_probs, data.labels), ParamVector._wrap(kernel.grad)
 
 
-def accuracy(params: ParamVector, spec: MlpSpec, data: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class index."""
-    preds = np.argmax(_logits(params, spec, data), axis=1)  # the first max index
-    return float(np.mean(preds == data.labels))
+def accuracy(
+    params: ParamVector | np.ndarray, spec: MlpSpec, data: Dataset
+) -> float | np.ndarray:
+    """Fraction of argmax-correct predictions; ties go to the lowest class index.
+
+    A ``(G, D)`` block of G weight vectors is scored in one forward pass,
+    and gives the G fractions, each bit for bit the one its row gets alone:
+    each layer's matmul runs once per row."""
+    preds = np.argmax(_logits(params, spec, data), axis=-1)  # the first max index
+    acc = np.mean(preds == data.labels, axis=-1)
+    return float(acc) if acc.ndim == 0 else acc
 
 
 def evaluate(params: ParamVector, spec: MlpSpec, data: Dataset) -> tuple[float, float]:

@@ -47,7 +47,7 @@ class ParamVector:
         # Internal fast path for freshly computed arrays we own; still
         # enforces the finiteness invariant on every exported result.
         obj = object.__new__(cls)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():  # the method skips np.all's wrapper
             raise ValueError("operation produced non-finite entries")
         arr.setflags(write=False)
         obj._values = arr

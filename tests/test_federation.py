@@ -28,7 +28,7 @@ from lss.federation import (
 )
 from lss.local_training import LocalConfig, fedprox_local_train, lss_local_train
 from lss.model import MlpSpec, accuracy, evaluate, init_params
-from lss.params import ParamVector, uniform_average
+from lss.params import ParamVector, l2_distance, uniform_average
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,8 @@ class TestRunRound:
         }
 
         def fake_train(strategy, a, s, datasets, local, seeds):
-            return [fixed[next(c.client_id for c in clients if c.data is d)] for d in datasets]
+            ids = [next(c.client_id for c in clients if c.data is d) for d in datasets]
+            return np.stack([fixed[i].values for i in ids])
 
         monkeypatch.setattr(federation, "train_clients", fake_train)
         new_global, record, _ = run_round(
@@ -143,7 +144,7 @@ class TestRunRound:
         uploads = {id(c.data): u for c, u in zip(clients, trained)}
         monkeypatch.setattr(
             federation, "train_clients",
-            lambda s, a, sp, datasets, lc, seeds: [uploads[id(d)] for d in datasets],
+            lambda s, a, sp, datasets, lc, seeds: np.stack([uploads[id(d)] for d in datasets]),
         )
         calls = []
         backprop = model._backprop
@@ -196,7 +197,7 @@ class TestRunRound:
         spec, anchor, clients, _ = fed_setup
         local = LocalConfig(eta=0.05, tau=2, batch_size=16, num_pool_models=2, mu_prox=0.1)
         uploads = train_clients(strategy, anchor, spec, [c.data for c in clients], local, [3, 4, 5])
-        assert len(uploads) == 3 and all(isinstance(u, ParamVector) for u in uploads)
+        assert isinstance(uploads, np.ndarray) and uploads.shape == (3, anchor.dim)
         for client, seed, upload in zip(clients, [3, 4, 5], uploads):
             if strategy == "lss":
                 want, _ = lss_local_train(anchor, spec, client.data, local, seed)
@@ -204,7 +205,7 @@ class TestRunRound:
                 mu = 0.0 if strategy == "fedavg" else local.mu_prox
                 cfg = dataclasses.replace(local, mu_prox=mu)
                 want = fedprox_local_train(anchor, spec, client.data, cfg, seed)
-            assert np.array_equal(upload.values, want.values)
+            assert np.array_equal(upload, want.values)
 
     def test_client_failure_is_attributed(self, fed_setup, monkeypatch):
         spec, anchor, clients, test = fed_setup
@@ -316,21 +317,108 @@ class TestLockstepUploads:
 
         def record(*args, **kwargs):
             final, trace = form(*args, **kwargs)
-            recorded.append((final, trace.pool_members))
+            recorded.append((args[2], final, trace.pool_members))
             return final, trace
 
         monkeypatch.setattr(federation, "lss_local_train", record)
         uploads = train_clients("lss", anchor, spec, datasets, local, seeds)
         assert [len(g) for g in groups] == [5] * 4
-        assert sorted(id(final) for final, _ in recorded) == sorted(id(u) for u in uploads)
-        for final, pool in recorded:
+        # one call per client, whose upload is the client's row of the block
+        client = {id(data): i for i, data in enumerate(datasets)}
+        assert sorted(client[id(data)] for data, _, _ in recorded) == list(range(len(datasets)))
+        for data, final, pool in recorded:
             assert len(pool) == 5
             assert np.array_equal(final.values, uniform_average(pool).values)
+            assert np.array_equal(uploads[client[id(data)]], final.values)
         monkeypatch.undo()
         for data, seed, upload in zip(datasets, seeds, uploads, strict=True):
             final, trace = lss_local_train(anchor, spec, data, local, seed)
-            assert np.array_equal(upload.values, uniform_average(trace.pool_members).values)
-            assert np.array_equal(upload.values, final.values)
+            assert np.array_equal(upload, uniform_average(trace.pool_members).values)
+            assert np.array_equal(upload, final.values)
+
+
+class TestLockstepScoring:
+    """A round scores its uploads on their stacked rows: one ``accuracy``
+    call and one ``vecdot`` on each chunk of rows that fits half of
+    ``LOCKSTEP_FLOATS``.  Each score and update norm is the one of
+    ``accuracy`` and ``l2_distance`` on its upload alone, bit for bit."""
+
+    @staticmethod
+    def near(spec, rows, seed):
+        """``rows`` weight vectors around one model, and that model."""
+        rng = np.random.default_rng(seed)
+        center = init_params(spec, seed)
+        scale = 10.0 ** rng.uniform(-12, 0, (rows, 1))  # some uploads barely move
+        return center.values + scale * rng.standard_normal((rows, center.dim)), center
+
+    @staticmethod
+    def round_on(monkeypatch, uploads, anchor, spec, eval_data, chunk):
+        """``run_round`` with ``uploads`` as its trained block, under a budget
+        of ``chunk`` clients; returns its record, its uploads and the rows of
+        each ``accuracy`` call."""
+        data = gen_blobs(3, 4 * len(uploads), 2, 1.0, seed=33)
+        cuts = np.array_split(np.arange(data.n), len(uploads))
+        clients = [ClientState(i, data.subset(c)) for i, c in enumerate(cuts)]
+        monkeypatch.setattr(federation, "train_clients", lambda *args: uploads.copy())
+        per_client = eval_data.n * sum(fo for _, fo in spec.layer_shapes()) + anchor.dim
+        monkeypatch.setattr(federation, "LOCKSTEP_FLOATS", 2 * chunk * per_client)
+        calls = []
+        score = model.accuracy
+        monkeypatch.setattr(
+            federation, "accuracy", lambda rows, *a: (calls.append(len(rows)), score(rows, *a))[1]
+        )
+        _, record, finals = run_round(anchor, clients, spec, LocalConfig(), "fedavg", 1, 0, eval_data)
+        return record, finals, calls
+
+    @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((7,), "relu"), ((6, 5), "tanh")])
+    def test_a_block_scores_each_row_as_alone(self, hidden, activation):
+        spec = MlpSpec(input_dim=8, hidden_dims=hidden, num_classes=6, activation=activation)
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 64):
+            data = Dataset(rng.standard_normal((n, 8)), rng.integers(0, 6, n), 6)
+            for rows in (1, 2, 5, 17):
+                block, _ = self.near(spec, rows, rows + n)
+                want = [accuracy(ParamVector(row), spec, data) for row in block]
+                got = accuracy(block, spec, data)
+                assert got.shape == (rows,) and got.tolist() == want
+                # rows that are not adjacent in memory
+                assert accuracy(block[::2], spec, data).tolist() == want[::2]
+
+    @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((7,), "relu"), ((6, 5), "tanh")])
+    @pytest.mark.parametrize("clients", [1, 2, 7, 20])
+    def test_a_round_scores_each_upload_as_alone_across_chunks(
+        self, fed_setup, monkeypatch, hidden, activation, clients
+    ):
+        _, _, _, test = fed_setup
+        spec = MlpSpec(input_dim=8, hidden_dims=hidden, num_classes=6, activation=activation)
+        uploads, anchor = self.near(spec, clients, 7)
+        want_accs = tuple(accuracy(ParamVector(row), spec, test) for row in uploads)
+        want_norms = tuple(l2_distance(ParamVector(row), anchor) for row in uploads)
+        # One client a chunk, three (a ragged last chunk) and all clients.
+        for chunk in (1, 3, clients):
+            record, finals, calls = self.round_on(monkeypatch, uploads, anchor, spec, test, chunk)
+            assert calls == [min(chunk, clients - lo) for lo in range(0, clients, chunk)]
+            assert np.array_equal([f.values for f in finals], uploads)
+            assert record.per_client_pre_agg_accuracy == want_accs
+            assert record.per_client_update_norm == want_norms
+
+    @pytest.mark.parametrize(
+        "input_dim, hidden", [(16, ()), (32, (64,)), (128, (256, 256))], ids=["170", "2762", "101386"]
+    )
+    def test_update_norms_at_ragged_chunks_are_l2_distances(
+        self, monkeypatch, input_dim, hidden
+    ):
+        # The benchmark's three model sizes, D = 170, 2,762 and 101,386.
+        spec = MlpSpec(input_dim=input_dim, hidden_dims=hidden, num_classes=10)
+        rng = np.random.default_rng(9)
+        test = Dataset(rng.standard_normal((2, input_dim)), rng.integers(0, 10, 2), 10)
+        for clients, chunk in [(1, 1), (3, 2), (5, 5), (7, 3)]:
+            uploads, anchor = self.near(spec, clients, clients)
+            record, _, calls = self.round_on(monkeypatch, uploads, anchor, spec, test, chunk)
+            assert sum(calls) == clients and max(calls) == chunk
+            assert record.per_client_update_norm == tuple(
+                l2_distance(ParamVector(row), anchor) for row in uploads
+            )
 
 
 class TestRoundRecordCsv:

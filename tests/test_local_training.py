@@ -607,17 +607,18 @@ class TestLockstep:
         pools = train_group(anchor, spec, datasets, pool_cfg, seeds, soup)
         assert pools.shape == (4 if soup else 2, len(sizes), anchor.dim)
         assert np.array_equal(pools[0], np.broadcast_to(anchor.values, pools.shape[1:]))
+        assert uploads.shape == (len(sizes), anchor.dim)
         for i, (data, seed, upload) in enumerate(zip(datasets, seeds, uploads)):
             want_pool, want_upload = alone(strategy, anchor, spec, data, cfg, seed)
-            assert np.array_equal(upload.values, want_upload.values)
-            assert not np.array_equal(upload.values, anchor.values)
+            assert np.array_equal(upload, want_upload.values)
+            assert not np.array_equal(upload, anchor.values)
             for got, want in zip(pools[:, i], want_pool, strict=True):
                 assert np.array_equal(got, want.values)
             if soup:
                 pool = [ParamVector(member) for member in pools[:, i]]
-                assert np.array_equal(upload.values, uniform_average(pool).values)
+                assert np.array_equal(upload, uniform_average(pool).values)
                 final, trace = lss_local_train(anchor, spec, data, cfg, seed, pools[:, i])
-                assert np.array_equal(final.values, upload.values)
+                assert np.array_equal(final.values, upload)
                 assert trace.pool_members == tuple(pool)
 
     def test_groups_hold_every_client_by_size_under_the_float_budget(self, monkeypatch):
@@ -652,9 +653,9 @@ class TestLockstep:
                 monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", budget)
                 uploads = train_clients(strategy, anchor, spec, datasets, cfg, seeds)
                 assert [len(g) for g in groups] == counts
-                for data, seed, upload in zip(datasets, seeds, uploads):
+                for data, seed, upload in zip(datasets, seeds, uploads, strict=True):
                     _, want = alone(strategy, anchor, spec, data, cfg, seed)
-                    assert np.array_equal(upload.values, want.values)
+                    assert np.array_equal(upload, want.values)
                 groups.clear()  # of the calls that ``alone`` made
 
     def test_the_float_budget_groups_the_three_workloads(self):
@@ -784,8 +785,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("pool_size", [1, 2, 5, 9, 13])
     def test_a_phase_coefficient_block_equals_one_draw_per_step(self, pool_size):
-        block = local_training._coeff_rows(
-            pool_size, 7, "uniform_random", np.random.default_rng(3)
+        (block,) = local_training._coeff_rows(
+            pool_size, 7, "uniform_random", [np.random.default_rng(3)]
         )
         rng = np.random.default_rng(3)
         for row in block:
@@ -797,8 +798,35 @@ class TestLockstep:
             def uniform(self, low, high, size):
                 return np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
 
-        block = local_training._coeff_rows(4, 2, "uniform_random", Draws())
-        assert np.array_equal(block, [[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+        block = local_training._coeff_rows(4, 2, "uniform_random", [Draws()])
+        assert np.array_equal(block, [[[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]])
+
+    @pytest.mark.parametrize("mode", COEFF_MODES)
+    @pytest.mark.parametrize("pool_size", [1, 2, 4, 5])
+    def test_a_group_coefficient_block_equals_each_clients_alone(self, mode, pool_size):
+        class Zeros:
+            """A stream whose draws are all zero, for every shape."""
+
+            def uniform(self, low, high, size):
+                return np.zeros(size)
+
+        def streams():
+            # Client 2 draws all zeros, and takes the equal-weight rows.
+            rngs = [np.random.default_rng(seed) for seed in range(6)]
+            rngs[2] = Zeros()
+            return rngs
+
+        block = local_training._coeff_rows(pool_size, 7, mode, streams())
+        assert block.shape == (6, 7, pool_size)
+        for got, rng in zip(block, streams(), strict=True):
+            (want,) = local_training._coeff_rows(pool_size, 7, mode, [rng])
+            assert np.array_equal(got, want)
+        if mode == "uniform_random":
+            assert np.array_equal(block[2], np.full((7, pool_size), 1.0 / pool_size))
+            # and each row is the one-row draw of ``sample_interp_coeffs``
+            rng = np.random.default_rng(4)
+            for row in block[4]:
+                assert np.array_equal(row, sample_interp_coeffs(pool_size, mode, rng))
 
     def test_one_seed_per_client(self):
         spec, anchor, _ = engine_case((), "relu", 3)
