@@ -7,8 +7,9 @@ estimates the constants those formulas consume (gradient noise, local/
 global gradient gap) and probes landscape sharpness via finite-difference
 Hessian-vector products.  The sigma and Hessian estimators run the
 training kernel (``model.Kernel``) on its fixed buffers, checking their
-inputs once per call; the Hessian runs the power iterations of its
-batches in lockstep, one stacked kernel call per iteration.
+inputs once per call, in lockstep waves under one float budget: sigma
+makes one kernel call per wave of minibatch draws, and the Hessian one
+stacked call per power iteration of a wave of batches.
 """
 
 from __future__ import annotations
@@ -140,6 +141,26 @@ def _check_finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# The floats (8 bytes each, so 2 MiB) that one lockstep wave of Hessian
+# probes or of sigma's minibatch draws may hold in its vectors, batch
+# features and kernel temporaries.  The wave size follows from the model
+# and the batch (``_wave_size``); a wave holds at least one item, so a wide
+# MLP such as a 256-256 one on 128 features runs one item at a time.
+WAVE_FLOATS = 1 << 18
+
+
+def _wave_size(spec: MlpSpec, vectors: int, rows: int) -> int:
+    """Items that one wave holds under ``WAVE_FLOATS``, an item holding
+    ``vectors`` vectors of D floats and ``rows`` kernel rows.  A row holds
+    its features and the kernel's temporaries: two blocks per hidden layer
+    and three for the classes.  A Hessian probe of a batch holds five
+    vectors (its iterate, two points, two gradients) and the batch's rows at
+    each of its two points; a sigma draw holds its gradient and its batch's
+    rows."""
+    widths = spec.input_dim + 2 * sum(spec.hidden_dims) + 3 * spec.num_classes
+    return max(1, WAVE_FLOATS // (vectors * spec.param_count() + rows * widths))
+
+
 # Diverged weights overflow in the kernel; its outputs are checked, so
 # numpy's own warnings would only repeat the error raised here.
 @np.errstate(over="ignore", invalid="ignore")
@@ -170,24 +191,39 @@ def estimate_sigma(
     num_draws: int,
     seed: int,
 ) -> float:
-    """Root-mean-square minibatch gradient noise around the full gradient."""
+    """Root-mean-square minibatch gradient noise around the full gradient.
+
+    The minibatches are drawn first, in order, and their gradients taken in
+    lockstep waves of up to ``WAVE_FLOATS`` (``_wave_size``): one kernel
+    call per wave of W draws, stacked as one run on the weights broadcast
+    to W rows.  Each draw's squared distance from the full gradient is then
+    added row by row, in draw order, so the result is the float of taking
+    the draws one at a time."""
     if num_draws < 2:
         raise ValueError(f"num_draws must be >= 2, got {num_draws}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    kernel = Kernel(spec, client_data, params.values)
+    wave = min(num_draws, _wave_size(spec, 1, batch_size))
+    x = np.broadcast_to(params.values, (wave, params.dim))  # a view, not W copies
+    kernel = Kernel(spec, client_data, x)
     if batch_size >= client_data.n:
         return 0.0
     features, labels = client_data.features, client_data.labels
-    kernel([(0, features)], labels)
-    full_grad, grad = _check_finite(kernel.grad).copy(), kernel.grad
+    kernel([(0, features[None])], labels)
+    full_grad = _check_finite(kernel.grad[0]).copy()
     rng = np.random.default_rng(seed)
+    draws = np.stack(
+        [rng.choice(client_data.n, size=batch_size, replace=False) for _ in range(num_draws)]
+    )
     acc = 0.0
-    for _ in range(num_draws):
-        rows = rng.choice(client_data.n, size=batch_size, replace=False)
+    for lo in range(0, num_draws, wave):
+        rows = draws[lo : lo + wave]
         kernel([(0, features[rows])], labels[rows])
-        diff = np.subtract(_check_finite(grad), full_grad, out=grad)
-        acc += float(np.dot(diff, diff))
+        diffs = kernel.grad[: len(rows)]
+        _check_finite(diffs.ravel())
+        np.subtract(diffs, full_grad, out=diffs)
+        for diff in diffs:
+            acc += float(np.dot(diff, diff))
     return math.sqrt(acc / num_draws)
 
 
@@ -247,13 +283,6 @@ def ensemble_variance_split(preds: np.ndarray) -> tuple[float, float, float]:
 # Sharpness: dominant Hessian eigenvalue by power iteration on
 # finite-difference Hessian-vector products.
 # ---------------------------------------------------------------------------
-
-# The floats (8 bytes each, so 2 MiB) that one wave of lockstep Hessian
-# probes may hold in its points, gradients and kernel temporaries.  The
-# wave size follows from the model and the batch (``_probes_per_wave``); a
-# wave holds at least one batch, so a wide MLP such as a 256-256 one on 128
-# features probes one batch at a time.
-HESSIAN_WAVE_FLOATS = 1 << 18
 
 # (hi, points, gradients) of the wave of probes lo..hi-1 (see
 # ``_power_iteration``), given lo.
@@ -371,17 +400,6 @@ def top_hessian_eigenvalue_from_grad(
     return _power_iteration(lambda lo: (1, points, gradients), x, 1, iters, rng)[0]
 
 
-def _probes_per_wave(spec: MlpSpec, batch: int) -> int:
-    """Probes of ``batch`` rows that one wave holds under
-    ``HESSIAN_WAVE_FLOATS``.  A probe holds five vectors of D floats (its
-    iterate, two points, two gradients), and at each of its two points the
-    batch's features and the kernel's temporaries: two blocks per hidden
-    layer and three for the classes."""
-    widths = spec.input_dim + 2 * sum(spec.hidden_dims) + 3 * spec.num_classes
-    per_probe = 5 * spec.param_count() + 2 * batch * widths
-    return max(1, HESSIAN_WAVE_FLOATS // per_probe)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def hessian_top_eig(
     params: ParamVector,
@@ -394,7 +412,7 @@ def hessian_top_eig(
     """Median over dataset batches of the dominant Hessian eigenvalue.
 
     The batches' probes run in lockstep waves of equal-size batches, up to
-    ``HESSIAN_WAVE_FLOATS``: one kernel call per iteration on the stacked
+    ``WAVE_FLOATS``: one kernel call per iteration on the stacked
     points of a wave, with the eigenvalues of probing batch by batch."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -408,7 +426,7 @@ def hessian_top_eig(
     def waves(lo: int):
         nonlocal kernel
         n, hi = chunks[lo].size, lo + 1
-        limit = min(n_batches, lo + _probes_per_wave(spec, n))
+        limit = min(n_batches, lo + _wave_size(spec, 5, 2 * n))
         while hi < limit and chunks[hi].size == n:
             hi += 1
         size = hi - lo

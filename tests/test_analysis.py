@@ -513,10 +513,15 @@ def test_the_wave_bound_stacks_a_wide_mlp_one_batch_at_a_time():
     wide = MlpSpec(input_dim=128, hidden_dims=(256, 256), num_classes=10)
     mid = MlpSpec(input_dim=32, hidden_dims=(64,), num_classes=10)
     softmax = MlpSpec(input_dim=16, hidden_dims=(), num_classes=10)
-    assert analysis._probes_per_wave(wide, 50) == 1
-    assert analysis._probes_per_wave(mid, 60) == 7
-    assert analysis._probes_per_wave(softmax, 60) >= 5
-    assert analysis._probes_per_wave(softmax, 10**9) == 1
+    # a Hessian probe of a batch: five vectors, and the batch at two points
+    assert analysis._wave_size(wide, 5, 2 * 50) == 1
+    assert analysis._wave_size(mid, 5, 2 * 60) == 7
+    assert analysis._wave_size(softmax, 5, 2 * 60) >= 5
+    assert analysis._wave_size(softmax, 5, 2 * 10**9) == 1
+    # a sigma draw of a training batch of 64: one vector and the batch
+    assert analysis._wave_size(wide, 1, 64) == 1
+    assert analysis._wave_size(mid, 1, 64) == 17
+    assert analysis._wave_size(softmax, 1, 64) >= 32
 
 
 class TestDiagnosticsReport:

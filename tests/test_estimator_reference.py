@@ -4,14 +4,18 @@ public, checked calls: ``loss_and_grad`` on a fresh ``ParamVector`` and a
 training kernel on fixed buffers instead, and must return the same floats,
 bit for bit.  The Hessian's reference probes one batch at a time with the
 sequential power iteration of ``hessian_oracle``; ``hessian_top_eig``
-probes its batches in lockstep waves."""
+probes its batches in lockstep waves, and ``estimate_sigma`` takes its
+minibatch draws in lockstep waves."""
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessian_oracle import top_hessian_eigenvalue_from_grad
 from lss import analysis, model as model_module
@@ -137,6 +141,24 @@ def test_overflowing_params_raise_value_error(estimate, blobs):
         estimate(huge, spec, blobs)
 
 
+def spy_backprop(monkeypatch):
+    """The features' shape of every kernel call from now on, each of one run."""
+    shapes = []
+    backprop = model_module._backprop
+    monkeypatch.setattr(
+        model_module, "_backprop",
+        lambda *a: (shapes.extend(f.shape for _, f in a[1]), backprop(*a))[1],
+    )
+    return shapes
+
+
+def force_wave(monkeypatch, wave):
+    if wave is None:
+        monkeypatch.setattr(analysis, "WAVE_FLOATS", 1 << 62)
+    else:
+        monkeypatch.setattr(analysis, "_wave_size", lambda spec, vectors, rows: wave)
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 class TestLockstepHessian:
     # n=150 at batch 40 splits raggedly into batches of 38, 38, 37 and 37:
@@ -146,18 +168,10 @@ class TestLockstepHessian:
     def test_every_wave_size_gives_the_oracle_bits(
         self, name, batch_size, wave, blobs, monkeypatch
     ):
-        if wave is None:
-            monkeypatch.setattr(analysis, "HESSIAN_WAVE_FLOATS", 1 << 62)
-        else:
-            monkeypatch.setattr(analysis, "_probes_per_wave", lambda spec, batch: wave)
+        force_wave(monkeypatch, wave)
         spec, params = model(name)
         want = reference_hessian(params, spec, blobs, 12, 3, batch_size)
-        shapes = []  # of the features of every kernel call, each of one run
-        backprop = model_module._backprop
-        monkeypatch.setattr(
-            model_module, "_backprop",
-            lambda *a: (shapes.extend(f.shape for _, f in a[1]), backprop(*a))[1],
-        )
+        shapes = spy_backprop(monkeypatch)
         got = hessian_top_eig(params, spec, blobs, iters=12, seed=3, batch_size=batch_size)
         same_float(got, want)
         sizes = [b.size for b in np.array_split(np.arange(blobs.n), math.ceil(blobs.n / batch_size))]
@@ -165,3 +179,84 @@ class TestLockstepHessian:
         waves = sum(math.ceil(r / (wave or r)) for r in runs)
         assert len(shapes) == 12 * waves  # as many calls
         assert max(s[0] for s in shapes) == 2 * min(max(runs), wave or max(runs))
+
+
+# Nine draws: a wave of 4 leaves a last wave of 1, and an unbounded one
+# takes all nine in one call.
+@pytest.mark.parametrize("wave", [1, 2, 4, None], ids=["wave1", "wave2", "wave4", "unbounded"])
+class TestLockstepSigma:
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_every_wave_size_gives_the_oracle_bits(
+        self, name, wave, batch_size, blobs, monkeypatch
+    ):
+        spec, params = model(name)
+        want = reference_sigma(params, spec, blobs, batch_size, 9, 5)
+        force_wave(monkeypatch, wave)
+        shapes = spy_backprop(monkeypatch)
+        same_float(estimate_sigma(params, spec, blobs, batch_size, num_draws=9, seed=5), want)
+        width = min(9, wave or 9)
+        assert len(shapes) == 1 + math.ceil(9 / width)  # the full gradient, then the waves
+        assert shapes[0] == (1, blobs.n, spec.input_dim)
+        waves = [(min(width, 9 - lo), batch_size, spec.input_dim) for lo in range(0, 9, width)]
+        assert shapes[1:] == waves
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_a_client_no_larger_than_a_batch_gives_zero(self, name, wave, blobs, monkeypatch):
+        spec, params = model(name)
+        force_wave(monkeypatch, wave)
+        shapes = spy_backprop(monkeypatch)
+        client = blobs.subset(np.arange(23))
+        for batch_size in (23, 64):
+            same_float(estimate_sigma(params, spec, client, batch_size, num_draws=9, seed=5), 0.0)
+        assert shapes == []
+
+    # As in test_overflowing_params_raise_value_error: the relu network's
+    # logits overflow, and a numpy warning before the error fails the test.
+    def test_overflowing_params_raise_value_error(self, wave, blobs, monkeypatch):
+        spec, params = model("relu-mlp")
+        force_wave(monkeypatch, wave)
+        huge = ParamVector(params.values * 1e200)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            estimate_sigma(huge, spec, blobs, 16, num_draws=9, seed=0)
+
+    # Every hidden unit is off, so the logits are 0, but a label-0 row's
+    # hidden delta, (softmax - onehot) / n through these output weights,
+    # overflows at n = 1 and not at n = 150.  The full gradient is finite,
+    # and so are the first five draws' gradients; the later draws have
+    # label 0.
+    def test_a_draw_that_overflows_alone_raises(self, wave, blobs, monkeypatch):
+        spec, x = SPECS["relu-mlp"], np.zeros(SPECS["relu-mlp"].param_count())
+        (_, b1), (w2, _) = model_module._unpack(x, spec)
+        b1[:] = -1.0
+        w2[:] = 1.7e308
+        w2[:, 0] = -1.7e308
+        params = ParamVector(x)
+        assert np.isfinite(loss_and_grad(params, spec, blobs)[1].values).all()
+        force_wave(monkeypatch, wave)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            estimate_sigma(params, spec, blobs, 1, num_draws=9, seed=0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    batch_size=st.integers(1, 45),
+    num_draws=st.integers(2, 12),
+    wave=st.integers(1, 13),
+    activation=st.sampled_from(["relu", "tanh"]),
+    hidden=st.lists(st.integers(1, 9), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_sigma_matches_the_oracle_on_drawn_shapes(
+    n, batch_size, num_draws, wave, activation, hidden, seed, blobs
+):
+    spec = MlpSpec(input_dim=6, hidden_dims=tuple(hidden), num_classes=5, activation=activation)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(spec.param_count())
+    params = ParamVector(init_params(spec, seed).values + 0.4 * noise)
+    client = blobs.subset(rng.permutation(blobs.n)[:n])
+    want = reference_sigma(params, spec, client, batch_size, num_draws, seed)
+    with mock.patch.object(analysis, "_wave_size", lambda spec, vectors, rows: wave):
+        got = estimate_sigma(params, spec, client, batch_size, num_draws, seed)
+    same_float(got, want)
