@@ -6,8 +6,12 @@ the average of the uploads weighted by each client's sample count, as in
 FedAvg.  The round's clients train through one call
 (``train_clients``): every client trains in a lockstep group, whatever its
 size, in as few groups as ``local_training.LOCKSTEP_FLOATS`` allows, and
-each group through one ``train_group`` call.  The uploads are the rows of
-one ``(N, D)`` block: ``lss_local_train`` forms each soup upload from the
+each group through the step loop of one ``prepare_group`` call.  Clients
+whose weight vectors hold half of that budget or more train one per
+group, and with BLAS pinned, their groups train on the free cores at once
+(``lockstep_workers``); the calling thread still prepares each group and
+forms its uploads, in group order.  The uploads are the rows of one
+``(N, D)`` block: ``lss_local_train`` forms each soup upload from the
 client's pool rows, and a proximal upload is the client's last row.  Each
 upload is the one the client gets alone.  Uploads are aggregated and
 scored in client-id order, and per-client seeds are a stable hash of
@@ -21,7 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,7 +41,7 @@ from .local_training import (
     fedprox_local_train,
     lockstep_groups,
     lss_local_train,
-    train_group,
+    prepare_group,
 )
 from .model import MlpSpec, accuracy, evaluate, init_params
 from .params import ParamVector, weighted_average
@@ -127,6 +134,53 @@ def warmup_pretrain(
     return fedprox_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
 
 
+def lockstep_workers(groups: int, dim: int) -> int:
+    """The threads that train a round's ``groups`` lockstep groups of
+    clients on ``dim`` weights: min(groups, usable cores // BLAS threads)
+    once ``dim`` reaches half of ``LOCKSTEP_FLOATS``, where every group is
+    one client, and 1 otherwise, which trains the groups one by one.
+
+    A narrower client's step is mostly small ops that hold the GIL: on two
+    threads, single-client LSS groups at D = 13,354 trained slower (4-client
+    rounds 0.39-0.62 s against 0.62-0.73 s), and so did ``lss-mid``'s
+    groups of five at D = 2,762 (0.53-0.57 s against 0.56-0.85 s);
+    proximal ones at D = 67,210 trained faster (0.34-0.43 s against
+    0.28-0.33 s).  The BLAS threads are read from
+    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``; with neither set
+    BLAS takes every core, and threaded groups made ``fedprox-wide`` rounds
+    slower (0.52-0.60 s against 0.72-0.99 s), so the groups train one by
+    one."""
+    if groups < 2 or dim < LOCKSTEP_FLOATS // 2:
+        return 1
+    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas = int(pin)
+    except (TypeError, ValueError):  # unset, or not a count
+        return 1
+    if blas < 1:  # 0 leaves BLAS its default, every core
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(groups, (cores or 1) // blas))
+
+
+class _Worker(threading.Thread):
+    """A started thread running one group's step loop; ``failure`` is what
+    the loop raised, if anything."""
+
+    def __init__(self, train):
+        super().__init__(name="lss-lockstep-group")
+        self._train, self.failure = train, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._train()
+        except BaseException as exc:  # re-raised by the dispatching thread
+            self.failure = exc
+        finally:
+            del self._train  # frees the group's buffers but for its pools
+
+
 def train_clients(
     strategy: str,
     anchor: ParamVector,
@@ -139,10 +193,18 @@ def train_clients(
     one ``(N, D)`` block, row i client i's in the order given; ``run_round``
     has checked ``strategy``.  Row i is the upload that client i's
     ``lss_local_train`` or ``fedprox_local_train`` returns alone: each
-    lockstep group of ``local_training.lockstep_groups`` trains through one
-    ``train_group`` call, a lone client included.  A soup row holds the
-    values of ``lss_local_train(..., pool)`` on the client's pool rows, and
-    a proximal row is copied from the group's last member."""
+    lockstep group of ``local_training.lockstep_groups`` runs the step loop
+    of one ``prepare_group`` call, a lone client included.  A soup row holds
+    the values of ``lss_local_train(..., pool)`` on the client's pool rows,
+    and a proximal row is copied from the group's last member.
+
+    The groups train on ``lockstep_workers`` threads at once, one by one in
+    this thread when that is 1.  This thread prepares each group, which
+    allocates its buffers, and forms its uploads, in group order, after its
+    loop has run; a group's buffers are freed before the next group is
+    prepared, so at most that many groups are alive at once.  A failed group
+    raises its error, the first in group order, once every thread started
+    here has been joined."""
     if len(seeds) != len(datasets):
         raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
     if strategy == "fedavg":
@@ -151,11 +213,15 @@ def train_clients(
         local_cfg = replace(local_cfg, mu_prox=0.0)
     soup = strategy == "lss"
     members = local_cfg.num_pool_models if soup else 1
+    groups = lockstep_groups(datasets, anchor.dim, members)
+    workers = lockstep_workers(len(groups), anchor.dim)
     uploads = np.empty((len(datasets), anchor.dim))
-    for group in lockstep_groups(datasets, anchor.dim, members):
-        pools = train_group(
-            anchor, spec, [datasets[i] for i in group], local_cfg, [seeds[i] for i in group], soup
-        )
+
+    def finish(group: list[int], pools: np.ndarray, worker: _Worker | None) -> None:
+        if worker is not None:
+            worker.join()
+            if worker.failure is not None:
+                raise worker.failure
         if soup:
             for j, i in enumerate(group):
                 uploads[i] = lss_local_train(
@@ -163,9 +229,29 @@ def train_clients(
                 )[0].values
         else:
             uploads[group] = pools[-1]
-        # Freed before the next group's pools are made: held across the next
-        # call, they raised the peak RSS of a run at D = 101,386 by 3 MB.
-        del pools
+
+    # The groups prepared and not yet finished, in group order: each with
+    # its pools and its worker, or None when it trained in this thread.
+    running: deque[tuple[list[int], np.ndarray, _Worker | None]] = deque()
+    try:
+        for group in groups:
+            if len(running) == workers:
+                # Freed before the next group's pools are made: held across
+                # the next group, they raised the peak RSS of a run at
+                # D = 101,386 by 3 MB.
+                finish(*running.popleft())
+            pools, train = prepare_group(
+                anchor, spec, [datasets[i] for i in group], local_cfg,
+                [seeds[i] for i in group], soup,
+            )
+            running.append((group, pools, _Worker(train) if workers > 1 else train()))
+            del pools, train
+        while running:
+            finish(*running.popleft())
+    finally:
+        for _, _, worker in running:
+            if worker is not None:
+                worker.join()
     return uploads
 
 

@@ -15,7 +15,9 @@ on the training kernel (``model.Kernel``), which checks its inputs once per
 group.  It trains a group of G clients at once, a lone client being a
 group of one: it holds the pools in one ``(members + 1, G, D)`` array
 (row 0 the anchor), which it returns, and writes each step into fixed
-``(G, D)`` buffers, in the float order of the reference functions
+``(G, D)`` buffers.  ``prepare_group`` allocates them all before the first
+step and returns the step loop, which may then run in another thread.
+The steps follow the float order of the reference functions
 (``lss_regularized_grad``, ``fedprox_loss_and_grad``, ``axpy``), so
 results are bit-identical to them whatever the group.
 ``lockstep_groups`` forms the groups: every client, ordered by size, in
@@ -34,8 +36,9 @@ no update turns a non-finite entry finite.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, count, groupby
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +66,9 @@ def _coeff_rows(
     """``steps`` rows of coefficients for each generator, shape (len(rngs),
     steps, pool_size), from one call to each generator, normalized at once.
     Row t of block g is bit for bit the t-th of ``steps`` one-row draws from
-    ``rngs[g]``, so a member phase may draw a group's blocks at once."""
+    ``rngs[g]``, so a member phase may draw a group's blocks at once.  The
+    draws are U[0, 1) values from ``rng.random``, the bits of
+    ``rng.uniform(0.0, 1.0)`` at under half its cost a call."""
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
     if mode == "active_only":
@@ -72,7 +77,7 @@ def _coeff_rows(
         return coeffs
     if mode != "uniform_random":
         raise ValueError(f"unknown coeff mode {mode!r}")
-    u = np.stack([rng.uniform(0.0, 1.0, size=(steps, pool_size)) for rng in rngs])
+    u = np.stack([rng.random((steps, pool_size)) for rng in rngs])
     total = np.add.reduce(u, axis=-1, keepdims=True)
     if np.minimum.reduce(total, axis=None, initial=1.0) == 0.0:
         # astronomically unlikely; keep the simplex guarantee
@@ -268,7 +273,8 @@ def _group_batches(
     does not give each client the bits it gets alone.
 
     Each step's batches lie one after another in one features block and
-    one label vector.  A batch drawn from a stream is gathered straight
+    one label vector, of ``_step_rows`` rows, allocated on the call, before
+    the first step.  A batch drawn from a stream is gathered straight
     into them; a client within one batch takes its whole dataset every
     step, so its rows are written again only when they move."""
     # (lo, hi, sizes): each run of one dataset size and its batch sizes over an epoch
@@ -283,10 +289,23 @@ def _group_batches(
         g: _batch_rows(datasets[g].n, batch_size, _stream(seeds[g], 0))
         for g in range(len(datasets)) if datasets[g].n > batch_size
     }
-    # Each client's batch holds at most min(n, batch_size) rows.
-    rows = sum(min(d.n, batch_size) for d in datasets)
+    rows = _step_rows(datasets, batch_size)
     features = np.empty((rows, datasets[0].input_dim))
     labels = np.empty(rows, dtype=np.int64)
+    return _steps(datasets, runs, streams, features, labels)
+
+
+def _step_rows(datasets: Sequence[Dataset], batch_size: int) -> int:
+    """The rows of a group's largest step, its first: each client's batch
+    holds at most min(n, batch_size) rows."""
+    return sum(min(d.n, batch_size) for d in datasets)
+
+
+def _steps(
+    datasets: Sequence[Dataset], runs: list, streams: dict, features: np.ndarray,
+    labels: np.ndarray,
+) -> Iterator[tuple[list[tuple[int, np.ndarray]], np.ndarray]]:
+    """``_group_batches``' steps, written into ``features`` and ``labels``."""
     placed = {}  # the row where each run within one batch was written last step
     for step in count():
         calls, end = [], 0
@@ -313,9 +332,6 @@ def _group_batches(
         yield calls, labels[:end]
 
 
-# A diverging member overflows in the loop; its distances and its final
-# weights are checked, so numpy's own warnings would only repeat that.
-@np.errstate(over="ignore", invalid="ignore")
 def train_group(
     anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
     seeds: Sequence[int], soup: bool,
@@ -331,8 +347,26 @@ def train_group(
     its own random streams, and its distances are checked one by one.  Each
     step runs the soup step once on all rows, and one kernel call on the
     step's batches (``_group_batches``), which writes every row of the
-    gradients.
+    gradients.  It runs ``prepare_group``'s step loop in the calling thread.
     """
+    rows, train = prepare_group(anchor, spec, datasets, config, seeds, soup)
+    train()
+    return rows
+
+
+def prepare_group(
+    anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
+    seeds: Sequence[int], soup: bool,
+) -> tuple[np.ndarray, Callable[[], None]]:
+    """``train_group``'s pools before training, row 0 the anchor, and its
+    step loop, which trains the members into them in place and raises
+    ``ValueError`` on a non-finite member or distance.  Every large buffer
+    of the loop is allocated here, in the calling thread: the pool rows,
+    the ``(G, D)`` step buffers, the kernel's gradient and its scratch,
+    sized to the group's largest step, and the step's features block.  So
+    the loop may run in another thread without growing that thread's heap:
+    allocated in two worker threads, they raised the peak RSS of a run at
+    D = 101,386 to 68-71 MB, against 56 MB allocated here."""
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
     rows = np.empty((members + 1, size, dim))  # rows[k, g]: member k of client g
@@ -344,14 +378,26 @@ def train_group(
     # buffer of its own.  One allocation per buffer: one (2, D) block for
     # tmp and push raised the peak RSS of a run with D = 101k by about 1 MB.
     x = np.empty((size, dim)) if soup else rows[1]
-    kernel = Kernel(spec, datasets, x)  # checks every input once
-    grad = kernel.grad
+    # checks every input once, and sizes its scratch to the first step
+    kernel = Kernel(spec, datasets, x, _step_rows(datasets, config.batch_size))
     tmp = x if soup else np.empty((size, dim))
     push = np.empty((size, dim)) if soup else None
     batches = _group_batches(datasets, config.batch_size, seeds)
     coeff_rngs = [_stream(seed, 1) for seed in seeds]
+    return rows, partial(_train_steps, rows, kernel, tmp, push, batches, coeff_rngs, config, soup)
+
+
+# A diverging member overflows in the loop; its distances and its final
+# weights are checked, so numpy's own warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
+def _train_steps(
+    rows: np.ndarray, kernel: Kernel, tmp: np.ndarray, push: np.ndarray | None,
+    batches: Iterator, coeff_rngs: list[np.random.Generator], config: LocalConfig, soup: bool,
+) -> None:
+    """``prepare_group``'s step loop on its buffers."""
+    x, grad = kernel.x, kernel.grad
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
-    for m in range(1, members + 1):
+    for m in range(1, len(rows)):
         active = rows[m]
         _average(rows[:m], active, tmp)  # the pool so far
         if soup:
@@ -387,7 +433,6 @@ def train_group(
             active += grad
         if not np.isfinite(active).all():
             raise ValueError("operation produced non-finite entries")
-    return rows
 
 
 def _unit_rows(diffs: np.ndarray, eps: float, m: int, k: int) -> None:

@@ -300,15 +300,20 @@ class Kernel:
 
     The kernel owns ``grad``, shaped like ``x``, and its forward and backward
     temporaries: one block per temporary, each one row per sample, in one
-    flat scratch buffer sized to the largest call so far.  A call views the
-    front rows of each block, and each run its consecutive rows of them.
+    flat scratch buffer sized up front to ``rows`` rows and grown to the
+    largest call so far.  Given the row count of its largest call, the
+    kernel allocates all its buffers here, in the constructing thread.  A
+    call views the front rows of each block, and each run its consecutive
+    rows of them.
     The views are cached by run binding, ``(lo, batch shape, first row)``,
     and by row count, not by a step's composition, and at most
     ``_BINDINGS`` run bindings are kept."""
 
     __slots__ = ("x", "grad", "_spec", "_runs", "_blocks", "_full", "_rows")
 
-    def __init__(self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray):
+    def __init__(
+        self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray, rows: int = 0
+    ):
         _check_params(x, spec)
         for d in [data] if isinstance(data, Dataset) else data:
             _check_data(d, spec)
@@ -318,6 +323,8 @@ class Kernel:
         self._blocks: dict[int, _Block] = {}  # rows -> the blocks' front rows
         self._full: Blocks = []  # each temporary's block, at full size
         self._rows = np.arange(0)  # each row's index, at full size
+        if rows:
+            self._reserve(rows)
 
     def __call__(self, runs: Sequence[tuple[int, np.ndarray]], labels: np.ndarray) -> np.ndarray:
         bound, end = [], 0
@@ -334,16 +341,7 @@ class Kernel:
     def _bind(self, runs: Sequence[tuple[int, np.ndarray]]) -> tuple[list, _Block]:
         rows = sum(math.prod(features.shape[:-1]) for _, features in runs)
         if rows > self._rows.size:
-            # the views so far are of the old buffer
-            self._runs.clear()
-            self._blocks.clear()
-            widths = _workspace_widths(self._spec)
-            scratch = np.empty(rows * sum(widths))
-            self._full, off = [], 0
-            for width in widths:
-                self._full.append(scratch[off : off + rows * width].reshape(rows, width))
-                off += rows * width
-            self._rows = np.arange(rows)
+            self._reserve(rows)
         elif len(self._runs) + len(runs) > _BINDINGS:
             self._runs.clear()
             self._blocks.clear()
@@ -358,6 +356,19 @@ class Kernel:
             layers = len(self._spec.hidden_dims) + 1
             block = self._blocks[end] = _Block(self._full, self._rows[:end], layers)
         return bound, block
+
+    def _reserve(self, rows: int) -> None:
+        """Allocates the scratch for calls of up to ``rows`` rows."""
+        # the views so far are of the old buffer
+        self._runs.clear()
+        self._blocks.clear()
+        widths = _workspace_widths(self._spec)
+        scratch = np.empty(rows * sum(widths))
+        self._full, off = [], 0
+        for width in widths:
+            self._full.append(scratch[off : off + rows * width].reshape(rows, width))
+            off += rows * width
+        self._rows = np.arange(rows)
 
     def _bind_run(self, lo: int, shape: tuple[int, ...], start: int) -> _Run:
         x, grad = self.x, self.grad

@@ -42,20 +42,21 @@ def perturbed(params: ParamVector, rng: np.random.Generator, scale: float = 0.3)
     return ParamVector(params.values + scale * rng.standard_normal(params.dim))
 
 
-def spy_train_group(monkeypatch) -> list:
-    """The datasets of each ``train_group`` call, in call order.  The engine
-    is patched under both names it is called by: ``local_training``'s own,
-    which the one-client trainers call, and the one ``federation`` binds at
-    import, which ``train_clients`` calls."""
+def spy_prepare_group(monkeypatch) -> list:
+    """The datasets of each lockstep group, in the order the groups are
+    prepared.  ``prepare_group`` is patched under both names it is called
+    by: ``local_training``'s own, which ``train_group`` (and so the
+    one-client trainers) calls, and the one ``federation`` binds at import,
+    which ``train_clients`` calls."""
     calls = []
-    train = local_training.train_group
+    prepare = local_training.prepare_group
 
     def spy(*args, **kwargs):
         calls.append(args[2])
-        return train(*args, **kwargs)
+        return prepare(*args, **kwargs)
 
     for module in (local_training, federation):
-        monkeypatch.setattr(module, "train_group", spy)
+        monkeypatch.setattr(module, "prepare_group", spy)
     return calls
 
 

@@ -1,11 +1,14 @@
 import dataclasses
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 import lss.federation as federation
 import lss.model as model
-from conftest import spy_train_group
+from conftest import spy_prepare_group
 from lss.config import (
     AnalysisConfig,
     DataConfig,
@@ -262,7 +265,7 @@ class TestRunRound:
                 expected = f"client {client.client_id} failed during round 2: {exc}"
                 break
         assert expected is not None and expected.startswith("client 1 failed")
-        first_groups = spy_train_group(monkeypatch)
+        first_groups = spy_prepare_group(monkeypatch)
         with pytest.raises(RuntimeError) as err:
             run_round(anchor, clients[::-1], spec, local, strategy, 2, 9, test)
         assert str(err.value) == expected
@@ -310,7 +313,7 @@ class TestLockstepUploads:
         ]
         anchor = init_params(spec, 3)
         seeds = [derive_seed(7, cid) for cid in range(len(datasets))]
-        groups = spy_train_group(monkeypatch)
+        groups = spy_prepare_group(monkeypatch)
         # as the benchmark's traced runs record each upload with its pool
         recorded = []
         form = federation.lss_local_train
@@ -335,6 +338,210 @@ class TestLockstepUploads:
             final, trace = lss_local_train(anchor, spec, data, local, seed)
             assert np.array_equal(upload, uniform_average(trace.pool_members).values)
             assert np.array_equal(upload, final.values)
+
+
+class TestLockstepThreads:
+    """Clients whose weight vectors reach half of ``LOCKSTEP_FLOATS`` train
+    one per group, and the groups train on ``lockstep_workers`` threads at
+    once.  Every upload keeps the bits it gets alone, a failure is the one
+    of the serial loop, no thread outlives ``train_clients``, and at most
+    W groups' buffers are alive at once."""
+
+    # Ragged sizes about a batch of 16: within one batch, of exactly one,
+    # and over one with epoch tails.
+    SIZES = [23, 9, 40, 16, 33]
+
+    @staticmethod
+    def wide_case(sizes, scale=None):
+        """A model of 70,915 weights, and one client per size; client i's
+        features are scaled by ``scale[i]`` when given."""
+        spec = MlpSpec(input_dim=16, hidden_dims=(256, 256), num_classes=3)
+        assert spec.param_count() >= federation.LOCKSTEP_FLOATS // 2
+        rng = np.random.default_rng(12)
+        datasets = [
+            Dataset(
+                (scale[i] if scale else 1.0) * rng.standard_normal((n, 16)),
+                rng.integers(0, 3, n), 3,
+            )
+            for i, n in enumerate(sizes)
+        ]
+        local = LocalConfig(
+            eta=0.05, tau=3, batch_size=16, lambda_a=0.5, lambda_d=0.5, num_pool_models=2,
+            mu_prox=0.3,
+        )
+        return spec, init_params(spec, 5), datasets, local
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        """Forces W threads, and returns the list of workers started."""
+        monkeypatch.setattr(federation, "lockstep_workers", lambda groups, dim: min(groups, workers))
+        started = []
+
+        class Worker(federation._Worker):
+            def __init__(self, train):
+                started.append(self)
+                super().__init__(train)
+
+        monkeypatch.setattr(federation, "_Worker", Worker)
+        return started
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "lss"])
+    def test_uploads_are_bit_identical_at_every_worker_count(self, monkeypatch, strategy):
+        spec, anchor, datasets, local = self.wide_case(self.SIZES)
+        seeds = [derive_seed(4, i) for i in range(len(datasets))]
+        clients = [ClientState(i, d) for i, d in enumerate(datasets)]
+        eval_data = datasets[2]
+        blocks, rounds = {}, {}
+        for workers in (1, 2, 3):
+            started = self.force_workers(monkeypatch, workers)
+            blocks[workers] = train_clients(strategy, anchor, spec, datasets, local, seeds)
+            assert len(started) == (0 if workers == 1 else len(datasets))
+            rounds[workers] = run_round(anchor, clients, spec, local, strategy, 1, 4, eval_data)
+        for workers in (2, 3):
+            assert np.array_equal(blocks[workers], blocks[1])
+            model, record, finals = rounds[workers]
+            assert np.array_equal(model.values, rounds[1][0].values)
+            assert record == dataclasses.replace(
+                rounds[1][1], wall_time_seconds=record.wall_time_seconds
+            )
+            assert all(a == b for a, b in zip(finals, rounds[1][2], strict=True))
+        monkeypatch.undo()
+        for data, seed, upload in zip(datasets, seeds, blocks[1], strict=True):
+            if strategy == "lss":
+                want, _ = lss_local_train(anchor, spec, data, local, seed)
+            else:
+                mu = 0.0 if strategy == "fedavg" else local.mu_prox
+                want = fedprox_local_train(
+                    anchor, spec, data, dataclasses.replace(local, mu_prox=mu), seed
+                )
+            assert np.array_equal(upload, want.values)
+
+    @pytest.mark.parametrize("strategy", ["fedprox", "lss"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_diverging_client_fails_the_round_as_in_the_serial_loop(
+        self, monkeypatch, strategy, workers
+    ):
+        # By size the groups are 9, 16, 23, 33, 40: client 0 (23 samples)
+        # trains in the 3rd group, and diverges.
+        spec, anchor, datasets, local = self.wide_case(self.SIZES, [1e160, 1, 1, 1, 1])
+        local = dataclasses.replace(local, eta=0.5)
+        clients = [ClientState(i, d) for i, d in enumerate(datasets)]
+        test = datasets[1]
+        self.force_workers(monkeypatch, 1)
+        with pytest.raises(RuntimeError) as serial:
+            run_round(anchor, clients, spec, local, strategy, 3, 6, test)
+        assert str(serial.value).startswith("client 0 failed during round 3: ")
+        started = self.force_workers(monkeypatch, workers)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as threaded:
+            run_round(anchor, clients, spec, local, strategy, 3, 6, test)
+        assert str(threaded.value) == str(serial.value)
+        assert type(threaded.value.__cause__) is type(serial.value.__cause__)
+        assert threading.active_count() == threads
+        # The round's threads: up to the failed 3rd group, and none after
+        # the failure but the groups already started; the replay trains
+        # each client alone, in this thread.
+        assert 3 <= len(started) <= 2 + workers
+        assert not any(worker.is_alive() for worker in started)
+
+    def test_the_first_failure_in_group_order_is_raised_after_every_join(self, monkeypatch):
+        spec, anchor, datasets, local = self.wide_case(self.SIZES)
+        started = self.force_workers(monkeypatch, 3)
+        prepare = federation.prepare_group
+        calls = []
+
+        def failing(*args, **kwargs):
+            # The 2nd group fails late, and the 3rd at once.
+            index = len(calls)
+            rows, train = prepare(*args, **kwargs)
+            calls.append(index)
+
+            def steps():
+                if index == 1:
+                    time.sleep(0.05)
+                if index in (1, 2):
+                    raise ValueError(f"group {index} failed")
+                train()
+
+            return rows, steps
+
+        monkeypatch.setattr(federation, "prepare_group", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^group 1 failed$"):
+            train_clients("fedprox", anchor, spec, datasets, local, list(range(5)))
+        assert threading.active_count() == threads
+        # The 4th group is prepared once the 1st is finished; none is
+        # prepared after the failure is raised.
+        assert calls == [0, 1, 2, 3] and len(started) == 4
+        assert not any(worker.is_alive() for worker in started)
+
+    @pytest.mark.parametrize("strategy", ["fedprox", "lss"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_w_groups_are_alive_at_once(self, monkeypatch, strategy, workers):
+        spec, anchor, datasets, local = self.wide_case(self.SIZES)
+        self.force_workers(monkeypatch, workers)
+        prepare = federation.prepare_group
+        rows = []
+        alive = []
+
+        def tracked(*args, **kwargs):
+            prepared = prepare(*args, **kwargs)
+            rows.append(weakref.ref(prepared[0]))
+            alive.append(sum(ref() is not None for ref in rows))
+            return prepared
+
+        monkeypatch.setattr(federation, "prepare_group", tracked)
+        train_clients(strategy, anchor, spec, datasets, local, list(range(5)))
+        assert len(rows) == len(datasets)
+        assert alive == [min(i + 1, workers) for i in range(len(datasets))]
+        assert all(ref() is None for ref in rows)
+
+    def test_the_worker_count_rule(self, monkeypatch):
+        wide = federation.LOCKSTEP_FLOATS // 2
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        cores = {0, 1}
+        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: cores)
+        workers = federation.lockstep_workers
+        # No BLAS pin: BLAS takes every core, and the groups train serially.
+        assert workers(4, wide) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert workers(4, wide) == 2
+        assert workers(1, wide) == 1
+        # Narrower clients train serially, even with BLAS pinned.
+        assert workers(4, wide - 1) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert workers(4, wide) == 1
+        # OPENBLAS_NUM_THREADS is read first, and OMP_NUM_THREADS alone.
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert workers(4, wide) == 1
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        cores = {0, 1, 2, 3}
+        assert workers(8, wide) == 4
+        assert workers(3, wide) == 3
+        for pin in ("0", "many"):
+            monkeypatch.setenv("OMP_NUM_THREADS", pin)
+            assert workers(8, wide) == 1
+
+    def test_a_wide_lone_client_group_trains_in_this_thread(self, monkeypatch):
+        # With BLAS pinned on two cores, a round of one wide client starts
+        # no thread; a round of two starts one per group.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1})
+        spec, anchor, datasets, local = self.wide_case(self.SIZES[:2])
+        started = []
+        real = federation._Worker
+
+        class Worker(real):
+            def __init__(self, train):
+                started.append(self)
+                super().__init__(train)
+
+        monkeypatch.setattr(federation, "_Worker", Worker)
+        train_clients("fedavg", anchor, spec, datasets[:1], local, [1])
+        assert started == []
+        train_clients("fedavg", anchor, spec, datasets, local, [1, 2])
+        assert len(started) == 2
 
 
 class TestLockstepScoring:

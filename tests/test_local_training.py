@@ -10,7 +10,7 @@ import pytest
 import lss.federation as federation
 import lss.local_training as local_training
 import lss.model as model
-from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch, spy_train_group
+from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch, spy_prepare_group
 from lss.data import Dataset
 from lss.local_training import (
     COEFF_MODES,
@@ -567,14 +567,14 @@ class TestLockstep:
 
     @staticmethod
     def spy_groups(monkeypatch):
-        """The datasets of each ``train_group`` call; a ``train_clients``
+        """The datasets of each lockstep group; a ``train_clients``
         call of ``fedprox_local_train`` fails the test."""
 
         def forbidden(*args, **kwargs):
             pytest.fail("train_clients called fedprox_local_train")
 
         monkeypatch.setattr(federation, "fedprox_local_train", forbidden)
-        return spy_train_group(monkeypatch)
+        return spy_prepare_group(monkeypatch)
 
     @pytest.mark.parametrize("hidden, activation", [((), "relu"), ((5,), "relu"), ((4, 3), "tanh")])
     @pytest.mark.parametrize(
@@ -645,7 +645,7 @@ class TestLockstep:
         monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", 1)
         assert lockstep_groups(datasets, dim, 2) == [[3], [0], [2], [4], [6], [5], [1]]
         # Each group, soup or proximal, of one client or more, trains
-        # through one ``train_group`` call, and each client gets its upload
+        # through one ``prepare_group`` call, and each client gets its upload
         # alone.
         groups = self.spy_groups(monkeypatch)
         for strategy in ("fedavg", "fedprox", "lss"):
@@ -793,9 +793,20 @@ class TestLockstep:
             u = rng.uniform(0.0, 1.0, size=pool_size)
             assert np.array_equal(row, u / u.sum())
 
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2**40 + 5])
+    @pytest.mark.parametrize("steps, pool_size", [(1, 1), (1, 4), (7, 2), (20, 5), (33, 13)])
+    def test_coefficient_draws_are_the_bits_of_uniform(self, seed, steps, pool_size):
+        # The blocks are drawn with ``rng.random``; the coefficients were
+        # specified by ``rng.uniform(0.0, 1.0)``, which gives the same bits.
+        rngs = [np.random.default_rng([seed, g]) for g in range(3)]
+        block = local_training._coeff_rows(pool_size, steps, "uniform_random", rngs)
+        for g, got in enumerate(block):
+            u = np.random.default_rng([seed, g]).uniform(0.0, 1.0, size=(steps, pool_size))
+            assert np.array_equal(got, u / u.sum(axis=-1, keepdims=True))
+
     def test_an_all_zero_draw_falls_back_to_equal_weights(self):
         class Draws:
-            def uniform(self, low, high, size):
+            def random(self, size):
                 return np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
 
         block = local_training._coeff_rows(4, 2, "uniform_random", [Draws()])
@@ -807,7 +818,7 @@ class TestLockstep:
         class Zeros:
             """A stream whose draws are all zero, for every shape."""
 
-            def uniform(self, low, high, size):
+            def random(self, size):
                 return np.zeros(size)
 
         def streams():
