@@ -6,10 +6,12 @@ local steps under a fixed gradient-computation budget.  The empirical side
 estimates the constants those formulas consume (gradient noise, local/
 global gradient gap) and probes landscape sharpness via finite-difference
 Hessian-vector products.  The sigma and Hessian estimators run the
-training kernel (``model.Kernel``) on its fixed buffers, checking their
-inputs once per call, in lockstep waves under one float budget: sigma
-makes one kernel call per wave of minibatch draws, and the Hessian one
-stacked call per power iteration of a wave of batches.
+training kernel (``model.Kernel``) on stacked ``(G, D)`` weights, its
+scratch sized once to their largest call, checking their inputs once per
+call, in lockstep waves under one float budget: sigma makes one kernel
+call per wave of minibatch draws, and the Hessian one stacked call per
+power iteration of a wave of batches, whose probes run through one power
+iteration (``_power_iteration``).
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ def estimate_sigma(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     wave = min(num_draws, _wave_size(spec, 1, batch_size))
     x = np.broadcast_to(params.values, (wave, params.dim))  # a view, not W copies
-    kernel = Kernel(spec, client_data, x)
-    if batch_size >= client_data.n:
+    within = batch_size >= client_data.n  # no kernel call: the kernel only checks the inputs
+    kernel = Kernel(spec, [client_data], x, 0 if within else max(client_data.n, wave * batch_size))
+    if within:
         return 0.0
     features, labels = client_data.features, client_data.labels
     kernel([(0, features[None])], labels)
@@ -290,8 +293,7 @@ Waves = Callable[[int], tuple[int, np.ndarray, Callable[[], np.ndarray]]]
 
 
 def _power_iteration(
-    waves: Waves, x: np.ndarray, count: int, iters: int, rng: np.random.Generator,
-    checked: bool = False,
+    waves: Waves, x: np.ndarray, count: int, iters: int, rng: np.random.Generator
 ) -> list[float]:
     """Rayleigh quotients of ``count`` power iterations on the FD Hessian at
     ``x``, one per probe, run in lockstep waves.
@@ -304,9 +306,8 @@ def _power_iteration(
     after the other: the reductions run row by row, a probe whose
     Hessian-vector product vanishes (or is not finite) is reseeded once
     from the generator state after its start vector and then restarts the
-    wave, and a second failure raises.  With ``checked``, a probe with a
-    non-finite point or gradient raises ``ValueError`` once the probes
-    before it have finished.
+    wave, and a second failure raises.  A probe with a non-finite point or
+    gradient raises ``ValueError`` once the probes before it have finished.
     """
     scale = 1e-4 * (1.0 + float(np.linalg.norm(x)))
     eigs: list[float] = []
@@ -333,7 +334,7 @@ def _power_iteration(
             np.add(x, step, out=points[0, :active])
             np.subtract(x, step, out=points[1, :active])
             grads = gradients()
-            ok = _finite_probes(points, grads, active) if checked else active
+            ok = _finite_probes(points, grads, active)
             hv = np.subtract(grads[0, :ok], grads[1, :ok], out=grads[0, :ok])
             hv /= (2.0 * eps[:ok])[:, None]
             for r in range(ok):
@@ -375,31 +376,6 @@ def _finite_probes(points: np.ndarray, grads: np.ndarray, active: int) -> int:
     return active if finite.all() else int(np.argmin(finite))
 
 
-def top_hessian_eigenvalue_from_grad(
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    iters: int,
-    rng: np.random.Generator,
-) -> float:
-    """Power iteration on the FD Hessian at ``x``; returns the Rayleigh quotient.
-
-    A degenerate probe (Hessian-vector product vanishes) is reseeded once;
-    a second failure raises.  This is the one-probe case of the lockstep
-    engine that ``hessian_top_eig`` runs.
-    """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    x = np.asarray(x, dtype=np.float64)
-    points, grads = np.empty((2, 1, x.size)), np.empty((2, 1, x.size))
-
-    def gradients() -> np.ndarray:
-        grads[0, 0] = grad_fn(points[0, 0])
-        grads[1, 0] = grad_fn(points[1, 0])
-        return grads
-
-    return _power_iteration(lambda lo: (1, points, gradients), x, 1, iters, rng)[0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def hessian_top_eig(
     params: ParamVector,
@@ -430,13 +406,17 @@ def hessian_top_eig(
         while hi < limit and chunks[hi].size == n:
             hi += 1
         size = hi - lo
+        # The batches go before the kernel's scratch: allocated after it, they
+        # raised the peak RSS of a 100-client softmax run by 0.8 MB in some
+        # heap layouts.
+        rows = np.tile(np.concatenate(chunks[lo:hi]), 2)  # each batch at its + and - point
+        features = data.features[rows].reshape(2 * size, n, -1)
+        labels = data.labels[rows].reshape(2 * size, n)
         if kernel is None or kernel.x.shape[0] != 2 * size:
             kernel = None  # the last wave's buffers go first
-            kernel = Kernel(spec, data, np.empty((2 * size, params.dim)))  # checks the inputs
+            # checks the inputs; a later wave of this size has batches no larger
+            kernel = Kernel(spec, [data], np.empty((2 * size, params.dim)), 2 * size * n)
         wave_kernel, grads = kernel, kernel.grad.reshape(2, size, -1)
-        rows = np.tile(np.concatenate(chunks[lo:hi]), 2)  # each batch at its + and - point
-        features = data.features[rows].reshape(2 * size, n, spec.input_dim)
-        labels = data.labels[rows].reshape(2 * size, n)
 
         def gradients() -> np.ndarray:
             wave_kernel([(0, features)], labels)
@@ -444,7 +424,7 @@ def hessian_top_eig(
 
         return hi, kernel.x.reshape(2, size, -1), gradients
 
-    eigs = _power_iteration(waves, params.values, n_batches, iters, rng, checked=True)
+    eigs = _power_iteration(waves, params.values, n_batches, iters, rng)
     return float(np.median(eigs))
 
 

@@ -378,7 +378,7 @@ def prepare_group(
     # buffer of its own.  One allocation per buffer: one (2, D) block for
     # tmp and push raised the peak RSS of a run with D = 101k by about 1 MB.
     x = np.empty((size, dim)) if soup else rows[1]
-    # checks every input once, and sizes its scratch to the first step
+    # checks every input once, and sizes its scratch to the first step, the largest
     kernel = Kernel(spec, datasets, x, _step_rows(datasets, config.batch_size))
     tmp = x if soup else np.empty((size, dim))
     push = np.empty((size, dim)) if soup else None

@@ -280,29 +280,25 @@ _BINDINGS = 256
 
 
 class Kernel:
-    """The training kernel on the caller's flat weights ``x``, checked with
-    ``data`` against the spec once.  ``kernel(runs, labels)`` takes one
-    step's batches: ``runs`` holds ``(lo, features)`` pairs, and ``labels``
-    the label of each of their rows, in run order (any shape that ravels to
-    that).  It writes the gradient of the mean cross-entropy of each run at
-    ``x`` into ``grad`` and returns the log-probabilities, one row per
-    sample in run order, valid until the next call.  The batches are
-    unchecked, so they must be rows of ``data``.
-
-    With a flat ``x`` a call takes one run, ``(0, features)``, features
-    ``(n, input_dim)``.  A ``(G, D)`` matrix ``x`` holds the weights of G
-    clients, and ``data`` is then one dataset per client; a run ``(lo,
-    features)`` takes a ``(g, n, input_dim)`` batch, n rows of the data of
-    each of the g clients from row ``lo``, and a call writes only its runs'
-    rows of ``grad``.  The runs of one call may differ in n: only the
-    matmuls and the bias-gradient sums over the batch run run by run, and
-    every other op once on all rows, so no batch is padded.
+    """The training kernel on the caller's ``(G, D)`` weights ``x``, the
+    weights of G clients, checked with ``data``, the datasets of their
+    batches, against the spec once.  ``kernel(runs, labels)`` takes one
+    step's batches: ``runs`` holds ``(lo, features)`` pairs, each a ``(g,
+    n, input_dim)`` batch, n rows of the data of each of clients ``lo ..
+    lo + g - 1``, and ``labels`` the label of each of their rows, in run
+    order (any shape that ravels to that).  It writes the gradient of the
+    mean cross-entropy of each run's clients at their rows of ``x`` into
+    those rows of ``grad``, and only those, and returns the
+    log-probabilities, one row per sample in run order, valid until the
+    next call.  The batches are unchecked, so they must be rows of
+    ``data``.  The runs of one call may differ in n: only the matmuls and
+    the bias-gradient sums over the batch run run by run, and every other
+    op once on all rows, so no batch is padded.
 
     The kernel owns ``grad``, shaped like ``x``, and its forward and backward
     temporaries: one block per temporary, each one row per sample, in one
-    flat scratch buffer sized up front to ``rows`` rows and grown to the
-    largest call so far.  Given the row count of its largest call, the
-    kernel allocates all its buffers here, in the constructing thread.  A
+    flat scratch buffer of ``rows`` rows, allocated here, in the
+    constructing thread.  A call of more rows raises ``ValueError``.  A
     call views the front rows of each block, and each run its consecutive
     rows of them.
     The views are cached by run binding, ``(lo, batch shape, first row)``,
@@ -311,20 +307,24 @@ class Kernel:
 
     __slots__ = ("x", "grad", "_spec", "_runs", "_blocks", "_full", "_rows")
 
-    def __init__(
-        self, spec: MlpSpec, data: Dataset | Sequence[Dataset], x: np.ndarray, rows: int = 0
-    ):
+    def __init__(self, spec: MlpSpec, data: Sequence[Dataset], x: np.ndarray, rows: int):
         _check_params(x, spec)
-        for d in [data] if isinstance(data, Dataset) else data:
+        if x.ndim != 2:
+            raise ValueError(f"kernel weights must be a (G, D) block, got shape {x.shape}")
+        for d in data:
             _check_data(d, spec)
         self.x, self._spec = x, spec
         self.grad = np.empty(x.shape)
         self._runs: dict[tuple, _Run] = {}  # (lo, batch shape, first row) -> binding
         self._blocks: dict[int, _Block] = {}  # rows -> the blocks' front rows
+        widths = _workspace_widths(spec)
+        scratch = np.empty(rows * sum(widths))
         self._full: Blocks = []  # each temporary's block, at full size
-        self._rows = np.arange(0)  # each row's index, at full size
-        if rows:
-            self._reserve(rows)
+        off = 0
+        for width in widths:
+            self._full.append(scratch[off : off + rows * width].reshape(rows, width))
+            off += rows * width
+        self._rows = np.arange(rows)  # each row's index
 
     def __call__(self, runs: Sequence[tuple[int, np.ndarray]], labels: np.ndarray) -> np.ndarray:
         bound, end = [], 0
@@ -341,8 +341,8 @@ class Kernel:
     def _bind(self, runs: Sequence[tuple[int, np.ndarray]]) -> tuple[list, _Block]:
         rows = sum(math.prod(features.shape[:-1]) for _, features in runs)
         if rows > self._rows.size:
-            self._reserve(rows)
-        elif len(self._runs) + len(runs) > _BINDINGS:
+            raise ValueError(f"a call of {rows} rows, but the kernel holds {self._rows.size}")
+        if len(self._runs) + len(runs) > _BINDINGS:
             self._runs.clear()
             self._blocks.clear()
         bound, end = [], 0
@@ -357,30 +357,14 @@ class Kernel:
             block = self._blocks[end] = _Block(self._full, self._rows[:end], layers)
         return bound, block
 
-    def _reserve(self, rows: int) -> None:
-        """Allocates the scratch for calls of up to ``rows`` rows."""
-        # the views so far are of the old buffer
-        self._runs.clear()
-        self._blocks.clear()
-        widths = _workspace_widths(self._spec)
-        scratch = np.empty(rows * sum(widths))
-        self._full, off = [], 0
-        for width in widths:
-            self._full.append(scratch[off : off + rows * width].reshape(rows, width))
-            off += rows * width
-        self._rows = np.arange(rows)
-
     def _bind_run(self, lo: int, shape: tuple[int, ...], start: int) -> _Run:
-        x, grad = self.x, self.grad
-        if x.ndim == 2:  # clients lo..lo + g - 1 of a stacked matrix
-            x, grad = x[lo : lo + shape[0]], grad[lo : lo + shape[0]]
-        lead = shape[:-1]
-        end = start + math.prod(lead)
+        g, n = shape[:2]
+        x, grad = self.x[lo : lo + g], self.grad[lo : lo + g]
+        end = start + g * n
         views = self._full
         if (start, end) != (0, len(views[0])):
             views = [block[start:end] for block in views]
-        if len(lead) > 1:
-            views = [view.reshape(*lead, view.shape[1]) for view in views]
+        views = [view.reshape(g, n, view.shape[1]) for view in views]
         run = _Run(_unpack(x, self._spec), _unpack(grad, self._spec), views, end)
         self._runs[lo, shape, start] = run
         return run
@@ -390,9 +374,9 @@ def loss_and_grad(
     params: ParamVector, spec: MlpSpec, data: Dataset
 ) -> tuple[float, ParamVector]:
     """Mean cross-entropy over the dataset and its exact gradient."""
-    kernel = Kernel(spec, data, params.values)
-    log_probs = kernel([(0, data.features)], data.labels)
-    return _mean_nll(log_probs, data.labels), ParamVector._wrap(kernel.grad)
+    kernel = Kernel(spec, [data], params.values[None], data.n)
+    log_probs = kernel([(0, data.features[None])], data.labels)
+    return _mean_nll(log_probs, data.labels), ParamVector._wrap(kernel.grad[0])
 
 
 def accuracy(

@@ -1,7 +1,8 @@
 """The sequential power iteration, as ``lss.analysis`` ran it before its
 probes ran in lockstep: one probe at a time, one gradient per call.  It is
 the test oracle for ``hessian_top_eig`` and its lockstep engine, and shares
-no code with them."""
+no code with them.  ``FakeStack`` drives that engine on quadratics, with
+this oracle as its one-probe reference."""
 
 from __future__ import annotations
 
@@ -48,3 +49,54 @@ def top_hessian_eigenvalue_from_grad(
             return eig
     raise RuntimeError("power iteration degenerate: Hessian-vector product vanished")
 
+
+class FakeStack:
+    """Stacked gradients ``diags[p] * point`` of quadratic probes for
+    ``analysis._power_iteration``, and their one-probe oracle.  Probe
+    ``vanish`` gets a zero gradient at iteration ``at`` of its first
+    attempt, or of every attempt with ``twice``; probe ``blow_up`` gets an
+    infinite one at iteration 0."""
+
+    def __init__(self, diags, wave, vanish=-1, at=0, twice=False, blow_up=-1):
+        self.diags, self.wave = diags, wave
+        self.vanish, self.at, self.twice, self.blow_up = vanish, at, twice, blow_up
+        self.waves_with_vanish = 0
+
+    def zero(self, probe, attempt, it):
+        return probe == self.vanish and it == self.at and (attempt == 1 or self.twice)
+
+    def __call__(self, lo):
+        hi = min(len(self.diags), lo + self.wave)
+        points, grads = np.empty((2, 2, hi - lo, self.diags.shape[1]))
+        self.waves_with_vanish += lo <= self.vanish < hi
+        attempt, its = self.waves_with_vanish, [0]
+
+        def gradients():
+            np.multiply(self.diags[lo:hi], points, out=grads)
+            for r in range(hi - lo):
+                if self.zero(lo + r, attempt, its[0]):
+                    grads[:, r] = 0.0
+                if lo + r == self.blow_up:
+                    grads[:, r] = np.inf
+            its[0] += 1
+            return grads
+
+        return hi, points, gradients
+
+    def oracle(self, x, iters, rng):
+        eigs = []
+        for p, d in enumerate(self.diags):
+            calls = [0]
+
+            def grad_fn(point, p=p, d=d):
+                # a vanishing probe's attempt 1 ends at iteration ``at``
+                k, calls[0] = calls[0], calls[0] + 1
+                attempt, it = (1, k // 2) if k // 2 <= self.at else (2, k // 2 - self.at - 1)
+                if self.zero(p, attempt, it):
+                    return np.zeros_like(point)
+                if p == self.blow_up:
+                    raise ValueError("diagnostic produced non-finite entries")
+                return d * point
+
+            eigs.append(top_hessian_eigenvalue_from_grad(grad_fn, x, iters, rng))
+        return eigs

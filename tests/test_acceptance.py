@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
+from hessian_oracle import FakeStack
+from lss import analysis
 from lss.analysis import (
     TheoryParams,
     bvcl_diagnostics,
@@ -20,7 +22,6 @@ from lss.analysis import (
     ensemble_variance_split,
     lr_choice,
     max_local_steps,
-    top_hessian_eigenvalue_from_grad,
 )
 from lss.cli import main
 from lss.config import (
@@ -334,9 +335,8 @@ class TestCriterion6TheoryCalculators:
 
 class TestCriterion7Diagnostics:
     def test_hessian_power_iteration_on_quadratic(self):
-        a = np.diag([3.0, 1.0])
-        rng = np.random.default_rng(8)
-        eig = top_hessian_eigenvalue_from_grad(lambda x: a @ x, np.zeros(2), 50, rng)
+        stack, rng = FakeStack(np.array([[3.0, 1.0]]), 1), np.random.default_rng(8)
+        eig, = analysis._power_iteration(stack, np.zeros(2), 1, 50, rng)
         assert eig == pytest.approx(3.0, rel=0.01)
         report(7, f"quadratic top eigenvalue {eig:.6f} within 1% of analytic 3")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import hessian_oracle
+from hessian_oracle import FakeStack
 from lss import analysis
 from lss.analysis import (
     TheoryParams,
@@ -15,7 +15,6 @@ from lss.analysis import (
     hessian_top_eig,
     lr_choice,
     max_local_steps,
-    top_hessian_eigenvalue_from_grad,
     write_diagnostics,
 )
 from lss.data import Dataset, dirichlet_partition, gen_blobs
@@ -367,23 +366,27 @@ class TestBvcl:
 
 
 class TestHessianTopEig:
+    """The power iteration on quadratics ``diag(d)``, through the lockstep
+    engine, one probe of stacked gradients ``d * point``."""
+
     def test_quadratic_recovers_top_eigenvalue(self):
-        a = np.diag([3.0, 1.0])
-        rng = np.random.default_rng(8)
-        eig = top_hessian_eigenvalue_from_grad(lambda x: a @ x, np.zeros(2), 50, rng)
+        stack, rng = FakeStack(np.array([[3.0, 1.0]]), 1), np.random.default_rng(8)
+        eig, = analysis._power_iteration(stack, np.zeros(2), 1, 50, rng)
         assert eig == pytest.approx(3.0, rel=0.01)
 
     def test_scaling_the_loss_doubles_the_estimate(self):
-        a = np.diag([3.0, 1.0, 0.5])
+        d = np.array([3.0, 1.0, 0.5])
         rng = np.random.default_rng(9)
-        one = top_hessian_eigenvalue_from_grad(lambda x: a @ x, np.zeros(3), 50, rng)
-        two = top_hessian_eigenvalue_from_grad(lambda x: 2 * (a @ x), np.zeros(3), 50, rng)
+        one, two = (
+            analysis._power_iteration(FakeStack(diag[None], 1), np.zeros(3), 1, 50, rng)[0]
+            for diag in (d, 2 * d)
+        )
         assert two == pytest.approx(2 * one, rel=0.02)
 
     def test_degenerate_gradient_raises_after_reseed(self):
         rng = np.random.default_rng(10)
         with pytest.raises(RuntimeError, match="degenerate"):
-            top_hessian_eigenvalue_from_grad(lambda x: np.zeros_like(x), np.zeros(3), 10, rng)
+            analysis._power_iteration(FakeStack(np.zeros((1, 3)), 1), np.zeros(3), 1, 10, rng)
 
     def test_median_over_batches_close_to_full_batch(self):
         data = gen_blobs(4, 60, 5, 0.8, seed=11)
@@ -399,6 +402,12 @@ class TestHessianTopEig:
         params = init_params(spec, 4)
         assert hessian_top_eig(params, spec, data, iters=30, seed=1) >= 0.0
 
+    def test_the_data_is_checked_against_the_spec(self):
+        spec = MlpSpec(input_dim=4, hidden_dims=(), num_classes=3)
+        wide = gen_blobs(3, 10, 6, 0.8, seed=4)
+        with pytest.raises(ValueError, match="^dataset has 6 features, spec expects 4$"):
+            hessian_top_eig(init_params(spec, 0), spec, wide, iters=3, seed=0)
+
     def test_iters_validation(self):
         data = gen_blobs(2, 5, 3, 0.8, seed=0)
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=2)
@@ -406,67 +415,15 @@ class TestHessianTopEig:
             hessian_top_eig(init_params(spec, 0), spec, data, iters=0, seed=0)
 
 
-class FakeStack:
-    """Stacked gradients ``diags[p] * point`` of quadratic probes for
-    ``analysis._power_iteration``, and their one-probe oracle.  Probe
-    ``vanish`` gets a zero gradient at iteration ``at`` of its first
-    attempt, or of every attempt with ``twice``; probe ``blow_up`` gets an
-    infinite one at iteration 0."""
-
-    def __init__(self, diags, wave, vanish=-1, at=0, twice=False, blow_up=-1):
-        self.diags, self.wave = diags, wave
-        self.vanish, self.at, self.twice, self.blow_up = vanish, at, twice, blow_up
-        self.waves_with_vanish = 0
-
-    def zero(self, probe, attempt, it):
-        return probe == self.vanish and it == self.at and (attempt == 1 or self.twice)
-
-    def __call__(self, lo):
-        hi = min(len(self.diags), lo + self.wave)
-        points, grads = np.empty((2, 2, hi - lo, self.diags.shape[1]))
-        self.waves_with_vanish += lo <= self.vanish < hi
-        attempt, its = self.waves_with_vanish, [0]
-
-        def gradients():
-            np.multiply(self.diags[lo:hi], points, out=grads)
-            for r in range(hi - lo):
-                if self.zero(lo + r, attempt, its[0]):
-                    grads[:, r] = 0.0
-                if lo + r == self.blow_up:
-                    grads[:, r] = np.inf
-            its[0] += 1
-            return grads
-
-        return hi, points, gradients
-
-    def oracle(self, x, iters, rng):
-        eigs = []
-        for p, d in enumerate(self.diags):
-            calls = [0]
-
-            def grad_fn(point, p=p, d=d):
-                # a vanishing probe's attempt 1 ends at iteration ``at``
-                k, calls[0] = calls[0], calls[0] + 1
-                attempt, it = (1, k // 2) if k // 2 <= self.at else (2, k // 2 - self.at - 1)
-                if self.zero(p, attempt, it):
-                    return np.zeros_like(point)
-                if p == self.blow_up:
-                    raise ValueError("diagnostic produced non-finite entries")
-                return d * point
-
-            eigs.append(hessian_oracle.top_hessian_eigenvalue_from_grad(grad_fn, x, iters, rng))
-        return eigs
-
-
 class TestLockstepPowerIteration:
     diags = np.linspace(0.5, 3.0, 4 * 9).reshape(4, 9) ** np.arange(1, 5)[:, None]
     x = np.linspace(-1.0, 1.0, 9)
 
-    def both(self, stack, checked=False):
+    def both(self, stack):
         """(engine result or error, generator state) and the oracle's."""
         results = []
         for run in (
-            lambda rng: analysis._power_iteration(stack, self.x, 4, 8, rng, checked),
+            lambda rng: analysis._power_iteration(stack, self.x, 4, 8, rng),
             lambda rng: stack.oracle(self.x, 8, rng),
         ):
             rng = np.random.default_rng(17)
@@ -503,7 +460,7 @@ class TestLockstepPowerIteration:
     @pytest.mark.parametrize("twice", [False, True])
     def test_errors_come_in_probe_order(self, wave, twice):
         stack = FakeStack(self.diags, wave, vanish=1, at=5, twice=twice, blow_up=2)
-        engine, oracle = self.both(stack, checked=True)
+        engine, oracle = self.both(stack)
         assert engine == oracle
         assert engine[0][0] is (RuntimeError if twice else ValueError)
 

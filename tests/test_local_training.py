@@ -712,7 +712,7 @@ class TestLockstep:
         x = np.stack([init_params(spec, g).values for g in range(6)])
 
         def train(steps):
-            kernel = model.Kernel(spec, datasets, x.copy())
+            kernel = model.Kernel(spec, datasets, x.copy(), local_training._step_rows(datasets, 4))
             batches = local_training._group_batches(datasets, 4, range(6))
             cached = []  # the kernel's cached run bindings after each step
             for _ in range(steps):

@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lss.model as model
 
 from conftest import finite_diff_grad, max_rel_err, perturbed, random_batch
 from lss.data import Dataset
 from lss.model import (
+    ACTIVATIONS,
     Kernel,
     MlpSpec,
     accuracy,
@@ -214,6 +217,13 @@ class TestEvaluate:
             assert loss == pytest.approx(np.log(spec.num_classes), abs=1e-12)
 
 
+def alone(spec, data, x, features, labels):
+    """The log-probabilities and gradient of one client's ``(n,
+    input_dim)`` batch at its weights ``x``, from a one-client kernel."""
+    kernel = Kernel(spec, [data], x[None].copy(), len(features))
+    return kernel([(0, features[None])], labels), kernel.grad[0]
+
+
 class TestKernel:
     def test_checks_once_and_writes_the_gradient_of_loss_and_grad(self):
         spec = MlpSpec(input_dim=5, hidden_dims=(6,), num_classes=4, activation="tanh")
@@ -221,19 +231,49 @@ class TestKernel:
         params = perturbed(init_params(spec, 3), rng, 0.5)
         data = random_batch(rng, spec, 30)
         with pytest.raises(ValueError, match="parameter vector has dim 5, spec needs"):
-            Kernel(spec, data, np.zeros(5))
+            Kernel(spec, [data], np.zeros((1, 5)), data.n)
+        with pytest.raises(ValueError, match=r"must be a \(G, D\) block, got shape \(64,\)"):
+            Kernel(spec, [data], params.values.copy(), data.n)
         with pytest.raises(ValueError, match="dataset has 4 features, spec expects 5"):
-            Kernel(spec, Dataset(np.zeros((2, 4)), [0, 1], 2), params.values)
-        kernel = Kernel(spec, data, params.values.copy())
+            xs = np.stack([params.values] * 2)
+            Kernel(spec, [data, Dataset(np.zeros((2, 4)), [0, 1], 2)], xs, data.n)
+        kernel = Kernel(spec, [data], params.values[None].copy(), data.n)
         loss, grad = loss_and_grad(params, spec, data)
-        log_probs = kernel([(0, data.features)], data.labels)
-        assert np.array_equal(kernel.grad, grad.values)
+        log_probs = kernel([(0, data.features[None])], data.labels)
+        assert np.array_equal(kernel.grad[0], grad.values)
         assert -log_probs[np.arange(data.n), data.labels].mean() == loss
         # The weights are read from ``x`` at each call.
         kernel.x[:] = 0.0
-        kernel([(0, data.features)], data.labels)
+        kernel([(0, data.features[None])], data.labels)
         zero = ParamVector(np.zeros(spec.param_count()))
-        assert np.array_equal(kernel.grad, loss_and_grad(zero, spec, data)[1].values)
+        assert np.array_equal(kernel.grad[0], loss_and_grad(zero, spec, data)[1].values)
+
+    def test_a_call_of_more_rows_than_it_holds_raises(self):
+        spec = MlpSpec(input_dim=5, hidden_dims=(6,), num_classes=4)
+        rng = np.random.default_rng(6)
+        data = random_batch(rng, spec, 30)
+        xs = np.stack([perturbed(init_params(spec, g), rng, 0.5).values for g in range(2)])
+        kernel = Kernel(spec, [data] * 2, xs, 40)
+        runs, labels = ragged_step(data, [(0, 1, 21), (1, 1, 20)])
+        with pytest.raises(ValueError, match="a call of 41 rows, but the kernel holds 40"):
+            kernel(runs, labels)
+        # The kernel still takes the calls that fit, with their bits alone.
+        for calls in ([(0, 2, 20)], [(1, 1, 20), (0, 1, 20)], [(0, 1, 7)]):
+            runs, labels = ragged_step(data, calls)
+            got, start = kernel(runs, labels), 0
+            for lo, features in runs:
+                for k, batch in enumerate(features):
+                    rows = slice(start, start + len(batch))
+                    want, grad = alone(spec, data, xs[lo + k], batch, labels[rows])
+                    assert np.array_equal(got[rows], want)
+                    assert np.array_equal(kernel.grad[lo + k], grad)
+                    start += len(batch)
+        # A kernel of no rows checks its inputs and takes no call.
+        with pytest.raises(ValueError, match="dataset has 4 features, spec expects 5"):
+            Kernel(spec, [Dataset(np.zeros((2, 4)), [0, 1], 2)], xs[:1], 0)
+        empty = Kernel(spec, [data], xs[:1], 0)
+        with pytest.raises(ValueError, match="a call of 1 rows, but the kernel holds 0"):
+            empty([(0, data.features[None, :1])], data.labels[:1])
 
 
 WORKSPACE_SPECS = [
@@ -255,52 +295,58 @@ def ragged_step(data, calls):
     return runs, np.concatenate(labels)
 
 
+def step_rows(steps):
+    """The rows of the largest of ``steps``, each a ``ragged_step`` list."""
+    return max(sum(g * n for _, g, n in calls) for calls in steps)
+
+
 @pytest.mark.parametrize("spec", WORKSPACE_SPECS, ids=["softmax", "relu", "tanh"])
 class TestKernelWorkspace:
     def test_a_reused_kernel_gives_the_bits_of_a_fresh_one(self, spec):
         rng = np.random.default_rng(11)
         data = random_batch(rng, spec, 64)
         x = perturbed(init_params(spec, 2), rng, 0.5).values
-        kernel = Kernel(spec, data, x.copy())
+        kernel = Kernel(spec, [data], x[None].copy(), 64)
         for lo, rows in ((0, 64), (30, 17), (0, 64), (5, 17)):
-            features, labels = data.features[lo : lo + rows], data.labels[lo : lo + rows]
-            fresh = Kernel(spec, data, x.copy())
+            features, labels = data.features[None, lo : lo + rows], data.labels[lo : lo + rows]
+            fresh = Kernel(spec, [data], x[None].copy(), rows)
             want = fresh([(0, features)], labels)
             assert np.array_equal(kernel([(0, features)], labels), want)
             assert np.array_equal(kernel.grad, fresh.grad)
         # stacked: three clients, each at its own weights and rows, in one
         # run or in runs of unequal batch size
         xs = np.stack([x, x[::-1].copy(), 0.5 * x])
-        kernel = Kernel(spec, [data] * 3, xs.copy())
-        for calls in ([(0, 3, 20)], [(0, 3, 9)], [(0, 1, 20), (1, 2, 9)], [(0, 3, 20)],
-                      [(2, 1, 5), (0, 2, 20)], [(0, 1, 20), (1, 2, 9)]):
+        steps = ([(0, 3, 20)], [(0, 3, 9)], [(0, 1, 20), (1, 2, 9)], [(0, 3, 20)],
+                 [(2, 1, 5), (0, 2, 20)], [(0, 1, 20), (1, 2, 9)])
+        kernel = Kernel(spec, [data] * 3, xs.copy(), step_rows(steps))
+        for calls in steps:
             runs, labels = ragged_step(data, calls)
-            fresh = Kernel(spec, [data] * 3, xs.copy())
+            fresh = Kernel(spec, [data] * 3, xs.copy(), labels.size)
             want = fresh(runs, labels)
             assert np.array_equal(kernel(runs, labels), want)
             assert np.array_equal(kernel.grad, fresh.grad)
             start = 0
             for (lo, features), (_, g, n) in zip(runs, calls):
                 for k in range(g):  # and each client's slice is its bits alone
-                    alone = Kernel(spec, data, xs[lo + k].copy())
                     rows = slice(start + k * n, start + (k + 1) * n)
-                    assert np.array_equal(want[rows], alone([(0, features[k])], labels[rows]))
-                    assert np.array_equal(fresh.grad[lo + k], alone.grad)
+                    log_probs, grad = alone(spec, data, xs[lo + k], features[k], labels[rows])
+                    assert np.array_equal(want[rows], log_probs)
+                    assert np.array_equal(fresh.grad[lo + k], grad)
                 start += g * n
 
     def test_a_call_on_a_row_range_writes_only_those_rows(self, spec):
         rng = np.random.default_rng(13)
         data = random_batch(rng, spec, 64)
         xs = np.stack([perturbed(init_params(spec, g), rng, 0.5).values for g in range(6)])
-        kernel = Kernel(spec, [data] * 6, xs.copy())
-        kernel.grad[:] = np.nan
         # One run, then runs of mixed batch size, on clients that are not
-        # adjacent or not in order; a step larger than the scratch so far,
-        # then smaller ones that view it; rows from the start, the middle
-        # and the end.
-        for calls in ([(1, 3, 20)], [(1, 2, 20), (4, 1, 9)], [(0, 1, 9)],
-                      [(0, 3, 20), (3, 2, 9), (5, 1, 31)], [(5, 1, 20), (2, 2, 9)],
-                      [(4, 2, 5), (0, 1, 20)], [(2, 1, 20), (5, 1, 20)]):
+        # adjacent or not in order; the largest step, then smaller ones that
+        # view its scratch; rows from the start, the middle and the end.
+        steps = ([(1, 3, 20)], [(1, 2, 20), (4, 1, 9)], [(0, 1, 9)],
+                 [(0, 3, 20), (3, 2, 9), (5, 1, 31)], [(5, 1, 20), (2, 2, 9)],
+                 [(4, 2, 5), (0, 1, 20)], [(2, 1, 20), (5, 1, 20)])
+        kernel = Kernel(spec, [data] * 6, xs.copy(), step_rows(steps))
+        kernel.grad[:] = np.nan
+        for calls in steps:
             before = kernel.grad.copy()
             runs, labels = ragged_step(data, calls)
             got = kernel(runs, labels)
@@ -308,10 +354,10 @@ class TestKernelWorkspace:
             start, written = 0, set()
             for (lo, features), (_, g, n) in zip(runs, calls):
                 for k in range(g):
-                    alone = Kernel(spec, data, xs[lo + k].copy())
                     rows = slice(start + k * n, start + (k + 1) * n)
-                    assert np.array_equal(got[rows], alone([(0, features[k])], labels[rows]))
-                    assert np.array_equal(kernel.grad[lo + k], alone.grad)
+                    log_probs, grad = alone(spec, data, xs[lo + k], features[k], labels[rows])
+                    assert np.array_equal(got[rows], log_probs)
+                    assert np.array_equal(kernel.grad[lo + k], grad)
                     written.add(lo + k)
                 start += g * n
             others = [r for r in range(6) if r not in written]
@@ -320,7 +366,7 @@ class TestKernelWorkspace:
     # Layers wide enough that a block of one batch, n rows of the narrowest
     # layer, outgrows numpy's own ufunc buffer (8192 floats), which the
     # broadcast bias add and the relu mask's cast still take at each call.
-    @pytest.mark.parametrize("case", ["flat", "stacked", "ragged"])
+    @pytest.mark.parametrize("case", ["single", "stacked", "ragged"])
     def test_a_repeated_call_allocates_no_batch_sized_block(self, spec, case):
         spec = MlpSpec(
             input_dim=5,
@@ -331,21 +377,17 @@ class TestKernelWorkspace:
         rng = np.random.default_rng(12)
         n = 96
         data = random_batch(rng, spec, n)
-        x = init_params(spec, 4).values
         # each case's step, then a smaller one: (lo, g, rows) for each run
         calls = {
-            "flat": ([(0, 1, n)], [(0, 1, n // 2)]),
+            "single": ([(0, 1, n)], [(0, 1, n // 2)]),
             "stacked": ([(0, 3, n)], [(0, 3, n // 2)]),
             "ragged": ([(0, 2, n), (2, 3, n // 2)], [(0, 1, n // 2), (3, 2, n // 4)]),
         }[case]
-        if case != "flat":
-            x = np.broadcast_to(x, (5, spec.param_count())).copy()
-        kernel = Kernel(spec, data, x)
+        clients = 1 if case == "single" else 5
+        x = np.broadcast_to(init_params(spec, 4).values, (clients, spec.param_count())).copy()
+        kernel = Kernel(spec, [data] * clients, x, step_rows(calls[:1]))
 
         def step(runs):
-            if case == "flat":
-                (_, _, rows), = runs
-                return [(0, data.features[:rows].copy())], data.labels[:rows].copy()
             features = [(lo, np.stack([data.features[:rows]] * g)) for lo, g, rows in runs]
             return features, np.concatenate([np.tile(data.labels[:rows], g) for _, g, rows in runs])
 
@@ -364,6 +406,58 @@ class TestKernelWorkspace:
             tracemalloc.stop()
         assert peak < block
         assert after < block
+
+
+@st.composite
+def ragged_steps(draw):
+    """Steps of ragged runs ``(lo, g, n)`` for one kernel: each step lays its
+    runs of g clients at batch size n out over consecutive clients from 0
+    and calls them in a drawn order."""
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 48)),
+                               min_size=1, max_size=4))
+        los = np.cumsum([0] + [g for g, _ in shapes[:-1]])
+        order = draw(st.permutations(range(len(shapes))))
+        steps.append([(int(los[i]), *shapes[i]) for i in order])
+    return steps
+
+
+# Classes on both sides of ``_ROW_MAX_CLASSES``, so that a step's rows take
+# the column row max or the reduce.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    steps=ragged_steps(),
+    hidden=st.sampled_from([(), (7,), (6, 5)]),
+    classes=st.sampled_from([2, 3, 10, 16, 17, 24]),
+    activation=st.sampled_from(ACTIVATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_kernel_gives_each_run_the_bits_of_loss_and_grad(
+    steps, hidden, classes, activation, seed
+):
+    spec = MlpSpec(input_dim=4, hidden_dims=hidden, num_classes=classes, activation=activation)
+    rng = np.random.default_rng(seed)
+    clients = max(lo + g for calls in steps for lo, g, _ in calls)
+    datasets = [random_batch(rng, spec, 48) for _ in range(clients)]
+    xs = np.stack([perturbed(init_params(spec, c), rng, 0.5).values for c in range(clients)])
+    kernel = Kernel(spec, datasets, xs, max(sum(g * n for _, g, n in calls) for calls in steps))
+    for calls in steps:
+        runs = [(lo, np.stack([datasets[lo + k].features[:n] for k in range(g)]))
+                for lo, g, n in calls]
+        labels = np.concatenate([datasets[lo + k].labels[:n] for lo, g, n in calls
+                                 for k in range(g)])
+        got, start = kernel(runs, labels), 0
+        for lo, g, n in calls:
+            for k in range(g):
+                client = datasets[lo + k]
+                batch = Dataset(client.features[:n], client.labels[:n], classes)
+                loss, grad = loss_and_grad(ParamVector(xs[lo + k]), spec, batch)
+                log_probs = got[start : start + n]
+                assert np.array_equal(kernel.grad[lo + k], grad.values)
+                assert np.array_equal(log_probs, alone(spec, batch, xs[lo + k], batch.features, batch.labels)[0])
+                assert -log_probs[np.arange(n), batch.labels].mean() == loss
+                start += n
 
 
 # A quiet NaN with a payload, and one with its sign bit set.
