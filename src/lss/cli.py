@@ -56,22 +56,22 @@ def _collect_diagnostics(cfg: ExperimentConfig, result: ExperimentResult) -> dic
         ),
     }
     client_datasets = [c.data for c in result.clients]
+    grads: list = []  # each client's full-batch gradient, taken by zeta for sigma
     if cfg.analysis.zeta:
         entries["zeta_hat"] = estimate_zeta(
-            result.final_model, result.spec, client_datasets
+            result.final_model, result.spec, client_datasets, grads
         )
     if cfg.analysis.sigma:
-        entries["sigma_hat"] = max(
-            estimate_sigma(
-                result.final_model,
-                result.spec,
-                d,
-                cfg.local.batch_size,
-                cfg.analysis.sigma_draws,
-                derive_seed(cfg.master_seed, "sigma", cid),
-            )
-            for cid, d in enumerate(client_datasets)
+        entries["sigma_hat"] = estimate_sigma(
+            result.final_model,
+            result.spec,
+            client_datasets,
+            cfg.local.batch_size,
+            cfg.analysis.sigma_draws,
+            [derive_seed(cfg.master_seed, "sigma", cid) for cid in range(len(client_datasets))],
+            full_grads=grads or None,
         )
+    del grads  # freed before the Hessian's buffers
     if cfg.analysis.hessian:
         entries["hessian_top_eigenvalue"] = hessian_top_eig(
             result.final_model,

@@ -30,7 +30,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,11 +134,13 @@ def warmup_pretrain(
     return fedprox_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
 
 
-def lockstep_workers(groups: int, dim: int) -> int:
-    """The threads that train a round's ``groups`` lockstep groups of
-    clients on ``dim`` weights: min(groups, usable cores // BLAS threads)
-    once ``dim`` reaches half of ``LOCKSTEP_FLOATS``, where every group is
-    one client, and 1 otherwise, which trains the groups one by one.
+def lockstep_workers(units: int, dim: int) -> int:
+    """The threads that run ``units`` independent units of work on ``dim``
+    weights at once: a round's lockstep groups of clients, sigma's clients
+    or the Hessian's probes (``lss.analysis``).  It is min(units, usable
+    cores // BLAS threads) once ``dim`` reaches half of
+    ``LOCKSTEP_FLOATS``, where every group is one client, and 1 otherwise,
+    which runs the units one by one in the calling thread.
 
     A narrower client's step is mostly small ops that hold the GIL: on two
     threads, single-client LSS groups at D = 13,354 trained slower (4-client
@@ -148,9 +150,9 @@ def lockstep_workers(groups: int, dim: int) -> int:
     0.28-0.33 s).  The BLAS threads are read from
     ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``; with neither set
     BLAS takes every core, and threaded groups made ``fedprox-wide`` rounds
-    slower (0.52-0.60 s against 0.72-0.99 s), so the groups train one by
+    slower (0.52-0.60 s against 0.72-0.99 s), so the units run one by
     one."""
-    if groups < 2 or dim < LOCKSTEP_FLOATS // 2:
+    if units < 2 or dim < LOCKSTEP_FLOATS // 2:
         return 1
     pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     try:
@@ -160,25 +162,49 @@ def lockstep_workers(groups: int, dim: int) -> int:
     if blas < 1:  # 0 leaves BLAS its default, every core
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(groups, (cores or 1) // blas))
+    return max(1, min(units, (cores or 1) // blas))
 
 
 class _Worker(threading.Thread):
-    """A started thread running one group's step loop; ``failure`` is what
-    the loop raised, if anything."""
+    """A started thread running one unit of work: a lockstep group's step
+    loop, a sigma client's draws or a Hessian probe.  ``outcome()`` joins
+    it, then returns what the unit returned or raises what it raised."""
 
-    def __init__(self, train):
-        super().__init__(name="lss-lockstep-group")
-        self._train, self.failure = train, None
+    def __init__(self, work):
+        super().__init__(name="lss-lockstep-unit")
+        self._work, self._result, self._failure = work, None, None
         self.start()
 
     def run(self) -> None:
         try:
-            self._train()
+            self._result = self._work()
         except BaseException as exc:  # re-raised by the dispatching thread
-            self.failure = exc
+            self._failure = exc
         finally:
-            del self._train  # frees the group's buffers but for its pools
+            del self._work  # frees the unit's buffers but for what it returned
+
+    def outcome(self):
+        self.join()
+        if self._failure is not None:
+            raise self._failure
+        return self._result
+
+
+def run_at_once(units: Sequence[Callable[[], object]]) -> list:
+    """What each of ``units`` returns, in order, each run on a thread of its
+    own, all at once; a lone unit runs in this thread.  The caller allocates
+    the units' buffers.  A unit that raised raises its error, the first in
+    unit order, once every thread started here has been joined."""
+    if len(units) == 1:
+        return [units[0]()]
+    workers: list[_Worker] = []
+    try:
+        for unit in units:
+            workers.append(_Worker(unit))
+        return [worker.outcome() for worker in workers]
+    finally:
+        for worker in workers:
+            worker.join()
 
 
 def train_clients(
@@ -219,9 +245,7 @@ def train_clients(
 
     def finish(group: list[int], pools: np.ndarray, worker: _Worker | None) -> None:
         if worker is not None:
-            worker.join()
-            if worker.failure is not None:
-                raise worker.failure
+            worker.outcome()
         if soup:
             for j, i in enumerate(group):
                 uploads[i] = lss_local_train(

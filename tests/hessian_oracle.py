@@ -6,9 +6,12 @@ this oracle as its one-probe reference."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
+
+from lss import analysis
 
 
 def _fd_hvp(
@@ -51,8 +54,9 @@ def top_hessian_eigenvalue_from_grad(
 
 
 class FakeStack:
-    """Stacked gradients ``diags[p] * point`` of quadratic probes for
-    ``analysis._power_iteration``, and their one-probe oracle.  Probe
+    """Waves of quadratic probes for ``analysis._power_iteration``, run in
+    lockstep (``analysis._lockstep``) on the stacked gradients ``diags[p]
+    * point``, and their one-probe oracle.  Probe
     ``vanish`` gets a zero gradient at iteration ``at`` of its first
     attempt, or of every attempt with ``twice``; probe ``blow_up`` gets an
     infinite one at iteration 0."""
@@ -81,7 +85,7 @@ class FakeStack:
             its[0] += 1
             return grads
 
-        return hi, points, gradients
+        return hi, partial(analysis._lockstep, points, gradients)
 
     def oracle(self, x, iters, rng):
         eigs = []

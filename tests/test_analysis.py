@@ -268,28 +268,28 @@ class TestEstimateSigma:
         data = gen_blobs(3, 20, 4, 0.8, seed=3)
         spec = MlpSpec(input_dim=4, hidden_dims=(), num_classes=3)
         params = init_params(spec, 0)
-        assert estimate_sigma(params, spec, data, batch_size=data.n, num_draws=4, seed=0) == 0.0
+        assert estimate_sigma(params, spec, [data], data.n, num_draws=4, seeds=[0]) == 0.0
 
     def test_identical_samples_have_no_noise(self):
         row = np.ones(4)
         data = Dataset(np.vstack([row] * 12), np.zeros(12, dtype=int) + 1, 2)
         spec = MlpSpec(input_dim=4, hidden_dims=(), num_classes=2)
         params = init_params(spec, 0)
-        assert estimate_sigma(params, spec, data, batch_size=4, num_draws=8, seed=1) < 1e-10
+        assert estimate_sigma(params, spec, [data], batch_size=4, num_draws=8, seeds=[1]) < 1e-10
 
     def test_frozen_fixture_value(self):
         # golden value from the first audited run of this estimator
         data = gen_blobs(4, 50, 6, 1.0, seed=9)
         spec = MlpSpec(input_dim=6, hidden_dims=(), num_classes=4)
         params = init_params(spec, 2)
-        value = estimate_sigma(params, spec, data, batch_size=16, num_draws=64, seed=77)
+        value = estimate_sigma(params, spec, [data], batch_size=16, num_draws=64, seeds=[77])
         assert value == pytest.approx(1.0147924799982897, rel=1e-12)
 
     def test_too_few_draws(self):
         data = gen_blobs(2, 5, 3, 0.8, seed=0)
         spec = MlpSpec(input_dim=3, hidden_dims=(), num_classes=2)
         with pytest.raises(ValueError):
-            estimate_sigma(init_params(spec, 0), spec, data, batch_size=2, num_draws=1, seed=0)
+            estimate_sigma(init_params(spec, 0), spec, [data], batch_size=2, num_draws=1, seeds=[0])
 
 
 class TestBvcl:

@@ -146,6 +146,19 @@ class TestRun:
         assert main(["run", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: local.eta: is given twice\n"
 
+    def test_sigma_takes_its_own_gradients_when_zeta_is_off(self, tmp_path):
+        cfg = write_smoke(tmp_path)
+        alone = f"output.dir={tmp_path / 'alone'}"
+        assert main(["run", str(cfg)]) == 0
+        assert main(["run", str(cfg), "-s", "analysis.zeta=false", "-s", alone]) == 0
+
+        def sigma(out):
+            lines = (tmp_path / out / "diagnostics.txt").read_text().splitlines()
+            return [line for line in lines if line.startswith(("sigma_hat:", "zeta_hat:"))]
+
+        with_zeta, without = sigma("run1"), sigma("alone")
+        assert len(with_zeta) == 2 and without == with_zeta[1:]
+
     def test_failed_diagnostics_replace_no_artifact(self, tmp_path, monkeypatch):
         cfg = write_smoke(tmp_path)
         assert main(["run", str(cfg)]) == 0
@@ -155,13 +168,18 @@ class TestRun:
             "config.yaml", "rounds.csv", "final.lssw", "diagnostics.txt", "partition.txt"
         }
 
-        def failing(*args, **kwargs):
+        calls = []
+
+        def failing(params, spec, datasets, batch_size, num_draws, seeds, full_grads=None):
+            calls.append((len(datasets), len(seeds), len(full_grads)))
             raise ValueError("diagnostic produced non-finite entries")
 
         monkeypatch.setattr(cli, "estimate_sigma", failing)
         # A different step size: every artifact of the rerun would differ.
         assert main(["run", str(cfg), "-s", "local.eta=0.07"]) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        # One call for both clients, with zeta's gradients.
+        assert calls == [(2, 2, 2)]
 
     def test_overrides_change_resolved_snapshot(self, tmp_path):
         cfg = write_smoke(tmp_path)

@@ -10,6 +10,8 @@ minibatch draws in lockstep waves."""
 from __future__ import annotations
 
 import math
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -18,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessian_oracle import top_hessian_eigenvalue_from_grad
-from lss import analysis, model as model_module
+from lss import analysis, federation, model as model_module
 from lss.analysis import estimate_sigma, estimate_zeta, hessian_top_eig
-from lss.data import gen_blobs
+from lss.data import Dataset, gen_blobs
 from lss.federation import data_proportional_weights
 from lss.model import MlpSpec, init_params, loss_and_grad
 from lss.params import ParamVector, weighted_average
@@ -96,7 +98,7 @@ class TestMatchesReference:
     def test_sigma(self, name, n, batch_size, blobs):
         spec, params = model(name)
         data = blobs.subset(np.arange(n))
-        got = estimate_sigma(params, spec, data, batch_size, num_draws=9, seed=5)
+        got = estimate_sigma(params, spec, [data], batch_size, num_draws=9, seeds=[5])
         want = reference_sigma(params, spec, data, batch_size, 9, 5)
         same_float(got, want)
         assert (want == 0.0) == (batch_size >= n)
@@ -106,6 +108,37 @@ class TestMatchesReference:
         order = np.random.default_rng(1).permutation(blobs.n)
         clients = [blobs.subset(order[lo:hi]) for lo, hi in ((0, 5), (5, 69), (69, 150))]
         same_float(estimate_zeta(params, spec, clients), reference_zeta(params, spec, clients))
+
+    # A client within one batch (5 samples) has no noise; zeta's gradients,
+    # handed to sigma, are the ones sigma takes itself.
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_sigma_of_several_clients_is_the_max_with_or_without_zeta_gradients(
+        self, name, batch_size, blobs
+    ):
+        spec, params = model(name)
+        order = np.random.default_rng(2).permutation(blobs.n)
+        clients = [blobs.subset(order[lo:hi]) for lo, hi in ((0, 5), (5, 90), (90, 150))]
+        seeds = [5, 6, 7]
+        want = max(
+            reference_sigma(params, spec, c, batch_size, 9, s) for c, s in zip(clients, seeds)
+        )
+        same_float(estimate_sigma(params, spec, clients, batch_size, 9, seeds), want)
+        grads = []
+        estimate_zeta(params, spec, clients, grads)
+        assert len(grads) == 3
+        for client, grad in zip(clients, grads):
+            assert np.array_equal(grad, loss_and_grad(params, spec, client)[1].values)
+        same_float(estimate_sigma(params, spec, clients, batch_size, 9, seeds, grads), want)
+
+
+def test_sigma_rejects_clients_it_cannot_pair(blobs):
+    spec, params = model("softmax")
+    with pytest.raises(ValueError, match="^estimate_sigma: no client datasets$"):
+        estimate_sigma(params, spec, [], 16, num_draws=4, seeds=[])
+    with pytest.raises(ValueError, match="^1 seeds for 2 clients$"):
+        estimate_sigma(params, spec, [blobs, blobs], 16, num_draws=4, seeds=[0])
+    with pytest.raises(ValueError, match="^1 full gradients for 2 clients$"):
+        estimate_sigma(params, spec, [blobs, blobs], 16, 4, [0, 1], [np.zeros(params.dim)])
 
 
 @pytest.mark.parametrize("batch_size", [0, -5])
@@ -119,7 +152,7 @@ def test_hessian_rejects_non_positive_batch_size(batch_size, blobs):
 def test_sigma_rejects_non_positive_batch_size(batch_size, blobs):
     spec, params = model("softmax")
     with pytest.raises(ValueError, match="batch_size"):
-        estimate_sigma(params, spec, blobs, batch_size, num_draws=4, seed=0)
+        estimate_sigma(params, spec, [blobs], batch_size, num_draws=4, seeds=[0])
 
 
 # Weights this large overflow the relu network's logits.  Each estimator
@@ -129,7 +162,9 @@ def test_sigma_rejects_non_positive_batch_size(batch_size, blobs):
     "estimate",
     [
         lambda p, s, d: estimate_zeta(p, s, [d.subset(np.arange(70)), d]),
-        lambda p, s, d: estimate_sigma(p, s, d, 16, num_draws=4, seed=0),
+        lambda p, s, d: estimate_sigma(
+            p, s, [d.subset(np.arange(70)), d], 16, num_draws=4, seeds=[0, 1]
+        ),
         lambda p, s, d: hessian_top_eig(p, s, d, iters=3, seed=0, batch_size=64),
     ],
     ids=["zeta", "sigma", "hessian"],
@@ -194,7 +229,7 @@ class TestLockstepSigma:
         want = reference_sigma(params, spec, blobs, batch_size, 9, 5)
         force_wave(monkeypatch, wave)
         shapes = spy_backprop(monkeypatch)
-        same_float(estimate_sigma(params, spec, blobs, batch_size, num_draws=9, seed=5), want)
+        same_float(estimate_sigma(params, spec, [blobs], batch_size, num_draws=9, seeds=[5]), want)
         width = min(9, wave or 9)
         assert len(shapes) == 1 + math.ceil(9 / width)  # the full gradient, then the waves
         assert shapes[0] == (1, blobs.n, spec.input_dim)
@@ -208,7 +243,8 @@ class TestLockstepSigma:
         shapes = spy_backprop(monkeypatch)
         client = blobs.subset(np.arange(23))
         for batch_size in (23, 64):
-            same_float(estimate_sigma(params, spec, client, batch_size, num_draws=9, seed=5), 0.0)
+            got = estimate_sigma(params, spec, [client], batch_size, num_draws=9, seeds=[5])
+            same_float(got, 0.0)
         assert shapes == []
 
     # As in test_overflowing_params_raise_value_error: the relu network's
@@ -218,7 +254,7 @@ class TestLockstepSigma:
         force_wave(monkeypatch, wave)
         huge = ParamVector(params.values * 1e200)
         with pytest.raises(ValueError, match="non-finite entries"):
-            estimate_sigma(huge, spec, blobs, 16, num_draws=9, seed=0)
+            estimate_sigma(huge, spec, [blobs], 16, num_draws=9, seeds=[0])
 
     # Every hidden unit is off, so the logits are 0, but a label-0 row's
     # hidden delta, (softmax - onehot) / n through these output weights,
@@ -235,7 +271,7 @@ class TestLockstepSigma:
         assert np.isfinite(loss_and_grad(params, spec, blobs)[1].values).all()
         force_wave(monkeypatch, wave)
         with pytest.raises(ValueError, match="non-finite entries"):
-            estimate_sigma(params, spec, blobs, 1, num_draws=9, seed=0)
+            estimate_sigma(params, spec, [blobs], 1, num_draws=9, seeds=[0])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -258,5 +294,236 @@ def test_lockstep_sigma_matches_the_oracle_on_drawn_shapes(
     client = blobs.subset(rng.permutation(blobs.n)[:n])
     want = reference_sigma(params, spec, client, batch_size, num_draws, seed)
     with mock.patch.object(analysis, "_wave_size", lambda spec, vectors, rows: wave):
-        got = estimate_sigma(params, spec, client, batch_size, num_draws, seed)
+        got = estimate_sigma(params, spec, [client], batch_size, num_draws, [seed])
     same_float(got, want)
+
+
+class TestLockstepThreadedEstimators:
+    """On a model of 65,536 weights or more, sigma's clients and the
+    Hessian's probes run ``federation.lockstep_workers`` at once, each on a
+    thread of its own, inside the one estimator call.  Every float is the
+    serial one, a failure is the serial one, and no thread outlives the
+    call."""
+
+    SPEC = MlpSpec(input_dim=16, hidden_dims=(256, 256), num_classes=3)  # D = 70,915
+    # Client sizes about a batch of 16: one within it, and ragged epoch tails.
+    SIZES = (23, 9, 40, 28)
+
+    @classmethod
+    def wide_case(cls):
+        spec = cls.SPEC
+        assert spec.param_count() >= federation.LOCKSTEP_FLOATS // 2
+        rng = np.random.default_rng(3)
+        params = ParamVector(
+            init_params(spec, 7).values + 0.05 * rng.standard_normal(spec.param_count())
+        )
+        data = Dataset(rng.standard_normal((100, 16)), rng.integers(0, 3, 100), 3)
+        cuts = np.cumsum((0,) + cls.SIZES)
+        clients = [data.subset(np.arange(a, b)) for a, b in zip(cuts, cuts[1:])]
+        return spec, params, data, clients
+
+    @staticmethod
+    def force_workers(monkeypatch, workers):
+        """Forces W threads; returns the list of workers started."""
+        monkeypatch.setattr(analysis, "lockstep_workers", lambda units, dim: min(units, workers))
+        return spy_workers(monkeypatch)
+
+    @staticmethod
+    def chunks(data, seed, batch_size):
+        """The Hessian's batches, in probe order, as ``hessian_top_eig`` cuts them."""
+        order = np.random.default_rng(seed).permutation(data.n)
+        return np.array_split(order, math.ceil(data.n / batch_size))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_worker_count_gives_the_serial_floats(self, monkeypatch, workers):
+        spec, params, data, clients = self.wide_case()
+        seeds = [11, 12, 13, 14]
+        sigma = max(reference_sigma(params, spec, c, 16, 5, s) for c, s in zip(clients, seeds))
+        hessian = reference_hessian(params, spec, data, 4, 3, 16)
+        started = self.force_workers(monkeypatch, workers)
+        # ``loss_and_grad`` is a name the traced benchmark wraps: only this
+        # thread may call it.
+        callers = []
+        full = analysis.loss_and_grad
+        monkeypatch.setattr(
+            analysis, "loss_and_grad",
+            lambda *a: (callers.append(threading.current_thread()), full(*a))[1],
+        )
+        threads = threading.active_count()
+        same_float(estimate_sigma(params, spec, clients, 16, 5, seeds), sigma)
+        grads = []
+        estimate_zeta(params, spec, clients, grads)
+        same_float(estimate_sigma(params, spec, clients, 16, 5, seeds, grads), sigma)
+        same_float(hessian_top_eig(params, spec, data, iters=4, seed=3, batch_size=16), hessian)
+        assert threading.active_count() == threads
+        assert set(callers) == {threading.main_thread()}
+        # A lone unit of a wave runs in this thread.  Sigma's waves of clients
+        # are 0-1 and 2-3 at W = 2, 0-2 and 3 at W = 3, and client 1 is within
+        # one batch: two threads a call.  The Hessian's 7 probes take a thread
+        # each but the last.
+        assert len(started) == (0 if workers == 1 else 2 * 2 + 6)
+        assert not any(worker.is_alive() for worker in started)
+
+    @staticmethod
+    def inject(monkeypatch, data, chunks, faults):
+        """Sets the gradient of probe p to ``value`` at its iteration ``it``,
+        for each ``(p, it, value)`` of ``faults``; a probe's iterations are
+        counted over its start vectors, at each of its points, in every
+        kernel call (the oracle's included)."""
+        backprop = model_module._backprop
+        firsts = [data.features[chunk[0]] for chunk in chunks]
+        points = [0] * len(chunks)
+
+        def faulty(spec, runs, labels, block):
+            log_probs = backprop(spec, runs, labels, block)
+            for run, features in runs:
+                probe = next(p for p, row in enumerate(firsts) if (features[0, 0] == row).all())
+                it = points[probe] // 2
+                points[probe] += len(features)  # the + and - points of an iteration
+                for p, at, value in faults:
+                    if (p, at) == (probe, it):
+                        for gw, gb in run.grads:
+                            gw[...], gb[...] = value, value
+            return log_probs
+
+        monkeypatch.setattr(model_module, "_backprop", faulty)
+
+    def hessian_outcome(self, monkeypatch, workers, faults):
+        """The Hessian's value or error with ``faults`` injected, at W
+        workers (the sequential oracle for None), and the threads it started."""
+        spec, params, data, _ = self.wide_case()
+        started = self.force_workers(monkeypatch, workers or 1)
+        self.inject(monkeypatch, data, self.chunks(data, 3, 16), faults)
+        threads = threading.active_count()
+        try:
+            if workers is None:
+                got = reference_hessian(params, spec, data, 6, 3, 16).hex()
+            else:
+                got = hessian_top_eig(params, spec, data, iters=6, seed=3, batch_size=16).hex()
+        except (RuntimeError, ValueError) as err:
+            got = (type(err), str(err))
+        assert threading.active_count() == threads
+        assert not any(worker.is_alive() for worker in started)
+        monkeypatch.undo()
+        return got, started
+
+    # Probe 0 vanishes at iteration 2 while probe 1 (and 2, at W = 3) runs;
+    # a second vanishing raises.
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
+    def test_a_probe_that_degenerates_while_a_later_one_runs_is_reseeded_as_alone(
+        self, monkeypatch, workers, twice
+    ):
+        faults = [(0, 2, 0.0)] + ([(0, 3 + 2, 0.0)] if twice else [])
+        oracle, _ = self.hessian_outcome(monkeypatch, None, faults)
+        serial, _ = self.hessian_outcome(monkeypatch, 1, faults)
+        threaded, started = self.hessian_outcome(monkeypatch, workers, faults)
+        assert threaded == serial == oracle
+        assert len(started) >= workers
+        if twice:
+            assert oracle == (
+                RuntimeError, "power iteration degenerate: Hessian-vector product vanished"
+            )
+        else:
+            # the reseed draws other start vectors for probe 0 and every later one
+            assert oracle != self.hessian_outcome(monkeypatch, None, [])[0]
+
+    # Probe 2's gradient is infinite at iteration 0; probe 1 vanishes at
+    # iteration 3, once or twice.  The error of the first probe to fail
+    # alone is raised, after the probes in flight are joined.  (The oracle
+    # names a non-finite gradient in the words of ``ParamVector``.)
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
+    def test_a_non_finite_probe_raises_the_serial_error(self, monkeypatch, workers, twice):
+        faults = [(2, 0, np.inf), (1, 3, 0.0)] + ([(1, 4 + 3, 0.0)] if twice else [])
+        oracle, _ = self.hessian_outcome(monkeypatch, None, faults)
+        serial, _ = self.hessian_outcome(monkeypatch, 1, faults)
+        threaded, _ = self.hessian_outcome(monkeypatch, workers, faults)
+        assert threaded == serial
+        assert serial[0] is oracle[0] is (RuntimeError if twice else ValueError)
+        if not twice:
+            assert serial[1] == "diagnostic produced non-finite entries"
+
+    # Client 0 draws no label-0 row and client 1 does: with every hidden unit
+    # off, a label-0 draw of one row overflows its hidden delta (see
+    # test_a_draw_that_overflows_alone_raises), a full batch does not.
+    # Client 2 has the wrong width, which its kernel rejects before any draw.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_non_finite_client_raises_the_serial_error(self, monkeypatch, workers):
+        spec = self.SPEC
+        x = np.zeros(spec.param_count())
+        (_, b1), (_, b2), (w3, _) = model_module._unpack(x, spec)
+        b1[:], b2[:] = -1.0, -1.0
+        w3[:] = 1.7e308
+        w3[:, 0] = -1.7e308
+        params = ParamVector(x)
+        rng = np.random.default_rng(4)
+        safe = Dataset(rng.standard_normal((20, 16)), rng.integers(1, 3, 20), 3)
+        risky = Dataset(rng.standard_normal((20, 16)), np.arange(20) % 3, 3)
+        narrow = Dataset(rng.standard_normal((20, 5)), np.arange(20) % 3, 3)
+        assert np.isfinite(loss_and_grad(params, spec, risky)[1].values).all()
+        started = self.force_workers(monkeypatch, workers)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^diagnostic produced non-finite entries$"):
+            estimate_sigma(params, spec, [safe, risky, narrow], 1, 9, [0, 1, 2])
+        with pytest.raises(ValueError, match="^dataset has 5 features, spec expects 16$"):
+            estimate_sigma(params, spec, [safe, narrow, risky], 1, 9, [0, 1, 2])
+        assert threading.active_count() == threads
+        assert (started == []) == (workers == 1)
+        assert not any(worker.is_alive() for worker in started)
+
+    # Client 0 fails late and client 1 at once: client 0's error is raised,
+    # once client 1's thread is joined.
+    def test_the_first_failure_in_client_order_is_raised_after_every_join(self, monkeypatch):
+        spec, params, _, clients = self.wide_case()
+        started = self.force_workers(monkeypatch, 3)
+        draws = analysis._sigma_draws
+        order = {id(c): i for i, c in enumerate(clients)}
+
+        def failing(kernel, data, *args):
+            index = order[id(data)]
+            if index == 0:
+                time.sleep(0.05)
+            if index in (0, 2):
+                raise ValueError(f"client {index} failed")
+            return draws(kernel, data, *args)
+
+        monkeypatch.setattr(analysis, "_sigma_draws", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^client 0 failed$"):
+            estimate_sigma(params, spec, clients, 16, 5, [1, 2, 3, 4])
+        assert threading.active_count() == threads
+        # The first wave's clients over a batch, 0 and 2; none after it.
+        assert len(started) == 2
+        assert not any(worker.is_alive() for worker in started)
+
+    def test_only_a_wide_model_with_blas_pinned_starts_threads(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1})
+        wide, params, data, clients = self.wide_case()
+        narrow = MlpSpec(input_dim=16, hidden_dims=(64,), num_classes=3)
+        assert federation.lockstep_workers(4, narrow.param_count()) == 1
+        started = spy_workers(monkeypatch)
+        for spec, x, threads in ((narrow, init_params(narrow, 1), 0), (wide, params, 2 + 6)):
+            estimate_sigma(x, spec, clients, 16, 5, [1, 2, 3, 4])
+            hessian_top_eig(x, spec, data, iters=2, seed=0, batch_size=16)
+            # sigma: clients 2 and 3 (client 1 is within a batch, so client 0
+            # runs alone in this thread); the Hessian: its 7 probes but the last
+            assert len(started) == threads
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        estimate_sigma(params, wide, clients, 16, 5, [1, 2, 3, 4])
+        hessian_top_eig(params, wide, data, iters=2, seed=0, batch_size=16)
+        assert len(started) == 8  # BLAS unpinned: serial
+
+
+def spy_workers(monkeypatch) -> list:
+    """The worker threads started from now on, in order."""
+    started = []
+
+    class Worker(federation._Worker):
+        def __init__(self, work):
+            started.append(self)
+            super().__init__(work)
+
+    monkeypatch.setattr(federation, "_Worker", Worker)
+    return started

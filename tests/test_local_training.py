@@ -3,9 +3,12 @@ import itertools
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lss.federation as federation
 import lss.local_training as local_training
@@ -29,7 +32,7 @@ from lss.local_training import (
     train_group,
 )
 from lss.federation import train_clients
-from lss.model import MlpSpec, init_params, loss_and_grad
+from lss.model import MlpSpec, accuracy, init_params, loss_and_grad
 from lss.params import ParamVector, axpy, l2_distance, uniform_average
 
 
@@ -848,3 +851,56 @@ class TestLockstep:
                 train_clients("lss", anchor, spec, datasets, LocalConfig(), seeds)
         with pytest.raises(ValueError, match="2 seeds for 1 clients"):
             train_clients("fedavg", anchor, spec, datasets[:1], LocalConfig(), [1, 2])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 24), min_size=1, max_size=6),  # 1 to 3 batches of 8
+    per_group=st.integers(1, 6),
+    strategy=st.sampled_from(["lss", "fedprox", "fedavg"]),
+    members=st.integers(1, 3),
+    tau=st.integers(1, 3),
+    lambda_a=st.sampled_from([0.0, 0.7]),
+    lambda_d=st.sampled_from([0.0, 0.4]),
+    mu_prox=st.sampled_from([0.0, 0.3]),
+    coeff_mode=st.sampled_from(COEFF_MODES),
+    activation=st.sampled_from(["relu", "tanh"]),
+    hidden=st.sampled_from([(), (3,), (4, 3)]),
+    classes=st.sampled_from([3, 17]),
+)
+def test_lockstep_rounds_give_each_client_its_bits_alone_on_drawn_shapes(
+    sizes, per_group, strategy, members, tau, lambda_a, lambda_d, mu_prox, coeff_mode,
+    activation, hidden, classes,
+):
+    """A round under a drawn float budget, so that the lockstep groups and
+    the scoring chunks are cut anywhere: each client's upload is the one it
+    gets alone, and each score and update norm is the one of ``accuracy``
+    and ``l2_distance`` on the upload alone."""
+    spec = MlpSpec(input_dim=4, hidden_dims=hidden, num_classes=classes, activation=activation)
+    anchor = perturbed(init_params(spec, 1), np.random.default_rng(2), 0.3)
+    cfg = LocalConfig(
+        eta=0.2, tau=tau, batch_size=8, lambda_a=lambda_a, lambda_d=lambda_d,
+        num_pool_models=members, mu_prox=mu_prox, coeff_mode=coeff_mode,
+    )
+    datasets = lockstep_clients(spec, sizes)
+    clients = [federation.ClientState(i, d) for i, d in enumerate(datasets)]
+    eval_data = lockstep_clients(spec, [11], seed=6)[0]
+    pool = members if strategy == "lss" else 1
+    # room for ``per_group`` clients (see ``_clients_per_group``)
+    budget = per_group * (pool + 4) * anchor.dim
+    with (
+        mock.patch.object(local_training, "LOCKSTEP_FLOATS", budget),
+        mock.patch.object(federation, "LOCKSTEP_FLOATS", budget),
+    ):
+        groups = lockstep_groups(datasets, anchor.dim, pool)
+        _, record, finals = federation.run_round(
+            anchor, clients, spec, cfg, strategy, 1, 13, eval_data
+        )
+    assert len(groups) == -(-len(sizes) // per_group)
+    for i, (data, final) in enumerate(zip(datasets, finals, strict=True)):
+        _, want = alone(strategy, anchor, spec, data, cfg, federation.derive_seed(13, i))
+        assert np.array_equal(final.values, want.values)
+    assert record.per_client_pre_agg_accuracy == tuple(
+        accuracy(f, spec, eval_data) for f in finals
+    )
+    assert record.per_client_update_norm == tuple(l2_distance(f, anchor) for f in finals)
