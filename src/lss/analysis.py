@@ -12,10 +12,11 @@ call, in lockstep waves under one float budget: sigma makes one kernel
 call per wave of a client's minibatch draws, and the Hessian one stacked
 call per power iteration of a wave of batches, whose probes run through
 one power iteration (``_power_iteration``).  On a wide model with BLAS
-pinned, sigma's clients and the Hessian's probes run
-``federation.lockstep_workers`` at once, one per thread, inside the one
-estimator call; the calling thread allocates every buffer, and the
-floats, reseeds and errors are those of running them one by one.
+pinned, sigma's clients (through ``local_training.run_in_waves``) and the
+Hessian's probes run ``local_training.lockstep_workers`` at once, one per
+thread, inside the one estimator call; the calling thread allocates every
+buffer, and the floats, reseeds and errors are those of running them one
+by one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .federation import data_proportional_weights, lockstep_workers, run_at_once
+from .federation import data_proportional_weights
+from .local_training import lockstep_workers, run_at_once, run_in_waves
 from .model import Kernel, MlpSpec, loss_and_grad, predict_proba
 from .params import ParamVector, l2_distance, uniform_average, weighted_average
 
@@ -221,12 +223,11 @@ def estimate_sigma(
     draw order, so a client's noise is the float of taking its draws one at
     a time.
 
-    The clients run in waves of ``federation.lockstep_workers`` clients,
-    each on a thread of its own (one by one in this thread for a narrow
-    model, or with BLAS unpinned).  This thread allocates every buffer of a
-    wave, client by client, before its draws start; a failing client raises
-    its error, the first in client order, once the wave's threads have been
-    joined."""
+    The clients run in waves of ``lockstep_workers`` (``run_in_waves``),
+    each on a thread of its own for a wide model with BLAS pinned.  This
+    thread allocates every buffer, client by client, before the wave's
+    draws start; a failing client raises the first error in client order,
+    once the wave's threads have been joined."""
     if num_draws < 2:
         raise ValueError(f"num_draws must be >= 2, got {num_draws}")
     if batch_size < 1:
@@ -260,26 +261,12 @@ def estimate_sigma(
         labels = np.empty((wave, batch_size), dtype=data.labels.dtype)
         return partial(_sigma_draws, kernel, data, draws, features, labels, full_grad)
 
-    clients = len(client_datasets)
-    workers = lockstep_workers(clients, params.dim)
-    noise = []
-    for lo in range(0, clients, workers):
-        units, failure = [], None
-        for i in range(lo, min(lo + workers, clients)):
-            try:
-                unit = prepare(i)
-            except Exception as exc:  # raised once the clients before it have run
-                failure = exc
-                break
-            if unit is None:
-                noise.append(0.0)
-            else:
-                units.append(unit)
-        noise += run_at_once(units)
-        units = unit = None  # the wave's buffers go before the next wave's
-        if failure is not None:
-            raise failure
-    return max(noise)
+    noise: list[float] = []  # a client within one batch has none
+    run_in_waves(
+        [partial(prepare, i) for i in range(len(client_datasets))],
+        lockstep_workers(len(client_datasets), params.dim), noise.append,
+    )
+    return max(noise, default=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -529,9 +516,9 @@ def hessian_top_eig(
     The batches' probes run in lockstep waves of equal-size batches, up to
     ``WAVE_FLOATS``: one kernel call per iteration on the stacked
     points of a wave, with the eigenvalues of probing batch by batch.  A
-    wide model's probes instead run in waves of ``federation.lockstep_workers``
-    probes at once, each on a thread and a one-point kernel of its own,
-    which this thread allocates, with the same eigenvalues."""
+    wide model's probes instead run ``lockstep_workers`` at once, each on a
+    thread and a one-point kernel of its own, which this thread allocates,
+    with the same eigenvalues."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if batch_size < 1:

@@ -3,45 +3,41 @@
 Each round every client trains from a copy of the current global model
 using the chosen strategy, and the server forms the new global model as
 the average of the uploads weighted by each client's sample count, as in
-FedAvg.  The round's clients train through one call
-(``train_clients``): every client trains in a lockstep group, whatever its
-size, in as few groups as ``local_training.LOCKSTEP_FLOATS`` allows, and
-each group through the step loop of one ``prepare_group`` call.  Clients
-whose weight vectors hold half of that budget or more train one per
-group, and with BLAS pinned, their groups train on the free cores at once
-(``lockstep_workers``); the calling thread still prepares each group and
-forms its uploads, in group order.  The uploads are the rows of one
+FedAvg.  The round's clients train through one call (``train_clients``):
+in the lockstep groups of ``local_training.lockstep_groups``, each through
+the step loop of one ``prepare_group`` call, in the waves of
+``local_training.run_in_waves``.  The uploads are the rows of one
 ``(N, D)`` block: ``lss_local_train`` forms each soup upload from the
-client's pool rows, and a proximal upload is the client's last row.  Each
-upload is the one the client gets alone.  Uploads are aggregated and
-scored in client-id order, and per-client seeds are a stable hash of
-(round seed, client id), so results do not depend on the order the
-clients are given in.  A round scores its uploads on their stacked rows,
-a chunk of clients at a time (``model.accuracy`` on a block, and one
-``vecdot`` for the update norms), each in the bits of the upload alone.
+client's pool rows, and a proximal upload is the client's last row; each
+is the one the client gets alone.  Uploads are aggregated and scored in
+client-id order, and per-client seeds are a stable hash of (round seed,
+client id), so results do not depend on the order the clients are given
+in.  A round scores its uploads on their stacked rows, a chunk of clients
+at a time (``model.accuracy`` on a block, and one ``vecdot`` for the
+update norms), each in the bits of the upload alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import local_training
 from .config import STRATEGIES, LocalConfig
 from .data import Dataset
 from .local_training import (
-    LOCKSTEP_FLOATS,
     fedprox_local_train,
     lockstep_groups,
+    lockstep_workers,
     lss_local_train,
     prepare_group,
+    run_in_waves,
 )
 from .model import MlpSpec, accuracy, evaluate, init_params
 from .params import ParamVector, weighted_average
@@ -124,6 +120,7 @@ def warmup_pretrain(
 
     ``steps == 0`` returns the raw random initialization (the cold-start
     ablation); otherwise the anchor plays the role of a pre-trained model.
+    A failed warm-up raises ``RuntimeError`` naming the warm-up.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -131,80 +128,10 @@ def warmup_pretrain(
     if steps == 0:
         return start
     cfg = LocalConfig(eta=eta, tau=steps, batch_size=batch_size, mu_prox=0.0)
-    return fedprox_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
-
-
-def lockstep_workers(units: int, dim: int) -> int:
-    """The threads that run ``units`` independent units of work on ``dim``
-    weights at once: a round's lockstep groups of clients, sigma's clients
-    or the Hessian's probes (``lss.analysis``).  It is min(units, usable
-    cores // BLAS threads) once ``dim`` reaches half of
-    ``LOCKSTEP_FLOATS``, where every group is one client, and 1 otherwise,
-    which runs the units one by one in the calling thread.
-
-    A narrower client's step is mostly small ops that hold the GIL: on two
-    threads, single-client LSS groups at D = 13,354 trained slower (4-client
-    rounds 0.39-0.62 s against 0.62-0.73 s), and so did ``lss-mid``'s
-    groups of five at D = 2,762 (0.53-0.57 s against 0.56-0.85 s);
-    proximal ones at D = 67,210 trained faster (0.34-0.43 s against
-    0.28-0.33 s).  The BLAS threads are read from
-    ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``; with neither set
-    BLAS takes every core, and threaded groups made ``fedprox-wide`` rounds
-    slower (0.52-0.60 s against 0.72-0.99 s), so the units run one by
-    one."""
-    if units < 2 or dim < LOCKSTEP_FLOATS // 2:
-        return 1
-    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     try:
-        blas = int(pin)
-    except (TypeError, ValueError):  # unset, or not a count
-        return 1
-    if blas < 1:  # 0 leaves BLAS its default, every core
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(units, (cores or 1) // blas))
-
-
-class _Worker(threading.Thread):
-    """A started thread running one unit of work: a lockstep group's step
-    loop, a sigma client's draws or a Hessian probe.  ``outcome()`` joins
-    it, then returns what the unit returned or raises what it raised."""
-
-    def __init__(self, work):
-        super().__init__(name="lss-lockstep-unit")
-        self._work, self._result, self._failure = work, None, None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._result = self._work()
-        except BaseException as exc:  # re-raised by the dispatching thread
-            self._failure = exc
-        finally:
-            del self._work  # frees the unit's buffers but for what it returned
-
-    def outcome(self):
-        self.join()
-        if self._failure is not None:
-            raise self._failure
-        return self._result
-
-
-def run_at_once(units: Sequence[Callable[[], object]]) -> list:
-    """What each of ``units`` returns, in order, each run on a thread of its
-    own, all at once; a lone unit runs in this thread.  The caller allocates
-    the units' buffers.  A unit that raised raises its error, the first in
-    unit order, once every thread started here has been joined."""
-    if len(units) == 1:
-        return [units[0]()]
-    workers: list[_Worker] = []
-    try:
-        for unit in units:
-            workers.append(_Worker(unit))
-        return [worker.outcome() for worker in workers]
-    finally:
-        for worker in workers:
-            worker.join()
+        return fedprox_local_train(start, spec, proxy_data, cfg, derive_seed(seed, "warmup"))
+    except Exception as exc:
+        raise RuntimeError(f"warm-up failed: {exc}") from exc
 
 
 def train_clients(
@@ -222,15 +149,10 @@ def train_clients(
     lockstep group of ``local_training.lockstep_groups`` runs the step loop
     of one ``prepare_group`` call, a lone client included.  A soup row holds
     the values of ``lss_local_train(..., pool)`` on the client's pool rows,
-    and a proximal row is copied from the group's last member.
-
-    The groups train on ``lockstep_workers`` threads at once, one by one in
-    this thread when that is 1.  This thread prepares each group, which
-    allocates its buffers, and forms its uploads, in group order, after its
-    loop has run; a group's buffers are freed before the next group is
-    prepared, so at most that many groups are alive at once.  A failed group
-    raises its error, the first in group order, once every thread started
-    here has been joined."""
+    and a proximal row is copied from the group's last member.  The groups
+    train in waves of ``lockstep_workers`` (``run_in_waves``), so a failed
+    group raises its error, the first in group order, after every join and
+    before a later group's failure to prepare."""
     if len(seeds) != len(datasets):
         raise ValueError(f"{len(seeds)} seeds for {len(datasets)} clients")
     if strategy == "fedavg":
@@ -240,12 +162,15 @@ def train_clients(
     soup = strategy == "lss"
     members = local_cfg.num_pool_models if soup else 1
     groups = lockstep_groups(datasets, anchor.dim, members)
-    workers = lockstep_workers(len(groups), anchor.dim)
     uploads = np.empty((len(datasets), anchor.dim))
 
-    def finish(group: list[int], pools: np.ndarray, worker: _Worker | None) -> None:
-        if worker is not None:
-            worker.outcome()
+    def prepare(group: list[int]) -> Callable[[], tuple[list[int], np.ndarray]]:
+        group_data, group_seeds = [datasets[i] for i in group], [seeds[i] for i in group]
+        train = prepare_group(anchor, spec, group_data, local_cfg, group_seeds, soup)[1]
+        return lambda: (group, train())
+
+    def finish(trained: tuple[list[int], np.ndarray]) -> None:
+        group, pools = trained
         if soup:
             for j, i in enumerate(group):
                 uploads[i] = lss_local_train(
@@ -254,28 +179,10 @@ def train_clients(
         else:
             uploads[group] = pools[-1]
 
-    # The groups prepared and not yet finished, in group order: each with
-    # its pools and its worker, or None when it trained in this thread.
-    running: deque[tuple[list[int], np.ndarray, _Worker | None]] = deque()
-    try:
-        for group in groups:
-            if len(running) == workers:
-                # Freed before the next group's pools are made: held across
-                # the next group, they raised the peak RSS of a run at
-                # D = 101,386 by 3 MB.
-                finish(*running.popleft())
-            pools, train = prepare_group(
-                anchor, spec, [datasets[i] for i in group], local_cfg,
-                [seeds[i] for i in group], soup,
-            )
-            running.append((group, pools, _Worker(train) if workers > 1 else train()))
-            del pools, train
-        while running:
-            finish(*running.popleft())
-    finally:
-        for _, _, worker in running:
-            if worker is not None:
-                worker.join()
+    run_in_waves(
+        [partial(prepare, group) for group in groups],
+        lockstep_workers(len(groups), anchor.dim), finish,
+    )
     return uploads
 
 
@@ -330,7 +237,7 @@ def run_round(
     # that the round's training has freed: at the full budget, chunks of 41
     # clients raised the peak RSS of a 100-client run at D = 170 by 0.7 MB.
     per_client = eval_data.n * sum(fo for _, fo in spec.layer_shapes()) + global_model.dim
-    chunk = max(1, LOCKSTEP_FLOATS // (2 * per_client))
+    chunk = max(1, local_training.LOCKSTEP_FLOATS // (2 * per_client))
     diffs = np.empty((min(chunk, len(uploads)), global_model.dim))
     client_accs, norms = [], []
     for lo in range(0, len(uploads), chunk):

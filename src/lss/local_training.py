@@ -16,7 +16,8 @@ group.  It trains a group of G clients at once, a lone client being a
 group of one: it holds the pools in one ``(members + 1, G, D)`` array
 (row 0 the anchor), which it returns, and writes each step into fixed
 ``(G, D)`` buffers.  ``prepare_group`` allocates them all before the first
-step and returns the step loop, which may then run in another thread.
+step and returns the step loop, which ``run_in_waves`` may run on a worker
+thread, as it does sigma's clients (``lockstep_workers`` at a time).
 The steps follow the float order of the reference functions
 (``lss_regularized_grad``, ``fedprox_loss_and_grad``, ``axpy``), so
 results are bit-identical to them whatever the group.
@@ -36,6 +37,8 @@ no update turns a non-finite entry finite.
 
 from __future__ import annotations
 
+import os
+import threading
 from functools import partial
 from itertools import combinations, count, groupby
 from typing import Callable, Iterator, Sequence
@@ -246,6 +249,106 @@ def lockstep_groups(datasets: Sequence[Dataset], dim: int, members: int) -> list
     return [order[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+def lockstep_workers(units: int, dim: int) -> int:
+    """The threads that run ``units`` independent units on ``dim`` weights
+    at once (a round's lockstep groups, sigma's clients, the Hessian's
+    probes): min(units, usable cores // BLAS threads) once ``dim`` reaches
+    half of ``LOCKSTEP_FLOATS``, where every group is one client, else 1,
+    which runs the units one by one in the calling thread.
+
+    A narrower client's step is mostly small ops that hold the GIL: on two
+    threads, single-client LSS groups at D = 13,354 trained slower (4-client
+    rounds 0.39-0.62 s against 0.62-0.73 s), and so did ``lss-mid``'s
+    groups of five at D = 2,762 (0.53-0.57 s against 0.56-0.85 s);
+    proximal ones at D = 67,210 trained faster (0.34-0.43 s against
+    0.28-0.33 s).  BLAS threads are read from ``OPENBLAS_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``; with neither set BLAS takes every core, and
+    threaded groups made ``fedprox-wide`` rounds slower (0.52-0.60 s
+    against 0.72-0.99 s), so the units run one by one."""
+    if units < 2 or dim < LOCKSTEP_FLOATS // 2:
+        return 1
+    pin = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    try:
+        blas = int(pin)
+    except (TypeError, ValueError):  # unset, or not a count
+        return 1
+    if blas < 1:  # 0 leaves BLAS its default, every core
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(units, (cores or 1) // blas))
+
+
+class _Worker(threading.Thread):
+    """A started thread running one unit of work: a lockstep group's step
+    loop, a sigma client's draws or a Hessian probe.  ``outcome()`` joins
+    it, then returns (and lets go of) what the unit returned, or raises
+    what it raised."""
+
+    def __init__(self, work):
+        super().__init__(name="lss-lockstep-unit")
+        self._work, self._result, self._failure = work, None, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._result = self._work()
+        except BaseException as exc:  # re-raised by the dispatching thread
+            self._failure = exc
+        finally:
+            del self._work  # frees the unit's buffers but for what it returned
+
+    def outcome(self):
+        self.join()
+        if self._failure is not None:
+            raise self._failure
+        result, self._result = self._result, None
+        return result
+
+
+def run_at_once(units: Sequence[Callable[[], object]]) -> list:
+    """What each of ``units`` returns, in order, each run on a thread of its
+    own, all at once; a lone unit runs in this thread.  The caller allocates
+    the units' buffers.  A unit that raised raises its error, the first in
+    unit order, once every thread started here has been joined."""
+    if len(units) == 1:
+        return [units[0]()]
+    workers: list[_Worker] = []
+    try:
+        for unit in units:
+            workers.append(_Worker(unit))
+        return [worker.outcome() for worker in workers]
+    finally:
+        for worker in workers:
+            worker.join()
+
+
+def run_in_waves(prepares: Sequence[Callable], workers: int, finish: Callable) -> None:
+    """Calls ``prepares`` in this thread, in order, ``workers`` at a time,
+    which allocates their units' buffers (a preparation may return None: no
+    unit), runs each wave's units at once (``run_at_once``) and hands their
+    results to ``finish`` in order before the next wave is prepared: a
+    group's pools held across the next group raised the peak RSS of a run
+    at D = 101,386 by 3 MB.  A failed preparation raises once the units
+    before it have run and been finished, unless one of them failed: that
+    error comes first."""
+    for lo in range(0, len(prepares), workers):
+        units, failure = [], None
+        for prepare in prepares[lo : lo + workers]:
+            try:
+                unit = prepare()
+            except Exception as exc:  # raised once the units before it have run
+                failure = exc
+                break
+            if unit is not None:
+                units.append(unit)
+        results = run_at_once(units)
+        units = unit = None  # the wave's buffers go as their results are finished
+        while results:
+            finish(results.pop(0))
+        if failure is not None:
+            raise failure
+
+
 def _average(rows: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The uniform average of ``rows`` along its first axis into ``out``,
     in ``uniform_average``'s order: each term scaled, then added left to
@@ -349,24 +452,22 @@ def train_group(
     step's batches (``_group_batches``), which writes every row of the
     gradients.  It runs ``prepare_group``'s step loop in the calling thread.
     """
-    rows, train = prepare_group(anchor, spec, datasets, config, seeds, soup)
-    train()
-    return rows
+    return prepare_group(anchor, spec, datasets, config, seeds, soup)[1]()
 
 
 def prepare_group(
     anchor: ParamVector, spec: MlpSpec, datasets: Sequence[Dataset], config: LocalConfig,
     seeds: Sequence[int], soup: bool,
-) -> tuple[np.ndarray, Callable[[], None]]:
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """``train_group``'s pools before training, row 0 the anchor, and its
-    step loop, which trains the members into them in place and raises
-    ``ValueError`` on a non-finite member or distance.  Every large buffer
-    of the loop is allocated here, in the calling thread: the pool rows,
-    the ``(G, D)`` step buffers, the kernel's gradient and its scratch,
-    sized to the group's largest step, and the step's features block.  So
-    the loop may run in another thread without growing that thread's heap:
-    allocated in two worker threads, they raised the peak RSS of a run at
-    D = 101,386 to 68-71 MB, against 56 MB allocated here."""
+    step loop, which trains the members into them in place, returns them,
+    and raises ``ValueError`` on a non-finite member or distance.  Every
+    large buffer of the loop is allocated here, in the calling thread: the
+    pool rows, the ``(G, D)`` step buffers, the kernel's gradient and its
+    scratch, sized to the group's largest step, and the step's features
+    block.  So the loop may run in another thread without growing that
+    thread's heap: allocated in two worker threads, they raised the peak
+    RSS of a run at D = 101,386 to 68-71 MB, against 56 MB allocated here."""
     members = config.num_pool_models if soup else 1
     size, dim = len(datasets), anchor.dim
     rows = np.empty((members + 1, size, dim))  # rows[k, g]: member k of client g
@@ -393,8 +494,8 @@ def prepare_group(
 def _train_steps(
     rows: np.ndarray, kernel: Kernel, tmp: np.ndarray, push: np.ndarray | None,
     batches: Iterator, coeff_rngs: list[np.random.Generator], config: LocalConfig, soup: bool,
-) -> None:
-    """``prepare_group``'s step loop on its buffers."""
+) -> np.ndarray:
+    """``prepare_group``'s step loop on its buffers; returns ``rows``."""
     x, grad = kernel.x, kernel.grad
     lam_a, lam_d, mu = config.lambda_a, config.lambda_d, config.mu_prox
     for m in range(1, len(rows)):
@@ -433,6 +534,7 @@ def _train_steps(
             active += grad
         if not np.isfinite(active).all():
             raise ValueError("operation produced non-finite entries")
+    return rows
 
 
 def _unit_rows(diffs: np.ndarray, eps: float, m: int, k: int) -> None:

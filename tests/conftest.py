@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import lss.analysis as analysis
 import lss.federation as federation
 import lss.local_training as local_training
 from lss.data import Dataset, gen_blobs
@@ -58,6 +59,32 @@ def spy_prepare_group(monkeypatch) -> list:
     for module in (local_training, federation):
         monkeypatch.setattr(module, "prepare_group", spy)
     return calls
+
+
+@pytest.fixture
+def spy_workers(monkeypatch):
+    """A function that returns the list of worker threads started from
+    then on, in order; given ``workers``, it also forces the engine's
+    callers (``train_clients`` and the estimators) to run up to that many
+    units at once, however wide the model."""
+
+    def spy(workers: int | None = None) -> list:
+        if workers is not None:
+            for module in (federation, analysis):
+                monkeypatch.setattr(
+                    module, "lockstep_workers", lambda units, dim: min(units, workers)
+                )
+        started = []
+
+        class Worker(local_training._Worker):
+            def __init__(self, work):
+                started.append(self)
+                super().__init__(work)
+
+        monkeypatch.setattr(local_training, "_Worker", Worker)
+        return started
+
+    return spy
 
 
 @pytest.fixture(scope="session")

@@ -299,6 +299,27 @@ class TestRun:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [["experiment.warmup_eta=1e300", "model.hidden_dims=[16]"], ["data.spread=1e200"]],
+        ids=["warmup-eta", "spread"],
+    )
+    def test_diverged_warmup_prints_one_error_line_naming_it(self, tmp_path, capsys, overrides):
+        # The golden configuration with a warm-up that overflows before any
+        # round: the error names the warm-up, as a round's names the client.
+        cfg = tmp_path / "golden.yaml"
+        cfg.write_text(GOLDEN.replace("OUTDIR", str(tmp_path / "out")))
+        argv = ["run", str(cfg)]
+        for item in overrides:
+            argv += ["-s", item]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "error: warm-up failed: operation produced non-finite entries\n"
+        )
+
 
 class TestEval:
     def test_eval_reports_checkpoint_accuracy(self, tmp_path, capsys):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessian_oracle import top_hessian_eigenvalue_from_grad
-from lss import analysis, federation, model as model_module
+from lss import analysis, local_training, model as model_module
 from lss.analysis import estimate_sigma, estimate_zeta, hessian_top_eig
 from lss.data import Dataset, gen_blobs
 from lss.federation import data_proportional_weights
@@ -300,7 +300,7 @@ def test_lockstep_sigma_matches_the_oracle_on_drawn_shapes(
 
 class TestLockstepThreadedEstimators:
     """On a model of 65,536 weights or more, sigma's clients and the
-    Hessian's probes run ``federation.lockstep_workers`` at once, each on a
+    Hessian's probes run ``local_training.lockstep_workers`` at once, each on a
     thread of its own, inside the one estimator call.  Every float is the
     serial one, a failure is the serial one, and no thread outlives the
     call."""
@@ -312,7 +312,7 @@ class TestLockstepThreadedEstimators:
     @classmethod
     def wide_case(cls):
         spec = cls.SPEC
-        assert spec.param_count() >= federation.LOCKSTEP_FLOATS // 2
+        assert spec.param_count() >= local_training.LOCKSTEP_FLOATS // 2
         rng = np.random.default_rng(3)
         params = ParamVector(
             init_params(spec, 7).values + 0.05 * rng.standard_normal(spec.param_count())
@@ -323,24 +323,18 @@ class TestLockstepThreadedEstimators:
         return spec, params, data, clients
 
     @staticmethod
-    def force_workers(monkeypatch, workers):
-        """Forces W threads; returns the list of workers started."""
-        monkeypatch.setattr(analysis, "lockstep_workers", lambda units, dim: min(units, workers))
-        return spy_workers(monkeypatch)
-
-    @staticmethod
     def chunks(data, seed, batch_size):
         """The Hessian's batches, in probe order, as ``hessian_top_eig`` cuts them."""
         order = np.random.default_rng(seed).permutation(data.n)
         return np.array_split(order, math.ceil(data.n / batch_size))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_every_worker_count_gives_the_serial_floats(self, monkeypatch, workers):
+    def test_every_worker_count_gives_the_serial_floats(self, monkeypatch, spy_workers, workers):
         spec, params, data, clients = self.wide_case()
         seeds = [11, 12, 13, 14]
         sigma = max(reference_sigma(params, spec, c, 16, 5, s) for c, s in zip(clients, seeds))
         hessian = reference_hessian(params, spec, data, 4, 3, 16)
-        started = self.force_workers(monkeypatch, workers)
+        started = spy_workers(workers)
         # ``loss_and_grad`` is a name the traced benchmark wraps: only this
         # thread may call it.
         callers = []
@@ -388,11 +382,11 @@ class TestLockstepThreadedEstimators:
 
         monkeypatch.setattr(model_module, "_backprop", faulty)
 
-    def hessian_outcome(self, monkeypatch, workers, faults):
+    def hessian_outcome(self, monkeypatch, spy_workers, workers, faults):
         """The Hessian's value or error with ``faults`` injected, at W
         workers (the sequential oracle for None), and the threads it started."""
         spec, params, data, _ = self.wide_case()
-        started = self.force_workers(monkeypatch, workers or 1)
+        started = spy_workers(workers or 1)
         self.inject(monkeypatch, data, self.chunks(data, 3, 16), faults)
         threads = threading.active_count()
         try:
@@ -412,12 +406,12 @@ class TestLockstepThreadedEstimators:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
     def test_a_probe_that_degenerates_while_a_later_one_runs_is_reseeded_as_alone(
-        self, monkeypatch, workers, twice
+        self, monkeypatch, spy_workers, workers, twice
     ):
         faults = [(0, 2, 0.0)] + ([(0, 3 + 2, 0.0)] if twice else [])
-        oracle, _ = self.hessian_outcome(monkeypatch, None, faults)
-        serial, _ = self.hessian_outcome(monkeypatch, 1, faults)
-        threaded, started = self.hessian_outcome(monkeypatch, workers, faults)
+        oracle, _ = self.hessian_outcome(monkeypatch, spy_workers, None, faults)
+        serial, _ = self.hessian_outcome(monkeypatch, spy_workers, 1, faults)
+        threaded, started = self.hessian_outcome(monkeypatch, spy_workers, workers, faults)
         assert threaded == serial == oracle
         assert len(started) >= workers
         if twice:
@@ -426,7 +420,7 @@ class TestLockstepThreadedEstimators:
             )
         else:
             # the reseed draws other start vectors for probe 0 and every later one
-            assert oracle != self.hessian_outcome(monkeypatch, None, [])[0]
+            assert oracle != self.hessian_outcome(monkeypatch, spy_workers, None, [])[0]
 
     # Probe 2's gradient is infinite at iteration 0; probe 1 vanishes at
     # iteration 3, once or twice.  The error of the first probe to fail
@@ -434,11 +428,13 @@ class TestLockstepThreadedEstimators:
     # names a non-finite gradient in the words of ``ParamVector``.)
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("twice", [False, True], ids=["once", "twice"])
-    def test_a_non_finite_probe_raises_the_serial_error(self, monkeypatch, workers, twice):
+    def test_a_non_finite_probe_raises_the_serial_error(
+        self, monkeypatch, spy_workers, workers, twice
+    ):
         faults = [(2, 0, np.inf), (1, 3, 0.0)] + ([(1, 4 + 3, 0.0)] if twice else [])
-        oracle, _ = self.hessian_outcome(monkeypatch, None, faults)
-        serial, _ = self.hessian_outcome(monkeypatch, 1, faults)
-        threaded, _ = self.hessian_outcome(monkeypatch, workers, faults)
+        oracle, _ = self.hessian_outcome(monkeypatch, spy_workers, None, faults)
+        serial, _ = self.hessian_outcome(monkeypatch, spy_workers, 1, faults)
+        threaded, _ = self.hessian_outcome(monkeypatch, spy_workers, workers, faults)
         assert threaded == serial
         assert serial[0] is oracle[0] is (RuntimeError if twice else ValueError)
         if not twice:
@@ -449,7 +445,7 @@ class TestLockstepThreadedEstimators:
     # test_a_draw_that_overflows_alone_raises), a full batch does not.
     # Client 2 has the wrong width, which its kernel rejects before any draw.
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_non_finite_client_raises_the_serial_error(self, monkeypatch, workers):
+    def test_a_non_finite_client_raises_the_serial_error(self, spy_workers, workers):
         spec = self.SPEC
         x = np.zeros(spec.param_count())
         (_, b1), (_, b2), (w3, _) = model_module._unpack(x, spec)
@@ -462,7 +458,7 @@ class TestLockstepThreadedEstimators:
         risky = Dataset(rng.standard_normal((20, 16)), np.arange(20) % 3, 3)
         narrow = Dataset(rng.standard_normal((20, 5)), np.arange(20) % 3, 3)
         assert np.isfinite(loss_and_grad(params, spec, risky)[1].values).all()
-        started = self.force_workers(monkeypatch, workers)
+        started = spy_workers(workers)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="^diagnostic produced non-finite entries$"):
             estimate_sigma(params, spec, [safe, risky, narrow], 1, 9, [0, 1, 2])
@@ -474,9 +470,11 @@ class TestLockstepThreadedEstimators:
 
     # Client 0 fails late and client 1 at once: client 0's error is raised,
     # once client 1's thread is joined.
-    def test_the_first_failure_in_client_order_is_raised_after_every_join(self, monkeypatch):
+    def test_the_first_failure_in_client_order_is_raised_after_every_join(
+        self, monkeypatch, spy_workers
+    ):
         spec, params, _, clients = self.wide_case()
-        started = self.force_workers(monkeypatch, 3)
+        started = spy_workers(3)
         draws = analysis._sigma_draws
         order = {id(c): i for i, c in enumerate(clients)}
 
@@ -497,13 +495,13 @@ class TestLockstepThreadedEstimators:
         assert len(started) == 2
         assert not any(worker.is_alive() for worker in started)
 
-    def test_only_a_wide_model_with_blas_pinned_starts_threads(self, monkeypatch):
+    def test_only_a_wide_model_with_blas_pinned_starts_threads(self, monkeypatch, spy_workers):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(local_training.os, "sched_getaffinity", lambda pid: {0, 1})
         wide, params, data, clients = self.wide_case()
         narrow = MlpSpec(input_dim=16, hidden_dims=(64,), num_classes=3)
-        assert federation.lockstep_workers(4, narrow.param_count()) == 1
-        started = spy_workers(monkeypatch)
+        assert local_training.lockstep_workers(4, narrow.param_count()) == 1
+        started = spy_workers()
         for spec, x, threads in ((narrow, init_params(narrow, 1), 0), (wide, params, 2 + 6)):
             estimate_sigma(x, spec, clients, 16, 5, [1, 2, 3, 4])
             hessian_top_eig(x, spec, data, iters=2, seed=0, batch_size=16)
@@ -515,15 +513,3 @@ class TestLockstepThreadedEstimators:
         hessian_top_eig(params, wide, data, iters=2, seed=0, batch_size=16)
         assert len(started) == 8  # BLAS unpinned: serial
 
-
-def spy_workers(monkeypatch) -> list:
-    """The worker threads started from now on, in order."""
-    started = []
-
-    class Worker(federation._Worker):
-        def __init__(self, work):
-            started.append(self)
-            super().__init__(work)
-
-    monkeypatch.setattr(federation, "_Worker", Worker)
-    return started

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lss.federation as federation
+import lss.local_training as local_training
 import lss.model as model
 from conftest import spy_prepare_group
 from lss.config import (
@@ -342,10 +343,11 @@ class TestLockstepUploads:
 
 class TestLockstepThreads:
     """Clients whose weight vectors reach half of ``LOCKSTEP_FLOATS`` train
-    one per group, and the groups train on ``lockstep_workers`` threads at
-    once.  Every upload keeps the bits it gets alone, a failure is the one
-    of the serial loop, no thread outlives ``train_clients``, and at most
-    W groups' buffers are alive at once."""
+    one per group, and the groups train in waves of ``lockstep_workers``,
+    each on a thread of its own but a wave's lone group.  Every upload
+    keeps the bits it gets alone, a failure is the one of the serial loop,
+    no thread outlives ``train_clients``, and at most W groups' buffers are
+    alive at once."""
 
     # Ragged sizes about a batch of 16: within one batch, of exactly one,
     # and over one with epoch tails.
@@ -356,7 +358,7 @@ class TestLockstepThreads:
         """A model of 70,915 weights, and one client per size; client i's
         features are scaled by ``scale[i]`` when given."""
         spec = MlpSpec(input_dim=16, hidden_dims=(256, 256), num_classes=3)
-        assert spec.param_count() >= federation.LOCKSTEP_FLOATS // 2
+        assert spec.param_count() >= local_training.LOCKSTEP_FLOATS // 2
         rng = np.random.default_rng(12)
         datasets = [
             Dataset(
@@ -371,31 +373,21 @@ class TestLockstepThreads:
         )
         return spec, init_params(spec, 5), datasets, local
 
-    @staticmethod
-    def force_workers(monkeypatch, workers):
-        """Forces W threads, and returns the list of workers started."""
-        monkeypatch.setattr(federation, "lockstep_workers", lambda groups, dim: min(groups, workers))
-        started = []
-
-        class Worker(federation._Worker):
-            def __init__(self, train):
-                started.append(self)
-                super().__init__(train)
-
-        monkeypatch.setattr(federation, "_Worker", Worker)
-        return started
-
     @pytest.mark.parametrize("strategy", ["fedavg", "fedprox", "lss"])
-    def test_uploads_are_bit_identical_at_every_worker_count(self, monkeypatch, strategy):
+    def test_uploads_are_bit_identical_at_every_worker_count(
+        self, monkeypatch, spy_workers, strategy
+    ):
         spec, anchor, datasets, local = self.wide_case(self.SIZES)
         seeds = [derive_seed(4, i) for i in range(len(datasets))]
         clients = [ClientState(i, d) for i, d in enumerate(datasets)]
         eval_data = datasets[2]
         blocks, rounds = {}, {}
         for workers in (1, 2, 3):
-            started = self.force_workers(monkeypatch, workers)
+            started = spy_workers(workers)
             blocks[workers] = train_clients(strategy, anchor, spec, datasets, local, seeds)
-            assert len(started) == (0 if workers == 1 else len(datasets))
+            # 5 groups: waves of 1 in this thread, of 2, 2 and a lone one,
+            # or of 3 and 2.
+            assert len(started) == {1: 0, 2: 4, 3: 5}[workers]
             rounds[workers] = run_round(anchor, clients, spec, local, strategy, 1, 4, eval_data)
         for workers in (2, 3):
             assert np.array_equal(blocks[workers], blocks[1])
@@ -419,7 +411,7 @@ class TestLockstepThreads:
     @pytest.mark.parametrize("strategy", ["fedprox", "lss"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_diverging_client_fails_the_round_as_in_the_serial_loop(
-        self, monkeypatch, strategy, workers
+        self, spy_workers, strategy, workers
     ):
         # By size the groups are 9, 16, 23, 33, 40: client 0 (23 samples)
         # trains in the 3rd group, and diverges.
@@ -427,26 +419,28 @@ class TestLockstepThreads:
         local = dataclasses.replace(local, eta=0.5)
         clients = [ClientState(i, d) for i, d in enumerate(datasets)]
         test = datasets[1]
-        self.force_workers(monkeypatch, 1)
+        spy_workers(1)
         with pytest.raises(RuntimeError) as serial:
             run_round(anchor, clients, spec, local, strategy, 3, 6, test)
         assert str(serial.value).startswith("client 0 failed during round 3: ")
-        started = self.force_workers(monkeypatch, workers)
+        started = spy_workers(workers)
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as threaded:
             run_round(anchor, clients, spec, local, strategy, 3, 6, test)
         assert str(threaded.value) == str(serial.value)
         assert type(threaded.value.__cause__) is type(serial.value.__cause__)
         assert threading.active_count() == threads
-        # The round's threads: up to the failed 3rd group, and none after
-        # the failure but the groups already started; the replay trains
-        # each client alone, in this thread.
-        assert 3 <= len(started) <= 2 + workers
+        # The round's threads: the waves up to the failed 3rd group's, 0-1
+        # and 2-3 at W = 2, or 0-2 at W = 3; the replay trains each client
+        # alone, in this thread.
+        assert len(started) == {2: 4, 3: 3}[workers]
         assert not any(worker.is_alive() for worker in started)
 
-    def test_the_first_failure_in_group_order_is_raised_after_every_join(self, monkeypatch):
+    def test_the_first_failure_in_group_order_is_raised_after_every_join(
+        self, monkeypatch, spy_workers
+    ):
         spec, anchor, datasets, local = self.wide_case(self.SIZES)
-        started = self.force_workers(monkeypatch, 3)
+        started = spy_workers(3)
         prepare = federation.prepare_group
         calls = []
 
@@ -470,16 +464,46 @@ class TestLockstepThreads:
         with pytest.raises(ValueError, match="^group 1 failed$"):
             train_clients("fedprox", anchor, spec, datasets, local, list(range(5)))
         assert threading.active_count() == threads
-        # The 4th group is prepared once the 1st is finished; none is
-        # prepared after the failure is raised.
-        assert calls == [0, 1, 2, 3] and len(started) == 4
+        # The first wave, groups 0-2, fails; no later group is prepared.
+        assert calls == [0, 1, 2] and len(started) == 3
         assert not any(worker.is_alive() for worker in started)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_training_failure_comes_before_a_later_failure_to_prepare(
+        self, monkeypatch, spy_workers, workers
+    ):
+        spec, anchor, datasets, local = self.wide_case(self.SIZES[:2])
+        started = spy_workers(workers)
+        prepare = federation.prepare_group
+        calls = []
+
+        def failing(*args, **kwargs):
+            # Group 0 fails in training, and group 1 to prepare.
+            index = len(calls)
+            calls.append(index)
+            if index == 1:
+                raise ValueError("prepare of group 1 failed")
+            rows, train = prepare(*args, **kwargs)
+
+            def steps():
+                raise ValueError("group 0 failed in training")
+
+            return rows, steps
+
+        monkeypatch.setattr(federation, "prepare_group", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^group 0 failed in training$"):
+            train_clients("fedprox", anchor, spec, datasets, local, [1, 2])
+        assert threading.active_count() == threads
+        # At W = 1 group 1 is never prepared; at W = 2 its preparation
+        # fails, and group 0, alone in its wave, trains in this thread.
+        assert calls == list(range(workers)) and started == []
 
     @pytest.mark.parametrize("strategy", ["fedprox", "lss"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_at_most_w_groups_are_alive_at_once(self, monkeypatch, strategy, workers):
+    def test_at_most_w_groups_are_alive_at_once(self, monkeypatch, spy_workers, strategy, workers):
         spec, anchor, datasets, local = self.wide_case(self.SIZES)
-        self.force_workers(monkeypatch, workers)
+        spy_workers(workers)
         prepare = federation.prepare_group
         rows = []
         alive = []
@@ -493,16 +517,16 @@ class TestLockstepThreads:
         monkeypatch.setattr(federation, "prepare_group", tracked)
         train_clients(strategy, anchor, spec, datasets, local, list(range(5)))
         assert len(rows) == len(datasets)
-        assert alive == [min(i + 1, workers) for i in range(len(datasets))]
+        assert alive == [i % workers + 1 for i in range(len(datasets))]
         assert all(ref() is None for ref in rows)
 
     def test_the_worker_count_rule(self, monkeypatch):
-        wide = federation.LOCKSTEP_FLOATS // 2
+        wide = local_training.LOCKSTEP_FLOATS // 2
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         cores = {0, 1}
-        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: cores)
-        workers = federation.lockstep_workers
+        monkeypatch.setattr(local_training.os, "sched_getaffinity", lambda pid: cores)
+        workers = local_training.lockstep_workers
         # No BLAS pin: BLAS takes every core, and the groups train serially.
         assert workers(4, wide) == 1
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -523,21 +547,13 @@ class TestLockstepThreads:
             monkeypatch.setenv("OMP_NUM_THREADS", pin)
             assert workers(8, wide) == 1
 
-    def test_a_wide_lone_client_group_trains_in_this_thread(self, monkeypatch):
+    def test_a_wide_lone_client_group_trains_in_this_thread(self, monkeypatch, spy_workers):
         # With BLAS pinned on two cores, a round of one wide client starts
         # no thread; a round of two starts one per group.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(local_training.os, "sched_getaffinity", lambda pid: {0, 1})
         spec, anchor, datasets, local = self.wide_case(self.SIZES[:2])
-        started = []
-        real = federation._Worker
-
-        class Worker(real):
-            def __init__(self, train):
-                started.append(self)
-                super().__init__(train)
-
-        monkeypatch.setattr(federation, "_Worker", Worker)
+        started = spy_workers()
         train_clients("fedavg", anchor, spec, datasets[:1], local, [1])
         assert started == []
         train_clients("fedavg", anchor, spec, datasets, local, [1, 2])
@@ -568,7 +584,7 @@ class TestLockstepScoring:
         clients = [ClientState(i, data.subset(c)) for i, c in enumerate(cuts)]
         monkeypatch.setattr(federation, "train_clients", lambda *args: uploads.copy())
         per_client = eval_data.n * sum(fo for _, fo in spec.layer_shapes()) + anchor.dim
-        monkeypatch.setattr(federation, "LOCKSTEP_FLOATS", 2 * chunk * per_client)
+        monkeypatch.setattr(local_training, "LOCKSTEP_FLOATS", 2 * chunk * per_client)
         calls = []
         score = model.accuracy
         monkeypatch.setattr(

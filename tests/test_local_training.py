@@ -888,10 +888,7 @@ def test_lockstep_rounds_give_each_client_its_bits_alone_on_drawn_shapes(
     pool = members if strategy == "lss" else 1
     # room for ``per_group`` clients (see ``_clients_per_group``)
     budget = per_group * (pool + 4) * anchor.dim
-    with (
-        mock.patch.object(local_training, "LOCKSTEP_FLOATS", budget),
-        mock.patch.object(federation, "LOCKSTEP_FLOATS", budget),
-    ):
+    with mock.patch.object(local_training, "LOCKSTEP_FLOATS", budget):
         groups = lockstep_groups(datasets, anchor.dim, pool)
         _, record, finals = federation.run_round(
             anchor, clients, spec, cfg, strategy, 1, 13, eval_data
